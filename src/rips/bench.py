@@ -3,102 +3,13 @@ corpus, with decode / rule-execution / encode time broken out."""
 
 from __future__ import annotations
 
-import base64
-import random
 import time
 from dataclasses import dataclass
 
-from .checker import CheckedProgram, check_source
+from .checker import CheckedProgram
 from .runtime import FakeClock, InterpretedEngine, RecordingRunner
 from .transpiler import load_generated, transpile
-from .wire import decode_event, encode_event, encode_outcome
-
-BENCH_TOPICS = ["/bench/pose", "/bench/cmd", "/bench/image", "/bench/imu", "/bench/log"]
-BENCH_NODES = ["driver", "planner", "camera", "logger", "bridge", "watch"]
-BENCH_TYPES = ["std_msgs/msg/String", "geometry_msgs/msg/Twist", "sensor_msgs/msg/Imu"]
-
-# Expression-heavy rules so the benchmark exercises evaluation, not child
-# processes; alerts are rare so encode time stays a separate axis.
-BENCH_RULES = """\
-vars:
-    nmsg int = 0;
-    ngraph int = 0;
-    acc int = 0;
-    busy bool = false;
-    tag string = "";
-
-rules Graph:
-    nodecount(1, 100) && (ngraph * 7 + acc) % 11 != 3 ?
-        set(ngraph, ngraph + 1),
-        set(acc, acc + ngraph * 3 - 1);
-
-    topiccount(0, 50) && (acc % 5 == 0 || busy) ?
-        set(busy, !busy) => set(acc, acc + 2);
-
-    ! nodesinclude("driver", "planner", "camera", "logger", "bridge", "watch", "rips") &&
-            ngraph % 97 == 0 ?
-        alert("unexpected node inventory: " + string(ngraph));
-
-rules Msg:
-    topicin("/bench/pose", "/bench/cmd", "/bench/imu") && nmsg % 13 != 7 ?
-        set(nmsg, nmsg + 1),
-        set(acc, acc + (nmsg % 9) * 2);
-
-    topicmatches("/bench/.*") && (nmsg * 31 + acc) % 101 == 0 ?
-        set(tag, "hit:" + string(nmsg)) => alert(tag);
-
-    msgsubtype("geometry_msgs", "Twist") && publishercount(0, 6) ?
-        set(acc, acc * 2 % 1000003 + 1);
-"""
-
-
-def make_bench_rules() -> CheckedProgram:
-    return check_source(BENCH_RULES, "bench.rul")
-
-
-def make_corpus(n_events: int, seed: int = 7) -> list[str]:
-    """Deterministic synthetic corpus of framed graph/message documents."""
-    rng = random.Random(seed)
-    docs: list[str] = []
-    nodes = [
-        {
-            "node": name,
-            "gids": [f"{i:02x}.{i:02x}.00"],
-            "services": [{"service": f"/{name}/get_parameters", "params": ["rcl_interfaces/srv/GetParameters"]}],
-        }
-        for i, name in enumerate(BENCH_NODES)
-    ]
-    for i in range(n_events):
-        t = rng.random()
-        topics = [
-            {
-                "topic": topic,
-                "parameters": [rng.choice(BENCH_TYPES)],
-                "publishers": rng.sample(BENCH_NODES, rng.randint(0, 2)) or [None],
-                "subscribers": rng.sample(BENCH_NODES, rng.randint(0, 3)) or [None],
-            }
-            for topic in BENCH_TOPICS
-        ]
-        base = {
-            "currentlevel": "__DEFAULT__",
-            "currentgrav": 0.0,
-            "lastalert": "",
-        }
-        if t < 0.5:
-            base.update({"event": "graph", "context": {"nodes": nodes, "topics": topics}})
-        else:
-            payload = bytes(rng.randrange(256) for _ in range(rng.randint(0, 64)))
-            base.update(
-                {
-                    "event": "message",
-                    "context": {"nodes": nodes, "topics": topics},
-                    "topic": rng.choice(BENCH_TOPICS),
-                    "msgtype": rng.choice(BENCH_TYPES),
-                    "payload": base64.b64encode(payload).decode("ascii"),
-                }
-            )
-        docs.append(encode_event(base))
-    return docs
+from .wire import decode_event, encode_outcome
 
 
 @dataclass

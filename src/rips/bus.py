@@ -159,6 +159,9 @@ class SocketServer:
                         except DecodeError as exc:
                             log.warning("skipping malformed event: %s", exc)
                             continue
+                        except Exception:  # noqa: BLE001 - one document must not kill the reader
+                            log.exception("skipping event that failed to decode")
+                            continue
                         self.events.put(event)  # blocks when full: backpressure
 
 

@@ -14,17 +14,17 @@ Exit status: 0 success, 1 static/compile errors (and failed simulations),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import __version__
-from .bench import make_corpus, run_benchmark
-from .bus import SocketServer, serve
+from .bench import run_benchmark
 from .checker import check_file
 from .errors import EngineCrash, LexError, ParseError, StaticError
+from .randprog import random_corpus
 from .runtime import EngineConfig, InterpretedEngine
 from .scenario import load_scenario, run_scenario
+from .support import add_engine_args, config_from_args, serve_from_args
 from .transpiler import transpile
 
 USAGE_ERROR = 2
@@ -65,15 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scriptsdir", nargs="?", default=EngineConfig.scripts_dir,
                        help="transition-scripts directory (default %(default)s)")
     p_run.add_argument("rules", help="rules file (.rul)")
-    p_run.add_argument("-s", "--socket", default=EngineConfig.socket_path,
-                       help="unix socket path (default %(default)s)")
-    p_run.add_argument("--tick", type=float, default=EngineConfig.tick_interval,
-                       help="External-rule tick interval in seconds (default %(default)s)")
-    p_run.add_argument("--exec-timeout", type=float, default=EngineConfig.exec_timeout)
-    p_run.add_argument("--ids-dir", default=EngineConfig.ids_dir)
-    p_run.add_argument("--ids-pattern", default=EngineConfig.ids_pattern)
-    p_run.add_argument("--dump-vars", action="store_true",
-                       help="print the final variable store to stderr at exit")
+    add_engine_args(p_run)
 
     p_check = sub.add_parser("check", help="static analysis only")
     p_check.add_argument("rules")
@@ -92,9 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="transition-scripts directory (omit to skip scripts)")
     p_sim.add_argument("--polling", type=float, default=None,
                        help="graph polling interval in seconds (overrides RIPSPOLLING)")
-    p_sim.add_argument("--tick", type=float, default=EngineConfig.tick_interval)
-    p_sim.add_argument("--ids-dir", default=EngineConfig.ids_dir)
-    p_sim.add_argument("--ids-pattern", default=EngineConfig.ids_pattern)
+    add_engine_args(p_sim, serving=False)
 
     p_bench = sub.add_parser("bench", help="compare interpreter and generated program")
     p_bench.add_argument("rules")
@@ -140,20 +130,7 @@ def main(argv=None) -> int:
         checked = _check(args.rules, args.scriptsdir)
         if checked is None:
             return STATIC_ERROR
-        config = EngineConfig(
-            socket_path=args.socket,
-            scripts_dir=args.scriptsdir,
-            tick_interval=args.tick,
-            exec_timeout=args.exec_timeout,
-            ids_dir=args.ids_dir,
-            ids_pattern=args.ids_pattern,
-        )
-        engine = InterpretedEngine(checked, config=config)
-        server = SocketServer(config.socket_path, config.queue_max)
-        status = serve(engine, server)
-        if args.dump_vars:
-            print(json.dumps(engine.dump_variables(), sort_keys=True, default=repr), file=sys.stderr)
-        return status
+        return serve_from_args(lambda **kw: InterpretedEngine(checked, **kw), args)
 
     if args.command == "simulate":
         checked = _check(args.rules, args.scriptsdir)
@@ -164,11 +141,7 @@ def main(argv=None) -> int:
         except Exception as exc:  # noqa: BLE001 - report and exit
             print(f"error: cannot load scenario: {exc}", file=sys.stderr)
             return STATIC_ERROR
-        config = EngineConfig(
-            tick_interval=args.tick,
-            ids_dir=args.ids_dir,
-            ids_pattern=args.ids_pattern,
-        )
+        config = config_from_args(args)
 
         def build_engine(clock, counters):
             return InterpretedEngine(checked, clock=clock, counters=counters, config=config)
@@ -185,7 +158,7 @@ def main(argv=None) -> int:
         if checked is None:
             return STATIC_ERROR
         if args.synthetic is not None:
-            docs = make_corpus(args.synthetic, args.seed)
+            docs = random_corpus(args.seed, args.synthetic)
         elif args.corpus is not None:
             from .wire import DocumentStream
 

@@ -1,4 +1,14 @@
-"""Implementations of the expression builtins over event contexts.
+"""Implementations of the expression builtins.
+
+Every builtin takes one calling form, ``(E, ctx, *args)``: the engine, the
+rule's context (a ``MessageContext`` for Msg rules, a ``GraphContext`` for
+Graph rules, ``None`` for External rules) and the evaluated arguments. The
+resource builtins (``topicmatches``, ``payload``, ``plugin``, ``signal``)
+instead receive the index of their precompiled resource, or the signal
+name, that the checker stored in ``Call.resource``. Each ``BuiltinSig`` in
+``signatures.EXPRESSION_BUILTINS`` carries its function here as ``impl``;
+the interpreter calls it and generated code names it, so both engines run
+the same code.
 
 Set-shaped predicates come in three flavors per subject: exact equality
 against the argument set, an inclusion test, and an inclusive count range.
@@ -18,6 +28,7 @@ import fnmatch
 import logging
 import os
 
+from . import values
 from .context import GraphContext, MessageContext
 
 log = logging.getLogger("rips.predicates")
@@ -26,113 +37,133 @@ log = logging.getLogger("rips.predicates")
 # --- Msg predicates (over the current message) ---
 
 
-def topicin(ctx: MessageContext, *topics: str) -> bool:
+def topicin(E, ctx: MessageContext, *topics: str) -> bool:
     return ctx.topic in topics
 
 
-def msgtypein(ctx: MessageContext, *types: str) -> bool:
+def msgtypein(E, ctx: MessageContext, *types: str) -> bool:
     return ctx.msg_type in types
 
 
-def msgsubtype(ctx: MessageContext, pkg: str, leaf: str) -> bool:
+def msgsubtype(E, ctx: MessageContext, pkg: str, leaf: str) -> bool:
     parts = ctx.msg_type.split("/")
     if len(parts) < 2:
         return False
     return parts[0] == pkg and parts[-1] == leaf
 
 
-def publishers(ctx: MessageContext, *pubs: str) -> bool:
+def publishers(E, ctx: MessageContext, *pubs: str) -> bool:
     return ctx.graph.publishers_of(ctx.topic) == frozenset(pubs)
 
 
-def publishersinclude(ctx: MessageContext, *pubs: str) -> bool:
+def publishersinclude(E, ctx: MessageContext, *pubs: str) -> bool:
     return frozenset(pubs) <= ctx.graph.publishers_of(ctx.topic)
 
 
-def publishercount(ctx: MessageContext, lo: int, hi: int) -> bool:
+def publishercount(E, ctx: MessageContext, lo: int, hi: int) -> bool:
     return lo <= len(ctx.graph.publishers_of(ctx.topic)) <= hi
 
 
-def subscribers(ctx: MessageContext, *subs: str) -> bool:
+def subscribers(E, ctx: MessageContext, *subs: str) -> bool:
     return ctx.graph.subscribers_of(ctx.topic) == frozenset(subs)
 
 
-def subscribersinclude(ctx: MessageContext, *subs: str) -> bool:
+def subscribersinclude(E, ctx: MessageContext, *subs: str) -> bool:
     return frozenset(subs) <= ctx.graph.subscribers_of(ctx.topic)
 
 
-def subscribercount(ctx: MessageContext, lo: int, hi: int) -> bool:
+def subscribercount(E, ctx: MessageContext, lo: int, hi: int) -> bool:
     return lo <= len(ctx.graph.subscribers_of(ctx.topic)) <= hi
+
+
+def topicmatches(E, ctx: MessageContext, index: int) -> bool:
+    return E.regexes[index].full_match(ctx.topic)
+
+
+def payload(E, ctx: MessageContext, index: int) -> bool:
+    return E.patterns[index].match(ctx.payload)
+
+
+def plugin(E, ctx: MessageContext, index: int) -> bool:
+    return E.runner.run_plugin(E.plugins[index], ctx.payload)
 
 
 # --- Graph predicates ---
 
 
-def nodes(g: GraphContext, *names: str) -> bool:
+def nodes(E, g: GraphContext, *names: str) -> bool:
     return g.node_names == frozenset(names)
 
 
-def nodesinclude(g: GraphContext, *names: str) -> bool:
+def nodesinclude(E, g: GraphContext, *names: str) -> bool:
     return g.node_names <= frozenset(names)
 
 
-def nodecount(g: GraphContext, lo: int, hi: int) -> bool:
+def nodecount(E, g: GraphContext, lo: int, hi: int) -> bool:
     return lo <= len(g.node_names) <= hi
 
 
-def topics(g: GraphContext, *names: str) -> bool:
+def topics(E, g: GraphContext, *names: str) -> bool:
     return g.topic_names == frozenset(names)
 
 
-def topicsinclude(g: GraphContext, *names: str) -> bool:
+def topicsinclude(E, g: GraphContext, *names: str) -> bool:
     return g.topic_names <= frozenset(names)
 
 
-def topiccount(g: GraphContext, lo: int, hi: int) -> bool:
+def topiccount(E, g: GraphContext, lo: int, hi: int) -> bool:
     return lo <= len(g.topic_names) <= hi
 
 
-def service(g: GraphContext, node: str, srv: str) -> bool:
+def service(E, g: GraphContext, node: str, srv: str) -> bool:
     return srv in g.services_of(node)
 
 
-def services(g: GraphContext, node: str, *srvs: str) -> bool:
+def services(E, g: GraphContext, node: str, *srvs: str) -> bool:
     return g.services_of(node) == frozenset(srvs)
 
 
-def servicesinclude(g: GraphContext, node: str, *srvs: str) -> bool:
+def servicesinclude(E, g: GraphContext, node: str, *srvs: str) -> bool:
     return frozenset(srvs) <= g.services_of(node)
 
 
-def servicecount(g: GraphContext, node: str, lo: int, hi: int) -> bool:
+def servicecount(E, g: GraphContext, node: str, lo: int, hi: int) -> bool:
     return lo <= len(g.services_of(node)) <= hi
 
 
-def topicpublishers(g: GraphContext, topic: str, *names: str) -> bool:
+def topicpublishers(E, g: GraphContext, topic: str, *names: str) -> bool:
     return g.publishers_of(topic) == frozenset(names)
 
 
-def topicpublishersinclude(g: GraphContext, topic: str, *names: str) -> bool:
+def topicpublishersinclude(E, g: GraphContext, topic: str, *names: str) -> bool:
     return frozenset(names) <= g.publishers_of(topic)
 
 
-def topicpublishercount(g: GraphContext, topic: str, lo: int, hi: int) -> bool:
+def topicpublishercount(E, g: GraphContext, topic: str, lo: int, hi: int) -> bool:
     return lo <= len(g.publishers_of(topic)) <= hi
 
 
-def topicsubscribers(g: GraphContext, topic: str, *names: str) -> bool:
+def topicsubscribers(E, g: GraphContext, topic: str, *names: str) -> bool:
     return g.subscribers_of(topic) == frozenset(names)
 
 
-def topicsubscribersinclude(g: GraphContext, topic: str, *names: str) -> bool:
+def topicsubscribersinclude(E, g: GraphContext, topic: str, *names: str) -> bool:
     return frozenset(names) <= g.subscribers_of(topic)
 
 
-def topicsubscribercount(g: GraphContext, topic: str, lo: int, hi: int) -> bool:
+def topicsubscribercount(E, g: GraphContext, topic: str, lo: int, hi: int) -> bool:
     return lo <= len(g.subscribers_of(topic)) <= hi
 
 
 # --- External predicates ---
+
+
+def idsalert(E, ctx, needle: str) -> bool:
+    return E.ids.search(needle)
+
+
+def signal(E, ctx, name: str) -> bool:
+    return E.counters.consume(name)
 
 
 class IdsAlertScanner:
@@ -168,33 +199,12 @@ class IdsAlertScanner:
         return False
 
 
-MSG_IMPLS = {
-    "topicin": topicin,
-    "msgtypein": msgtypein,
-    "msgsubtype": msgsubtype,
-    "publishers": publishers,
-    "publishersinclude": publishersinclude,
-    "publishercount": publishercount,
-    "subscribers": subscribers,
-    "subscribersinclude": subscribersinclude,
-    "subscribercount": subscribercount,
-}
+# --- Helpers, valid in every section ---
 
-GRAPH_IMPLS = {
-    "nodes": nodes,
-    "nodesinclude": nodesinclude,
-    "nodecount": nodecount,
-    "topics": topics,
-    "topicsinclude": topicsinclude,
-    "topiccount": topiccount,
-    "service": service,
-    "services": services,
-    "servicesinclude": servicesinclude,
-    "servicecount": servicecount,
-    "topicpublishers": topicpublishers,
-    "topicpublishersinclude": topicpublishersinclude,
-    "topicpublishercount": topicpublishercount,
-    "topicsubscribers": topicsubscribers,
-    "topicsubscribersinclude": topicsubscribersinclude,
-    "topicsubscribercount": topicsubscribercount,
-}
+
+def levelname(E, ctx, ordinal: int) -> str:
+    return E.levelname(ordinal)
+
+
+def string(E, ctx, value) -> str:
+    return values.to_string(value)

@@ -1,11 +1,16 @@
 """Random well-typed program and event-corpus generation.
 
-Used by the differential harness: programs are correct by construction
-(every variable is read and set at least once, predicate arguments respect
-the signature table, trigger/levelname arguments use level forms), so any
-static error or interpreter/transpiler divergence they provoke is a real
-bug. Division and modulo keep a small chance of a zero denominator on
-purpose: fault handling must match across engines too.
+Used by the differential test (``tests/test_differential.py``), which runs
+each program interpreted and transpiled over the same corpus and compares
+outcomes, variables and child-process requests. Programs are correct by
+construction (every variable is read and set at least once, predicate
+arguments respect the signature table, trigger/levelname arguments use level
+forms), so any static error or interpreter/transpiler divergence they
+provoke is a real bug. They call every expression builtin except ``payload``
+and ``plugin``, which need files on disk, and every action, ``crash``
+included. Division and modulo keep a small chance of a zero denominator on
+purpose: fault handling must match across engines too. ``random_corpus``
+also feeds ``rips bench --synthetic``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ TOPIC_POOL = ["/t0", "/t1", "/t2", "/cam/raw", "/cmd/vel", "/diag"]
 NODE_POOL = ["alpha", "beta", "gamma", "delta", "rips", "watch"]
 TYPE_POOL = ["std_msgs/msg/String", "geometry_msgs/msg/Twist", "sensor_msgs/msg/Imu"]
 SERVICE_POOL = ["/alpha/get_parameters", "/beta/set_parameters", "/gamma/list_parameters"]
+# Needles for idsalert(): a differential run writes alert files holding
+# the first two, so both outcomes of the scan occur.
+IDS_NEEDLE_POOL = ["ET SCAN", "portscan", "no-such-alert"]
 
 
 class _ProgramGen:
@@ -31,6 +39,7 @@ class _ProgramGen:
         self.string_vars: list[str] = []
         self.level_vars: list[str] = []  # int vars initialized with a level
         self.int_consts: list[str] = []
+        self.decks: dict[str, list[int]] = {}
 
     # --- expressions; depth bounds the tree ---
 
@@ -45,12 +54,13 @@ class _ProgramGen:
             choices.append("CurrLevel")
             return r.choice(choices)
         roll = r.random()
-        if roll < 0.55:
+        if roll < 0.45:
             op = r.choice(["+", "-", "*"])
             return f"({self.int_expr(depth - 1)} {op} {self.int_expr(depth - 1)})"
         if roll < 0.70:
-            # Mostly safe denominators; zero stays possible deliberately.
-            den = r.choice(["2", "3", "5", "7", str(r.randint(0, 3))])
+            # Mostly safe denominators; zero stays possible deliberately
+            # (CurrLevel at the first level, a level variable, a literal 0).
+            den = r.choice(["2", "3", "5", "7", "0", "CurrLevel", self.int_expr(0)])
             op = r.choice(["/", "%"])
             return f"({self.int_expr(depth - 1)} {op} {den})"
         if roll < 0.80:
@@ -92,6 +102,8 @@ class _ProgramGen:
     def bool_expr(self, depth: int, section: str) -> str:
         r = self.rng
         if depth <= 0:
+            if r.random() < 0.4:
+                return self.predicate(section)
             leaves = ["true", "false"]
             if self.bool_vars:
                 leaves.append(r.choice(self.bool_vars))
@@ -116,45 +128,64 @@ class _ProgramGen:
         return self.bool_expr(0, section)
 
     def predicate(self, section: str) -> str:
+        """One call of a builtin predicate of ``section``: every expression
+        builtin except ``payload`` and ``plugin``, which need files."""
         r = self.rng
+        lo, hi = sorted((r.randint(0, 3), r.randint(0, 6)))
         if section == "Graph":
-            topic = r.choice(TOPIC_POOL)
-            node = r.choice(NODE_POOL)
-            lo, hi = sorted((r.randint(0, 3), r.randint(0, 6)))
-            names = ", ".join(f'"{n}"' for n in r.sample(NODE_POOL, r.randint(1, 3)))
-            topic_names = ", ".join(f'"{t}"' for t in r.sample(TOPIC_POOL, r.randint(1, 3)))
-            return r.choice(
-                [
-                    f"nodecount({lo}, {hi})",
-                    f"topiccount({lo}, {hi})",
-                    f'topicsubscribercount("{topic}", {lo}, {hi})',
-                    f'topicpublishercount("{topic}", {lo}, {hi})',
-                    f"nodesinclude({names})",
-                    f"topicsinclude({topic_names})",
-                    f'topicsubscribersinclude("{topic}", "{node}")',
-                    f'topicpublishers("{topic}", {names})',
-                    f'service("{node}", "{r.choice(SERVICE_POOL)}")',
-                    f'servicecount("{node}", {lo}, {hi})',
-                ]
-            )
-        if section == "Msg":
-            topics = ", ".join(f'"{t}"' for t in self.rng.sample(TOPIC_POOL, r.randint(1, 3)))
-            types = ", ".join(f'"{t}"' for t in self.rng.sample(TYPE_POOL, r.randint(1, 2)))
-            lo, hi = sorted((r.randint(0, 3), r.randint(0, 6)))
-            names = ", ".join(f'"{n}"' for n in r.sample(NODE_POOL, r.randint(1, 2)))
-            return r.choice(
-                [
-                    f"topicin({topics})",
-                    f'topicmatches("{r.choice(["/t.*", "/cam/.*", "/c.*", "/diag"])}")',
-                    f"msgtypein({types})",
-                    f'msgsubtype("std_msgs", "String")',
-                    f"publishercount({lo}, {hi})",
-                    f"subscribercount({lo}, {hi})",
-                    f"publishersinclude({names})",
-                    f"subscribers({names})",
-                ]
-            )
-        return f'signal("{r.choice(["SIGUSR1", "SIGUSR2"])}")'
+            topic = f'"{r.choice(TOPIC_POOL)}"'
+            node = f'"{r.choice(NODE_POOL)}"'
+            names = self.pick(NODE_POOL, 1, 3)
+            options = [
+                f"nodecount({lo}, {hi})",
+                f"topiccount({lo}, {hi})",
+                f"topicsubscribercount({topic}, {lo}, {hi})",
+                f"topicpublishercount({topic}, {lo}, {hi})",
+                f"nodes({names})",
+                f"nodesinclude({names})",
+                f"topics({self.pick(TOPIC_POOL, 0, 3)})",
+                f"topicsinclude({self.pick(TOPIC_POOL, 1, 3)})",
+                f"topicsubscribers({topic}{self.pick(NODE_POOL, 0, 2, lead=True)})",
+                f"topicsubscribersinclude({topic}, {node})",
+                f"topicpublishers({topic}, {names})",
+                f"topicpublishersinclude({topic}{self.pick(NODE_POOL, 0, 2, lead=True)})",
+                f'service({node}, "{r.choice(SERVICE_POOL)}")',
+                f"services({node}{self.pick(SERVICE_POOL, 0, 2, lead=True)})",
+                f"servicesinclude({node}{self.pick(SERVICE_POOL, 0, 1, lead=True)})",
+                f"servicecount({node}, {lo}, {hi})",
+            ]
+        elif section == "Msg":
+            names = self.pick(NODE_POOL, 1, 2)
+            options = [
+                f"topicin({self.pick(TOPIC_POOL, 1, 3)})",
+                f'topicmatches("{r.choice(["/t.*", "/cam/.*", "/c.*", "/diag"])}")',
+                f"msgtypein({self.pick(TYPE_POOL, 1, 2)})",
+                f'msgsubtype("std_msgs", "String")',
+                f"publishercount({lo}, {hi})",
+                f"subscribercount({lo}, {hi})",
+                f"publishers({self.pick(NODE_POOL, 0, 2)})",
+                f"publishersinclude({names})",
+                f"subscribers({names})",
+                f"subscribersinclude({self.pick(NODE_POOL, 0, 2)})",
+            ]
+        else:
+            options = [
+                f'idsalert("{r.choice(IDS_NEEDLE_POOL)}")',
+                f'signal("{r.choice(["SIGUSR1", "SIGUSR2"])}")',
+            ]
+        # Deal the forms from a shuffled deck per section, so one program
+        # calls as many different predicates as it has predicate slots.
+        deck = self.decks.setdefault(section, [])
+        if not deck:
+            deck.extend(r.sample(range(len(options)), len(options)))
+        return options[deck.pop()]
+
+    def pick(self, pool: list[str], lo: int, hi: int, lead: bool = False) -> str:
+        """Argument list of ``lo`` to ``hi`` distinct quoted names from
+        ``pool``; with ``lead``, each name is preceded by a comma so the list
+        can follow a fixed argument."""
+        names = [f'"{x}"' for x in self.rng.sample(pool, self.rng.randint(lo, hi))]
+        return "".join(f", {x}" for x in names) if lead else ", ".join(names)
 
     # --- actions ---
 
@@ -180,6 +211,8 @@ class _ProgramGen:
             options.append(f"trigger({self.level_form()})")
         if r.random() < 0.12:
             options.append(f'exec("/bin/probe", {self.string_expr(0)})')
+        if r.random() < 0.1:
+            options.append(f"crash({self.string_expr(0)})")
         return r.choice(options)
 
     def rule(self, section: str) -> str:

@@ -22,7 +22,7 @@ from .bus import SignalCounters
 from .checker import CheckedProgram
 from .errors import EngineCrash, EvalFault
 from .machine import Level, LevelMachine
-from .predicates import GRAPH_IMPLS, MSG_IMPLS, IdsAlertScanner
+from .predicates import IdsAlertScanner
 from .syntax import Binary, Call, Literal, Name, Rule, Unary
 from .wire import DecodeError, InboundEvent, Outcome, decode_event
 
@@ -68,34 +68,25 @@ class SubprocessRunner:
     def __init__(self, timeout: float = 30.0):
         self.timeout = timeout
 
-    def run_script(self, path: str, from_name: str, to_name: str) -> bool:
-        env = dict(os.environ)
-        env["RIPS_LEVEL_FROM"] = from_name
-        env["RIPS_LEVEL_TO"] = to_name
+    def _run(self, what: str, argv: list[str], **kwargs) -> bool:
         try:
-            proc = subprocess.run([path], env=env, timeout=self.timeout,
-                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            proc = subprocess.run(argv, timeout=self.timeout, **kwargs)
         except (OSError, subprocess.TimeoutExpired) as exc:
-            log.warning("transition script %s failed to run: %s", path, exc)
+            log.warning("%s %s failed to run: %s", what, argv[0], exc)
             return False
         return proc.returncode == 0
+
+    def run_script(self, path: str, from_name: str, to_name: str) -> bool:
+        env = dict(os.environ, RIPS_LEVEL_FROM=from_name, RIPS_LEVEL_TO=to_name)
+        return self._run("transition script", [path], env=env,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
     def run_exec(self, path: str, args: tuple[str, ...]) -> bool:
-        try:
-            proc = subprocess.run([path, *args], timeout=self.timeout)
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            log.warning("exec %s failed: %s", path, exc)
-            return False
-        return proc.returncode == 0
+        return self._run("exec", [path, *args])
 
     def run_plugin(self, path: str, payload: bytes) -> bool:
-        try:
-            proc = subprocess.run([path], input=payload, timeout=self.timeout,
-                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            log.warning("plugin %s failed: %s", path, exc)
-            return False
-        return proc.returncode == 0
+        return self._run("plugin", [path], input=payload,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
 
 class RecordingRunner:
@@ -106,25 +97,18 @@ class RecordingRunner:
         self.calls: list[tuple] = []
         self.result_fn = result_fn
 
-    def _result(self, call: tuple) -> bool:
-        if self.result_fn is None:
-            return True
-        return bool(self.result_fn(call))
+    def _record(self, call: tuple) -> bool:
+        self.calls.append(call)
+        return self.result_fn is None or bool(self.result_fn(call))
 
     def run_script(self, path: str, from_name: str, to_name: str) -> bool:
-        call = ("script", path, from_name, to_name)
-        self.calls.append(call)
-        return self._result(call)
+        return self._record(("script", path, from_name, to_name))
 
     def run_exec(self, path: str, args: tuple[str, ...]) -> bool:
-        call = ("exec", path, tuple(args))
-        self.calls.append(call)
-        return self._result(call)
+        return self._record(("exec", path, tuple(args)))
 
     def run_plugin(self, path: str, payload: bytes) -> bool:
-        call = ("plugin", path, payload)
-        self.calls.append(call)
-        return self._result(call)
+        return self._record(("plugin", path, payload))
 
 
 @dataclass
@@ -136,7 +120,12 @@ class RuntimeEnv:
 
 class EngineBase:
     """Shared engine behavior: interpreted and generated programs differ
-    only in how a single rule is dispatched."""
+    only in how a single rule is dispatched.
+
+    Every outcome goes to ``sink`` (if any) and into one flat buffer; each
+    entry point (``start``, ``handle_event``, ``tick``) returns and empties
+    that buffer.
+    """
 
     def __init__(
         self,
@@ -149,6 +138,9 @@ class EngineBase:
         counters: SignalCounters | None = None,
         sink=None,
         config: EngineConfig | None = None,
+        regexes=(),
+        patterns=(),
+        plugins=(),
     ):
         self.config = config or EngineConfig()
         self.clock = clock or SystemClock()
@@ -159,8 +151,12 @@ class EngineBase:
         self.scripts = scripts
         self.env = RuntimeEnv(variables=dict(var_init))
         self.ids = IdsAlertScanner(self.config.ids_dir, self.config.ids_pattern)
+        # Precompiled resources, indexed by Call.resource.
+        self.regexes = list(regexes)
+        self.patterns = list(patterns)
+        self.plugins = list(plugins)
         self.events_processed = 0
-        self._collected: list[Outcome] | None = None
+        self._outcomes: list[Outcome] = []
         self._started = False
 
     # Rule tables filled by subclasses: lists of (rule_id, impl).
@@ -173,9 +169,11 @@ class EngineBase:
 
     # --- lifecycle ---
 
-    def start(self) -> None:
+    def start(self) -> list[Outcome]:
+        """Enter the first level (running its ``.to`` script) once; returns
+        the outcomes of doing so."""
         if self._started:
-            return
+            return []
         self._started = True
         now = self.clock.now_ns()
         self.env.start_ns = now
@@ -184,6 +182,7 @@ class EngineBase:
             name = self.machine.levels[0].name
             if not self._run_script(name, enter=True, from_name="", to_name=name):
                 self._script_failure_alert(f"{name}.to")
+        return self._take_outcomes()
 
     def handle_document(self, text: str) -> list[Outcome]:
         try:
@@ -199,14 +198,15 @@ class EngineBase:
             rules, ctx = self._graph_rules, event.graph
         else:
             rules, ctx = self._msg_rules, event.message_context()
-        outcomes = self._run_rules(rules, ctx)
+        self._run_rules(rules, ctx)
         self.events_processed += 1
-        return outcomes
+        return self._take_outcomes()
 
     def tick(self) -> list[Outcome]:
         """One periodic pass over the External rules, with no event context."""
         self.start()
-        return self._run_rules(self._external_rules, None)
+        self._run_rules(self._external_rules, None)
+        return self._take_outcomes()
 
     def dump_variables(self) -> dict[str, object]:
         return dict(self.env.variables)
@@ -216,26 +216,20 @@ class EngineBase:
     def _refresh(self) -> None:
         self.env.time_ns = self.clock.now_ns()
 
-    def _run_rules(self, rules, ctx) -> list[Outcome]:
-        outer = self._collected
-        buf: list[Outcome] = []
-        self._collected = buf
-        try:
-            for rule_id, impl in rules:
-                self._refresh()
-                try:
-                    self._call_rule(impl, ctx)
-                except EvalFault as fault:
-                    self.act_alert(f"rule {rule_id}: {fault}")
-        finally:
-            if outer is not None:
-                outer.extend(buf)
-            self._collected = outer if outer is not None else None
-        return buf
+    def _run_rules(self, rules, ctx) -> None:
+        for rule_id, impl in rules:
+            self._refresh()
+            try:
+                self._call_rule(impl, ctx)
+            except EvalFault as fault:
+                self.act_alert(f"rule {rule_id}: {fault}")
+
+    def _take_outcomes(self) -> list[Outcome]:
+        outcomes, self._outcomes = self._outcomes, []
+        return outcomes
 
     def _deliver(self, outcome: Outcome) -> bool:
-        if self._collected is not None:
-            self._collected.append(outcome)
+        self._outcomes.append(outcome)
         if self.sink is None:
             return True
         try:
@@ -320,17 +314,8 @@ class EngineBase:
             log.info("False: %s", values.to_string(v))
         return False
 
-    # --- shared expression services ---
-
-    def run_plugin(self, path: str, payload: bytes) -> bool:
-        return self.runner.run_plugin(path, payload)
-
     def levelname(self, ordinal) -> str:
         return self.machine.name_of(ordinal)
-
-    @property
-    def curr_level(self) -> int:
-        return self.machine.current
 
 
 class CompiledEngine(EngineBase):
@@ -350,14 +335,7 @@ class CompiledEngine(EngineBase):
         graph_rules: list,
         msg_rules: list,
         external_rules: list,
-        regexes=(),
-        patterns=(),
-        plugins=(),
-        clock=None,
-        runner=None,
-        counters=None,
-        sink=None,
-        config: EngineConfig | None = None,
+        **kwargs,
     ):
         level_objs = [Level(name, soft, i) for i, (name, soft) in enumerate(levels)]
         scripts = None
@@ -366,19 +344,7 @@ class CompiledEngine(EngineBase):
                 name: (os.path.join(scripts_dir, f"{name}.to"), os.path.join(scripts_dir, f"{name}.from"))
                 for name, _soft in levels
             }
-        super().__init__(
-            levels=level_objs,
-            scripts=scripts,
-            var_init=var_init,
-            clock=clock,
-            runner=runner,
-            counters=counters,
-            sink=sink,
-            config=config,
-        )
-        self.regexes = list(regexes)
-        self.patterns = list(patterns)
-        self.plugins = list(plugins)
+        super().__init__(levels=level_objs, scripts=scripts, var_init=var_init, **kwargs)
         self._graph_rules = list(graph_rules)
         self._msg_rules = list(msg_rules)
         self._external_rules = list(external_rules)
@@ -392,10 +358,14 @@ class InterpretedEngine(EngineBase):
 
     def __init__(self, checked: CheckedProgram, **kwargs):
         levels = [Level(d.name, d.soft, d.ordinal) for d in checked.levels]
+        res = checked.resources
         super().__init__(
             levels=levels,
             scripts=checked.scripts,
             var_init=checked.var_initial,
+            regexes=res.regexes,
+            patterns=res.patterns,
+            plugins=res.plugins,
             **kwargs,
         )
         self.checked = checked
@@ -474,24 +444,8 @@ class InterpretedEngine(EngineBase):
         return self._eval_call(e, ctx)
 
     def _eval_call(self, call: Call, ctx):
-        name = call.name
-        if name == "topicmatches":
-            kind, idx = call.resource
-            return self.checked.resources.regexes[idx].full_match(ctx.topic)
-        if name == "payload":
-            kind, idx = call.resource
-            return self.checked.resources.patterns[idx].match(ctx.payload)
-        if name == "plugin":
-            kind, idx = call.resource
-            return self.run_plugin(self.checked.resources.plugins[idx], ctx.payload)
-        if name == "signal":
-            return self.counters.consume(call.resource[1])
-        if name == "idsalert":
-            return self.ids.search(self._eval(call.args[0], ctx))
-        if name == "levelname":
-            return self.levelname(self._eval(call.args[0], ctx))
-        if name == "string":
-            return values.to_string(self._eval(call.args[0], ctx))
-        impl = MSG_IMPLS.get(name) or GRAPH_IMPLS[name]
-        args = [self._eval(a, ctx) for a in call.args]
-        return impl(ctx, *args)
+        if call.resource is not None:
+            args = (call.resource[1],)
+        else:
+            args = [self._eval(a, ctx) for a in call.args]
+        return call.sig.impl(self, ctx, *args)

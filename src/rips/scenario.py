@@ -298,7 +298,7 @@ def run_scenario(
             else:
                 last_alert = o.text
 
-    engine.start()
+    record(engine.start(), start_ns)
     try:
         for at_ns, _prio, _seq, kind, entry in schedule:
             now = start_ns + at_ns

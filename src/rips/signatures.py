@@ -2,13 +2,16 @@
 
 Each builtin appears exactly once. Actions run only in chains and are
 universally typed; predicates and helpers appear only in expressions, and a
-predicate's expression type pins it to one rule section.
+predicate's expression type pins it to one rule section. Every expression
+builtin carries its implementation, the function of the same name in
+``predicates``, as ``impl``: both engines dispatch through that field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from . import predicates
 from .typesys import ExprType, ValueType
 
 S = ValueType.STRING
@@ -30,6 +33,8 @@ class BuiltinSig:
     # Indices of int arguments that must denote a level (level name,
     # CurrLevel, or an int variable initialized with a level name).
     level_args: tuple[int, ...] = ()
+    # Expression builtins only: called as impl(engine, ctx, *args).
+    impl: object = field(default=None, compare=False, repr=False)
 
     def arity_ok(self, n: int) -> bool:
         if self.vararg is None:
@@ -46,6 +51,8 @@ def _table(sigs: list[BuiltinSig]) -> dict[str, BuiltinSig]:
     out: dict[str, BuiltinSig] = {}
     for sig in sigs:
         assert sig.name not in out, sig.name
+        if sig.kind != "action":
+            sig = replace(sig, impl=getattr(predicates, sig.name))
         out[sig.name] = sig
     return out
 

@@ -1,8 +1,11 @@
-"""Runtime support layer for generated rule programs.
+"""Runtime support layer for generated rule programs, and the engine options
+that `rips run`, `rips simulate` and generated programs share.
 
-Generated source imports only this module, so every bit of observable
-behavior (value semantics, predicates, actions, the wire layer) is the same
-code the interpreter runs.
+Generated source imports this module and ``predicates``: this module supplies
+the value arithmetic, resource loaders, the engine class and the program's
+entry point; every expression builtin is called straight from
+``predicates``, the same function the interpreter reaches through
+``BuiltinSig.impl``.
 """
 
 from __future__ import annotations
@@ -13,50 +16,53 @@ import os
 import sys
 
 from .bus import SocketServer, serve
-from .errors import EngineCrash
 from .patterns import load_pattern_file
-from .predicates import (
-    msgsubtype,
-    msgtypein,
-    nodecount,
-    nodes,
-    nodesinclude,
-    publishercount,
-    publishers,
-    publishersinclude,
-    service,
-    servicecount,
-    services,
-    servicesinclude,
-    subscribercount,
-    subscribers,
-    subscribersinclude,
-    topiccount,
-    topicin,
-    topicpublishercount,
-    topicpublishers,
-    topicpublishersinclude,
-    topics,
-    topicsinclude,
-    topicsubscribercount,
-    topicsubscribers,
-    topicsubscribersinclude,
-)
 from .regexlite import compile_pattern as compile_regex
 from .runtime import CompiledEngine, EngineConfig, FakeClock, SubprocessRunner, SystemClock
-from .values import concat, fdiv, iadd, idiv, imod, imul, ineg, isub, to_string
+from .values import concat, fdiv, iadd, idiv, imod, imul, ineg, isub
 
 __all__ = [
     "CompiledEngine", "EngineConfig", "FakeClock", "SystemClock", "SubprocessRunner",
     "compile_regex", "load_pattern_file", "compiled_main",
-    "iadd", "isub", "imul", "ineg", "idiv", "imod", "fdiv", "concat", "to_string",
-    "msgsubtype", "msgtypein", "topicin", "publishers", "publishersinclude",
-    "publishercount", "subscribers", "subscribersinclude", "subscribercount",
-    "nodes", "nodesinclude", "nodecount", "topics", "topicsinclude", "topiccount",
-    "service", "services", "servicesinclude", "servicecount",
-    "topicpublishers", "topicpublishersinclude", "topicpublishercount",
-    "topicsubscribers", "topicsubscribersinclude", "topicsubscribercount",
+    "iadd", "isub", "imul", "ineg", "idiv", "imod", "fdiv", "concat",
 ]
+
+
+def add_engine_args(parser: argparse.ArgumentParser, *, serving: bool = True) -> None:
+    """Add the engine options; ``serving`` adds those that only a socket
+    server has (socket path, child-process timeout, ``--dump-vars``)."""
+    if serving:
+        parser.add_argument("-s", "--socket", default=EngineConfig.socket_path,
+                            help="unix socket path (default %(default)s)")
+    parser.add_argument("--tick", type=float, default=EngineConfig.tick_interval,
+                        help="External-rule tick interval in seconds (default %(default)s)")
+    if serving:
+        parser.add_argument("--exec-timeout", type=float, default=EngineConfig.exec_timeout)
+    parser.add_argument("--ids-dir", default=EngineConfig.ids_dir)
+    parser.add_argument("--ids-pattern", default=EngineConfig.ids_pattern)
+    if serving:
+        parser.add_argument("--dump-vars", action="store_true",
+                            help="print the final variable store to stderr at exit")
+
+
+def config_from_args(args: argparse.Namespace) -> EngineConfig:
+    """The ``EngineConfig`` that the options of ``add_engine_args`` describe."""
+    config = EngineConfig(tick_interval=args.tick, ids_dir=args.ids_dir, ids_pattern=args.ids_pattern)
+    if hasattr(args, "socket"):
+        config.socket_path = args.socket
+        config.exec_timeout = args.exec_timeout
+    return config
+
+
+def serve_from_args(build_engine, args: argparse.Namespace) -> int:
+    """Serve ``build_engine(config=...)`` on the socket the options name until
+    it stops; returns the exit status."""
+    config = config_from_args(args)
+    engine = build_engine(config=config)
+    status = serve(engine, SocketServer(config.socket_path, config.queue_max))
+    if args.dump_vars:
+        print(json.dumps(engine.dump_variables(), sort_keys=True, default=repr), file=sys.stderr)
+    return status
 
 
 def validate_startup(level_names, scripts_dir: str | None, plugins) -> list[str]:
@@ -79,14 +85,7 @@ def validate_startup(level_names, scripts_dir: str | None, plugins) -> list[str]
 def compiled_main(build_engine, argv=None, *, levels=(), scripts_dir=None, plugins=()) -> int:
     """Entry point shared by all generated programs."""
     parser = argparse.ArgumentParser(description="generated rule program")
-    parser.add_argument("-s", "--socket", default=EngineConfig.socket_path, help="unix socket path")
-    parser.add_argument("--tick", type=float, default=EngineConfig.tick_interval,
-                        help="External-rule tick interval in seconds")
-    parser.add_argument("--exec-timeout", type=float, default=EngineConfig.exec_timeout)
-    parser.add_argument("--ids-dir", default=EngineConfig.ids_dir)
-    parser.add_argument("--ids-pattern", default=EngineConfig.ids_pattern)
-    parser.add_argument("--dump-vars", action="store_true",
-                        help="print the final variable store to stderr at exit")
+    add_engine_args(parser)
     args = parser.parse_args(argv)
 
     problems = validate_startup([name for name, _ in levels], scripts_dir, plugins)
@@ -94,20 +93,4 @@ def compiled_main(build_engine, argv=None, *, levels=(), scripts_dir=None, plugi
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         return 1
-
-    config = EngineConfig(
-        socket_path=args.socket,
-        tick_interval=args.tick,
-        exec_timeout=args.exec_timeout,
-        ids_dir=args.ids_dir,
-        ids_pattern=args.ids_pattern,
-    )
-    engine = build_engine(config=config)
-    server = SocketServer(config.socket_path, config.queue_max)
-    try:
-        status = serve(engine, server)
-    except EngineCrash:
-        status = 3
-    if args.dump_vars:
-        print(json.dumps(engine.dump_variables(), sort_keys=True, default=repr), file=sys.stderr)
-    return status
+    return serve_from_args(build_engine, args)

@@ -2,10 +2,13 @@
 Python program.
 
 Each rule becomes one function with its trigger expression inlined and the
-action chain lowered to connector-conditional calls; everything with
-observable behavior goes through the same support layer the interpreter
-uses, so the generated program is equivalent by construction. Generated
-output is deterministic except for the generated-at manifest line.
+action chain lowered to connector-conditional calls. Every expression
+builtin becomes one call ``_P.<name>(E, ctx, ...)`` of the ``predicates``
+function that its ``BuiltinSig.impl`` names, the same function object the
+interpreter calls; arithmetic, actions and the engine come from the
+``support`` layer. Equivalence with the interpreter is checked by the
+differential test (``tests/test_differential.py``). Generated output is
+deterministic except for the generated-at manifest line.
 """
 
 from __future__ import annotations
@@ -75,23 +78,11 @@ class _Gen:
         raise AssertionError(f"unexpected node {e!r}")
 
     def call(self, call: Call) -> str:
-        name = call.name
-        if name == "topicmatches":
-            return f"REGEXES[{call.resource[1]}].full_match(ctx.topic)"
-        if name == "payload":
-            return f"PATTERNS[{call.resource[1]}].match(ctx.payload)"
-        if name == "plugin":
-            return f"E.run_plugin(PLUGINS[{call.resource[1]}], ctx.payload)"
-        if name == "signal":
-            return f"E.counters.consume({call.resource[1]!r})"
-        if name == "idsalert":
-            return f"E.ids.search({self.expr(call.args[0])})"
-        if name == "levelname":
-            return f"E.levelname({self.expr(call.args[0])})"
-        if name == "string":
-            return f"_rt.to_string({self.expr(call.args[0])})"
-        args = ", ".join(self.expr(a) for a in call.args)
-        return f"_rt.{name}(ctx{', ' if args else ''}{args})"
+        if call.resource is not None:
+            args = [repr(call.resource[1])]
+        else:
+            args = [self.expr(a) for a in call.args]
+        return f"_P.{call.sig.impl.__name__}({', '.join(['E', 'ctx', *args])})"
 
     # --- actions and chains ---
 
@@ -150,6 +141,7 @@ def transpile(checked: CheckedProgram, timestamp: str | None = None) -> str:
     w("")
     w("import sys")
     w("")
+    w("from rips import predicates as _P")
     w("from rips import support as _rt")
     w("")
     levels = [(d.name, d.soft) for d in checked.levels]
@@ -195,7 +187,8 @@ def transpile(checked: CheckedProgram, timestamp: str | None = None) -> str:
         w("]")
     w("")
     w("")
-    w("def build_engine(clock=None, runner=None, counters=None, sink=None, config=None):")
+    w("def build_engine(**engine_kwargs):")
+    w('    """The engine; keywords as for EngineBase: clock, runner, counters, sink, config."""')
     w("    return _rt.CompiledEngine(")
     w("        levels=LEVELS,")
     w("        scripts_dir=SCRIPTS_DIR,")
@@ -206,11 +199,7 @@ def transpile(checked: CheckedProgram, timestamp: str | None = None) -> str:
     w("        regexes=REGEXES,")
     w("        patterns=PATTERNS,")
     w("        plugins=PLUGINS,")
-    w("        clock=clock,")
-    w("        runner=runner,")
-    w("        counters=counters,")
-    w("        sink=sink,")
-    w("        config=config,")
+    w("        **engine_kwargs,")
     w("    )")
     w("")
     w("")

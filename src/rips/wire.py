@@ -24,9 +24,9 @@ from .errors import RipsError
 log = logging.getLogger("rips.wire")
 
 try:
-    _Loader = yaml.CSafeLoader
+    _Loader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
 except AttributeError:  # libyaml not built in
-    _Loader = yaml.SafeLoader
+    _Loader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
 
 
 class DecodeError(RipsError):
@@ -80,13 +80,21 @@ def _strings(raw) -> tuple[str, ...]:
     return tuple(str(x) for x in raw if x is not None)
 
 
+def _entries(raw, what: str) -> list:
+    if not raw:
+        return []
+    if not isinstance(raw, list):
+        raise DecodeError(f"{what} must be a list")
+    return raw
+
+
 def parse_graph_context(mapping) -> GraphContext:
     if mapping is None:
         mapping = {}
     if not isinstance(mapping, dict):
         raise DecodeError("context must be a mapping")
     nodes = []
-    for raw in mapping.get("nodes") or []:
+    for raw in _entries(mapping.get("nodes"), "context nodes"):
         if not isinstance(raw, dict) or "node" not in raw:
             log.debug("ignoring malformed node entry: %r", raw)
             continue
@@ -94,14 +102,14 @@ def parse_graph_context(mapping) -> GraphContext:
             if key not in _KNOWN_NODE_KEYS:
                 log.debug("ignoring unknown node key %r", key)
         services = []
-        for sraw in raw.get("services") or []:
+        for sraw in _entries(raw.get("services"), "node services"):
             if not isinstance(sraw, dict) or "service" not in sraw:
                 log.debug("ignoring malformed service entry: %r", sraw)
                 continue
             services.append(ServiceInfo(str(sraw["service"]), _strings(sraw.get("params"))))
         nodes.append(NodeInfo(str(raw["node"]), _strings(raw.get("gids")), tuple(services)))
     topics = []
-    for raw in mapping.get("topics") or []:
+    for raw in _entries(mapping.get("topics"), "context topics"):
         if not isinstance(raw, dict) or "topic" not in raw:
             log.debug("ignoring malformed topic entry: %r", raw)
             continue
@@ -124,11 +132,16 @@ def parse_graph_context(mapping) -> GraphContext:
 
 
 def decode_event(doc) -> InboundEvent:
-    """Decode one YAML document (text or pre-parsed mapping) into an event."""
+    """Decode one YAML document (text or pre-parsed mapping) into an event.
+
+    Any input that cannot be understood raises ``DecodeError`` and nothing
+    else, so a hostile document costs the caller one skipped event.
+    """
     if isinstance(doc, (str, bytes)):
         try:
             doc = yaml.load(doc, Loader=_Loader)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:
+            # ValueError: scalar constructors, e.g. a timestamp "2001-13-45".
             raise DecodeError(f"invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise DecodeError("event document must be a mapping")
@@ -143,11 +156,15 @@ def decode_event(doc) -> InboundEvent:
     if "context" not in doc:
         raise DecodeError("event document lacks the 'context' key")
     graph = parse_graph_context(doc["context"])
+    try:
+        current_grav = float(doc.get("currentgrav") or 0.0)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DecodeError(f"currentgrav is not a number: {exc}") from exc
     ev = InboundEvent(
         kind=kind,
         graph=graph,
         current_level=str(doc.get("currentlevel") or ""),
-        current_grav=float(doc.get("currentgrav") or 0.0),
+        current_grav=current_grav,
         last_alert=str(doc.get("lastalert") or ""),
     )
     if kind == "message":
@@ -164,7 +181,7 @@ def decode_event(doc) -> InboundEvent:
 
 def encode_event(doc: dict) -> str:
     """Serialize a monitor-side event mapping as one framed YAML document."""
-    body = yaml.safe_dump(doc, sort_keys=False, default_flow_style=False, width=1_000_000)
+    body = yaml.dump(doc, Dumper=_Dumper, sort_keys=False, default_flow_style=False, width=1_000_000)
     return "---\n" + body + "...\n"
 
 
@@ -185,7 +202,8 @@ def encode_outcome(o: Outcome) -> str:
 
 
 def decode_outcome(doc) -> Outcome:
-    """Monitor-side decoding of an outcome document (used by the simulator)."""
+    """Monitor-side decoding of an outcome document, as a monitor or a load
+    generator reads the engine's replies."""
     if isinstance(doc, (str, bytes)):
         doc = yaml.load(doc, Loader=_Loader)
     if not isinstance(doc, dict) or "event" not in doc:

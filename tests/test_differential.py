@@ -1,0 +1,217 @@
+"""Differential test: the tree-walking interpreter is the reference, and the
+transpiled program must match it outcome for outcome, variable for variable
+and child process for child process (McKeeman, "Differential Testing for
+Software", 1998).
+
+Each seed yields one random well-typed program and one random corpus; both
+engines get the same decoded events, the same signal deliveries and the same
+clock steps, with External ticks interleaved. A run ends after the corpus or
+at the first ``EngineCrash``, which both engines must raise at the same step.
+"""
+
+from __future__ import annotations
+
+import ast
+import functools
+import os
+import re
+
+import pytest
+
+from rips import predicates
+from rips.bus import SignalCounters
+from rips.checker import check_source
+from rips.errors import EngineCrash
+from rips.randprog import IDS_NEEDLE_POOL, random_corpus, random_program
+from rips.runtime import EngineConfig, FakeClock, InterpretedEngine, RecordingRunner
+from rips.signatures import EXPRESSION_BUILTINS
+from rips.syntax import Binary, Call, Unary
+from rips.transpiler import load_generated, transpile
+from rips.wire import decode_event
+
+SEEDS = range(50)
+N_EVENTS = 40
+STEP_NS = 37_000_000
+TICK_EVERY = 3
+SIGNAL_EVERY = 5
+# Builtins random programs do not call: they need pattern files or plugins.
+NOT_GENERATED = {"payload", "plugin"}
+
+
+@pytest.fixture(scope="module")
+def ids_dir(tmp_path_factory) -> str:
+    """Alert files holding two of the three needles random programs use."""
+    path = tmp_path_factory.mktemp("ids")
+    (path / "alert.log").write_text(f"[**] {IDS_NEEDLE_POOL[0]} [**]\n")
+    (path / "nested").mkdir()
+    (path / "nested" / "alert-2.log").write_text(f"{IDS_NEEDLE_POOL[1]} from 10.0.0.7\n")
+    return str(path)
+
+
+def _runner(call: tuple) -> bool:
+    """Deterministic child-process results, so both outcomes occur."""
+    return len(repr(call)) % 3 != 0
+
+
+class _Run:
+    """One engine under test, with everything it observes recorded."""
+
+    def __init__(self, build):
+        self.clock = FakeClock(1_000)
+        self.counters = SignalCounters()
+        self.runner = RecordingRunner(_runner)
+        self.delivered: list = []
+        self.engine = build(
+            clock=self.clock,
+            runner=self.runner,
+            counters=self.counters,
+            sink=lambda o: self.delivered.append(o) or True,
+        )
+        self.steps: list = []
+
+    def replay(self, events) -> None:
+        e = self.engine
+        try:
+            self.steps.append(e.start())
+            for i, event in enumerate(events):
+                self.clock.advance(STEP_NS)
+                if i % SIGNAL_EVERY == 0:
+                    self.counters.deliver("SIGUSR1" if i % 2 else "SIGUSR2")
+                self.steps.append(e.handle_event(event))
+                if i % TICK_EVERY == TICK_EVERY - 1:
+                    self.steps.append(e.tick())
+        except EngineCrash as crash:
+            self.steps.append(("crash", crash.text))
+
+
+def _engines(checked, config):
+    module = load_generated(transpile(checked, timestamp="fixed"), "differential_generated")
+    interp = _Run(lambda **kw: InterpretedEngine(checked, config=config, **kw))
+    gen = _Run(lambda **kw: module.build_engine(config=config, **kw))
+    return interp, gen
+
+
+def _same(a, b) -> bool:
+    # repr makes NaN equal to itself; float variables may overflow into it.
+    return repr(a) == repr(b)
+
+
+@functools.lru_cache(maxsize=None)
+def _replayed(seed: int, ids_dir: str) -> tuple[_Run, _Run]:
+    checked = check_source(random_program(seed), f"random{seed}.rul")
+    events = [decode_event(doc) for doc in random_corpus(seed, N_EVENTS)]
+    interp, gen = _engines(checked, EngineConfig(ids_dir=ids_dir, tick_interval=0.1))
+    interp.replay(events)
+    gen.replay(events)
+    return interp, gen
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_engines_agree_on_random_programs(seed, ids_dir):
+    interp, gen = _replayed(seed, ids_dir)
+    assert _same(gen.steps, interp.steps)
+    assert _same(gen.delivered, interp.delivered)
+    assert _same(gen.engine.dump_variables(), interp.engine.dump_variables())
+    assert gen.runner.calls == interp.runner.calls
+    assert gen.counters.consumed == interp.counters.consumed
+
+
+def test_random_programs_cover_every_expression_builtin():
+    called = set()
+    for seed in SEEDS:
+        called |= set(re.findall(r"\b(\w+)\(", random_program(seed)))
+    assert set(EXPRESSION_BUILTINS) - called == NOT_GENERATED
+
+
+def test_differential_runs_reach_crash_and_faults(ids_dir):
+    """The seeds exercise the paths that end or divert a run, not only the
+    plain ones: some runs crash, and some rules fault."""
+    crashed = faulted = 0
+    for seed in SEEDS:
+        run, _ = _replayed(seed, ids_dir)
+        crashed += isinstance(run.steps[-1], tuple)
+        faulted += any(o.text.startswith("rule ") for o in run.delivered)
+    assert crashed and faulted
+
+
+def test_plugin_under_both_engines(tmp_path):
+    plugin = tmp_path / "inspect.sh"
+    plugin.write_text("#!/bin/sh\nexit 0\n")
+    plugin.chmod(0o755)
+    source = (
+        'rules Msg:\n'
+        '    plugin("inspect.sh") ? alert("plugin accepted");\n'
+        '    ! plugin("inspect.sh") ? alert("plugin rejected");\n'
+    )
+    checked = check_source(source, "plugin.rul", base_dir=str(tmp_path))
+    docs = [
+        {"event": "message", "topic": "/cam", "msgtype": "std_msgs/msg/String",
+         "payload": payload, "context": {"nodes": [], "topics": []}}
+        for payload in ("aGk=", "", "AAEC")
+    ]
+    events = [decode_event(doc) for doc in docs]
+    interp, gen = _engines(checked, EngineConfig())
+    interp.replay(events)
+    gen.replay(events)
+    assert gen.steps == interp.steps
+    assert gen.runner.calls == interp.runner.calls
+    assert interp.runner.calls[:2] == [("plugin", str(plugin), b"hi")] * 2
+    assert {o.text for o in interp.delivered} == {"plugin accepted", "plugin rejected"}
+
+
+def test_both_engines_dispatch_through_the_signature_table():
+    source = (
+        'levels: A; B;\n'
+        'rules Graph: nodecount(0, 3) && levelname(CurrLevel) == "A" ? alert(string(1));\n'
+        'rules Msg: topicmatches("/c.*") && topicin("/cam") ? trigger(B);\n'
+        'rules External: signal("SIGUSR1") || idsalert("x") ? alert("ext");\n'
+    )
+    checked = check_source(source, "dispatch.rul")
+    module = load_generated(transpile(checked), "dispatch_generated")
+    assert module._P is predicates
+    for name, sig in EXPRESSION_BUILTINS.items():
+        assert callable(sig.impl), name
+        assert getattr(module._P, sig.impl.__name__) is sig.impl, name
+    interp_calls = []
+
+    def walk(node):
+        if isinstance(node, Call):
+            interp_calls.append(node)
+            children = node.args
+        elif isinstance(node, Binary):
+            children = (node.left, node.right)
+        else:
+            children = (node.operand,) if isinstance(node, Unary) else ()
+        for child in children:
+            walk(child)
+
+    for rule in checked.graph_rules + checked.msg_rules + checked.external_rules:
+        walk(rule.trigger)
+        for item in rule.chain:
+            walk(item.action)
+    interp_calls = [c for c in interp_calls if c.sig.kind != "action"]
+    assert {c.name for c in interp_calls} == {
+        "nodecount", "levelname", "string", "topicmatches", "topicin", "signal", "idsalert"}
+    generated = transpile(checked)
+    for call in interp_calls:
+        assert call.sig.impl is EXPRESSION_BUILTINS[call.name].impl
+        assert f"_P.{call.name}(E, ctx" in generated
+
+
+@pytest.mark.parametrize("module", ["runtime.py", "transpiler.py"])
+def test_engines_do_not_dispatch_on_builtin_names(module):
+    """No string ladder: neither engine compares a name with an expression
+    builtin's name. (``RecordingRunner`` labels its records "plugin", a
+    child-process kind, which is not a comparison.)"""
+    import rips
+
+    path = os.path.join(os.path.dirname(rips.__file__), module)
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    compared = {
+        n.value
+        for cmp in ast.walk(tree) if isinstance(cmp, ast.Compare)
+        for side in (cmp.left, *cmp.comparators)
+        for n in ast.walk(side) if isinstance(n, ast.Constant)
+    }
+    assert not compared & set(EXPRESSION_BUILTINS)

@@ -1,0 +1,71 @@
+"""The scenario fixtures under both engines, and outcomes the simulator must
+record.
+
+Child processes go to a ``RecordingRunner``: the fixtures' rules exec
+``/bin/sleep 2`` and a speech synthesizer, which a test must not run.
+"""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+
+from rips.checker import check_file, check_source
+from rips.runtime import InterpretedEngine, RecordingRunner
+from rips.scenario import load_scenario, parse_scenario, run_scenario
+from rips.transpiler import load_generated, transpile
+
+from conftest import DATA_DIR
+
+FIXTURES = [
+    ("camera.rul", "camera_breach.yaml"),
+    ("camera.rul", "camera_normal.yaml"),
+    ("navigation.rul", "navigation_breach.yaml"),
+    ("navigation.rul", "navigation_normal.yaml"),
+    ("payload.rul", "payload_attack.yaml"),
+    ("payload.rul", "payload_mutated.yaml"),
+]
+
+
+def _both_engines(checked, runner_fn=None):
+    """Scenario engine builders: the interpreter and the generated program."""
+    module = load_generated(transpile(checked), "scenario_generated")
+
+    def interp(clock, counters):
+        return InterpretedEngine(checked, clock=clock, counters=counters, runner=RecordingRunner(runner_fn))
+
+    def gen(clock, counters):
+        return module.build_engine(clock=clock, counters=counters, runner=RecordingRunner(runner_fn))
+
+    return interp, gen
+
+
+@pytest.mark.parametrize("rules,scenario", FIXTURES, ids=[s for _, s in FIXTURES])
+def test_fixture_passes_under_both_engines(rules, scenario):
+    checked = check_file(os.path.join(DATA_DIR, rules))
+    loaded = load_scenario(os.path.join(DATA_DIR, scenario))
+    reports = [run_scenario(loaded, build, polling_s=None) for build in _both_engines(checked)]
+    for report in reports:
+        assert report.passed, report.format()
+    interp, gen = reports
+    assert gen.outcomes == interp.outcomes
+
+
+def test_startup_script_failure_alert_is_recorded(scripts_factory):
+    """A failed ``.to`` script of the first level, run by ``start()``, yields
+    an alert the simulator reports like any other outcome."""
+    checked = check_source(
+        'levels: A; B;\nrules Graph: nodecount(1, 9) ? alert("graph seen");',
+        "startup.rul",
+        scripts_dir=scripts_factory(["A", "B"]),
+    )
+    scenario = parse_scenario({
+        "timeline": [{"at": 0.2, "graph": {"nodes": [{"node": "n1"}]}}],
+        "expect": [{"alert": "transition script failed: A.to"}, {"alert": "graph seen"}],
+        "on_change_only": True,
+    })
+    for build in _both_engines(checked, runner_fn=lambda call: call[0] != "script"):
+        report = run_scenario(scenario, build)
+        assert report.passed, report.format()
+        assert report.outcomes[0].time_s == 0.0

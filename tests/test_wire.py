@@ -180,3 +180,61 @@ def test_framing_is_split_invariant():
             docs.extend(stream.feed(base[i:j]))
             i = j
         assert docs == whole
+
+
+# --- hostile input: decode_event raises DecodeError and nothing else ---
+
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+_WIRE_KEYS = st.sampled_from([
+    "event", "context", "currentlevel", "currentgrav", "lastalert", "topic", "msgtype", "payload",
+    "nodes", "topics", "node", "gids", "services", "service", "params", "parameters",
+    "publishers", "subscribers",
+])
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+            | st.sampled_from(["graph", "message", "aGk="]))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_WIRE_KEYS, inner, max_size=4),
+    max_leaves=16,
+)
+_DOCS = st.builds(
+    lambda base, extra: {**base, **extra},
+    st.fixed_dictionaries({"event": st.sampled_from(["graph", "message"]), "context": _VALUES}),
+    st.dictionaries(_WIRE_KEYS, _VALUES, max_size=5),
+)
+
+
+def _decodes_or_rejects(doc) -> None:
+    try:
+        decode_event(doc)
+    except DecodeError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text())
+def test_arbitrary_text_raises_only_decode_error(text):
+    _decodes_or_rejects(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOCS)
+def test_mappings_over_known_keys_raise_only_decode_error(doc):
+    _decodes_or_rejects(doc)
+    _decodes_or_rejects(yaml.safe_dump(doc))
+
+
+@pytest.mark.parametrize("text", [
+    "event: graph\ncontext: {}\ncurrentgrav: abc\n",
+    "event: graph\ncontext: {}\ncurrentgrav: [1]\n",
+    "event: graph\ncontext: {nodes: 5}\n",
+    "event: graph\ncontext: {topics: 3}\n",
+    "event: graph\ncontext: {nodes: [{node: a, services: 7}]}\n",
+    "event: graph\ncontext: {}\nlastalert: 2001-13-45\n",
+])
+def test_ill_typed_fields_rejected(text):
+    with pytest.raises(DecodeError):
+        decode_event(text)
