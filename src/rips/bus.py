@@ -10,18 +10,23 @@ External pass and writes outcome documents back over the same connection.
 
 from __future__ import annotations
 
+import errno
 import logging
 import os
 import queue
 import selectors
 import signal as signal_module
 import socket
+import stat
 import threading
 
 from .errors import EngineCrash
 from .wire import DecodeError, DocumentStream, decode_event, encode_outcome
 
 log = logging.getLogger("rips.bus")
+
+# Inbound events waiting for the main loop; a full queue stalls the reader.
+QUEUE_MAX = 1024
 
 
 class SignalCounters:
@@ -48,10 +53,6 @@ class SignalCounters:
                 return True
             return False
 
-    def pending(self, name: str) -> int:
-        with self._lock:
-            return self._counts[name]
-
 
 def register_signals(counters: SignalCounters) -> None:
     """Install SIGUSR1/SIGUSR2 handlers that feed the counters."""
@@ -62,9 +63,9 @@ def register_signals(counters: SignalCounters) -> None:
 class SocketServer:
     """Listens on a Unix-domain stream socket for one monitor at a time."""
 
-    def __init__(self, path: str, queue_max: int = 1024):
+    def __init__(self, path: str):
         self.path = path
-        self.events: queue.Queue = queue.Queue(maxsize=queue_max)
+        self.events: queue.Queue = queue.Queue(maxsize=QUEUE_MAX)
         self._listener: socket.socket | None = None
         self._conn: socket.socket | None = None
         self._conn_lock = threading.Lock()
@@ -72,7 +73,15 @@ class SocketServer:
         self._stopping = threading.Event()
 
     def start(self) -> None:
-        if os.path.exists(self.path):
+        """Listen on ``path``, replacing a stale socket there; any other file
+        at ``path`` is left alone and raises ``FileExistsError``."""
+        try:
+            mode = os.lstat(self.path).st_mode
+        except FileNotFoundError:
+            pass
+        else:
+            if not stat.S_ISSOCK(mode):
+                raise FileExistsError(errno.EEXIST, "exists and is not a socket", self.path)
             os.unlink(self.path)
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         listener.bind(self.path)
@@ -97,7 +106,6 @@ class SocketServer:
                 self._conn = None
         if self._thread is not None:
             self._thread.join(timeout=2.0)
-        if os.path.exists(self.path):
             try:
                 os.unlink(self.path)
             except OSError:
@@ -168,13 +176,17 @@ class SocketServer:
 def serve(engine, server: SocketServer, *, handle_signals: bool = True) -> int:
     """Run the engine main loop over a socket until stopped or crashed.
 
-    Returns the intended process exit status (0 on clean stop, nonzero on a
-    crash action).
+    Returns the intended process exit status (0 on clean stop, 1 if the
+    socket cannot be opened, 3 on a crash action).
     """
     if handle_signals:
         register_signals(engine.counters)
     engine.sink = lambda outcome: server.send(encode_outcome(outcome).encode("utf-8"))
-    server.start()
+    try:
+        server.start()
+    except OSError as exc:
+        log.error("cannot listen on %s: %s", server.path, exc)
+        return 1
     engine.start()
     tick_ns = int(engine.config.tick_interval * 1e9)
     next_tick = engine.clock.now_ns() + tick_ns

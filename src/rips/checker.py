@@ -16,6 +16,7 @@ from . import regexlite
 from .errors import Diagnostic, EvalFault, StaticError
 from .patterns import PatternFile, PatternFileError, load_pattern_file
 from .parser import parse_source
+from .runtime import plugin_problem, script_problems
 from .signatures import ACTIONS, EXPRESSION_BUILTINS, KNOWN_SIGNALS, BuiltinSig
 from .syntax import Binary, Call, Literal, Name, Program, Rule, SectionKind, Unary
 from .typesys import (
@@ -62,7 +63,6 @@ class CheckedProgram:
     var_initial: dict[str, object]
     resources: Resources
     scripts_dir: str | None
-    scripts: dict[str, tuple[str, str]] | None  # level -> (to, from) paths
     graph_rules: list[Rule]
     msg_rules: list[Rule]
     external_rules: list[Rule]
@@ -74,13 +74,6 @@ class CheckedProgram:
     @property
     def source_name(self) -> str:
         return self.program.source_name
-
-    def rules_for(self, kind: SectionKind) -> list[Rule]:
-        return {
-            SectionKind.GRAPH: self.graph_rules,
-            SectionKind.MSG: self.msg_rules,
-            SectionKind.EXTERNAL: self.external_rules,
-        }[kind]
 
 
 class _UnitAbort(Exception):
@@ -176,10 +169,8 @@ class _Checker:
                 )
             )
 
-        scripts = None
         if self.scripts_dir is not None:
-            scripts, script_diags = check_scripts(self.program.levels, self.scripts_dir)
-            self.diags.extend(script_diags)
+            self.diags.extend(check_scripts(self.program.levels, self.scripts_dir))
 
         if self.diags:
             raise StaticError(self.diags)
@@ -200,7 +191,6 @@ class _Checker:
             var_initial=self.var_initial,
             resources=self.resources,
             scripts_dir=self.scripts_dir,
-            scripts=scripts,
             graph_rules=graph_rules,
             msg_rules=msg_rules,
             external_rules=external_rules,
@@ -322,6 +312,7 @@ class _Checker:
         if sym.kind != "var":
             self.fail(f"{sym.name!r} is a {sym.kind}, not a variable", target)
         sym.written = True
+        call.resource = sym.name
         value_ty = self.check_expr(call.args[1], section)
         if value_ty.value_type is not sym.type.value_type:
             self.fail(
@@ -499,7 +490,7 @@ class _Checker:
                 compiled = regexlite.compile_pattern(value)
             except regexlite.PatternError as exc:
                 self.fail(f"invalid regular expression: {exc}", arg)
-            call.resource = ("regex", len(self.resources.regexes))
+            call.resource = len(self.resources.regexes)
             self.resources.regex_sources.append(value)
             self.resources.regexes.append(compiled)
         elif call.name == "payload":
@@ -510,14 +501,15 @@ class _Checker:
                 self.fail(f"cannot read pattern file {value!r}: {exc}", arg)
             except PatternFileError as exc:
                 self.fail(f"bad pattern file {value!r}: {exc}", arg)
-            call.resource = ("pattern", len(self.resources.patterns))
+            call.resource = len(self.resources.patterns)
             self.resources.pattern_paths.append(path)
             self.resources.patterns.append(pattern_file)
         elif call.name == "plugin":
             path = value if os.path.isabs(value) else os.path.join(self.base_dir, value)
-            if not (os.path.isfile(path) and os.access(path, os.X_OK)):
-                self.fail(f"plugin {value!r} is missing or not executable", arg)
-            call.resource = ("plugin", len(self.resources.plugins))
+            problem = plugin_problem(path, value)
+            if problem:
+                self.fail(problem, arg)
+            call.resource = len(self.resources.plugins)
             self.resources.plugins.append(path)
         elif call.name == "signal":
             if value not in KNOWN_SIGNALS:
@@ -525,7 +517,7 @@ class _Checker:
                     f"unknown signal name {value!r} (expected one of {', '.join(KNOWN_SIGNALS)})",
                     arg,
                 )
-            call.resource = ("signal", value)
+            call.resource = value
 
     # --- constant folding ---
 
@@ -591,21 +583,14 @@ def check_source(
     return check_program(parse_source(source, source_name), scripts_dir, base_dir)
 
 
-def check_scripts(levels, scripts_dir: str) -> tuple[dict[str, tuple[str, str]], list[Diagnostic]]:
-    """Verify every level has executable ``<name>.to`` and ``<name>.from``
-    scripts in scripts_dir; returns resolved paths and any diagnostics."""
-    scripts: dict[str, tuple[str, str]] = {}
-    diags: list[Diagnostic] = []
-    for level in levels:
-        to_path = os.path.join(scripts_dir, f"{level.name}.to")
-        from_path = os.path.join(scripts_dir, f"{level.name}.from")
-        for path, label in ((to_path, f"{level.name}.to"), (from_path, f"{level.name}.from")):
-            if not os.path.isfile(path):
-                diags.append(Diagnostic(f"missing transition script {label}", level.line, level.column))
-            elif not os.access(path, os.X_OK):
-                diags.append(Diagnostic(f"transition script {label} is not executable", level.line, level.column))
-        scripts[level.name] = (to_path, from_path)
-    return scripts, diags
+def check_scripts(levels, scripts_dir: str) -> list[Diagnostic]:
+    """A diagnostic for each ``<name>.to`` or ``<name>.from`` script in
+    scripts_dir that is missing or not executable."""
+    return [
+        Diagnostic(problem, level.line, level.column)
+        for level in levels
+        for problem in script_problems(scripts_dir, level.name)
+    ]
 
 
 def check_file(path: str, scripts_dir: str | None = None) -> CheckedProgram:

@@ -22,10 +22,13 @@ from .bench import run_benchmark
 from .checker import check_file
 from .errors import EngineCrash, LexError, ParseError, StaticError
 from .randprog import random_corpus
-from .runtime import EngineConfig, InterpretedEngine
+from .runtime import InterpretedEngine
 from .scenario import load_scenario, run_scenario
 from .support import add_engine_args, config_from_args, serve_from_args
 from .transpiler import transpile
+
+# Where `rips run` looks for transition scripts unless told otherwise.
+SCRIPTS_DIR = "/etc/rips/scripts"
 
 USAGE_ERROR = 2
 STATIC_ERROR = 1
@@ -62,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="interpret a rules file, serving the engine socket")
-    p_run.add_argument("scriptsdir", nargs="?", default=EngineConfig.scripts_dir,
+    p_run.add_argument("scriptsdir", nargs="?", default=SCRIPTS_DIR,
                        help="transition-scripts directory (default %(default)s)")
     p_run.add_argument("rules", help="rules file (.rul)")
     add_engine_args(p_run)

@@ -22,10 +22,6 @@ class LevelMachine:
         self.levels = levels
         self.current = 0
 
-    @classmethod
-    def from_decls(cls, decls) -> "LevelMachine":
-        return cls([Level(d.name, d.soft, d.ordinal) for d in decls])
-
     @property
     def current_name(self) -> str:
         if not self.levels:

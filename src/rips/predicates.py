@@ -2,13 +2,15 @@
 
 Every builtin takes one calling form, ``(E, ctx, *args)``: the engine, the
 rule's context (a ``MessageContext`` for Msg rules, a ``GraphContext`` for
-Graph rules, ``None`` for External rules) and the evaluated arguments. The
+Graph rules, ``None`` for External rules) and the arguments. Both engines
+build the arguments the same way: the first argument the checker prepared
+in ``Call.resource``, if there is one, then the evaluated rest. The
 resource builtins (``topicmatches``, ``payload``, ``plugin``, ``signal``)
-instead receive the index of their precompiled resource, or the signal
-name, that the checker stored in ``Call.resource``. Each ``BuiltinSig`` in
+thus receive the index of their precompiled resource, or the signal name,
+in place of their constant argument. Each ``BuiltinSig`` in
 ``signatures.EXPRESSION_BUILTINS`` carries its function here as ``impl``;
 the interpreter calls it and generated code names it, so both engines run
-the same code.
+the same code. (Actions are ``Engine`` methods, dispatched the same way.)
 
 Set-shaped predicates come in three flavors per subject: exact equality
 against the argument set, an inclusion test, and an inclusive count range.

@@ -1,5 +1,13 @@
-"""Rule execution: the environment, actions, the level transitions and the
+"""Rule execution: the engine, its actions, the level transitions and the
 tree-walking interpreter.
+
+One ``Engine`` class runs both engines. It takes its rules as tables of
+``(rule_id, fn)`` and runs each as ``fn(engine, env, ctx)``: a generated
+program hands over the functions it defines, and ``InterpretedEngine``
+builds functions that walk the checked AST. Every builtin call, action or
+expression, goes through its ``BuiltinSig.impl``, with the same arguments in
+both engines: the first argument the checker prepared in ``Call.resource``,
+if there is one, then the evaluated rest.
 
 One logical loop owns the environment; rules never run concurrently. Each
 rule evaluation refreshes Time/Uptime/CurrLevel first. A fault inside one
@@ -10,6 +18,7 @@ engine.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import subprocess
@@ -19,7 +28,6 @@ from dataclasses import dataclass, field
 
 from . import values
 from .bus import SignalCounters
-from .checker import CheckedProgram
 from .errors import EngineCrash, EvalFault
 from .machine import Level, LevelMachine
 from .predicates import IdsAlertScanner
@@ -32,12 +40,10 @@ log = logging.getLogger("rips.engine")
 @dataclass
 class EngineConfig:
     socket_path: str = "/tmp/rips.sock"
-    scripts_dir: str = "/etc/rips/scripts"
     tick_interval: float = 0.1
     exec_timeout: float = 30.0
     ids_dir: str = "./ids-alerts"
     ids_pattern: str = "alert*"
-    queue_max: int = 1024
 
 
 class SystemClock:
@@ -60,6 +66,32 @@ class FakeClock:
 
     def set_ns(self, ns: int) -> None:
         self._ns = ns
+
+
+def script_path(scripts_dir: str, level: str, suffix: str) -> str:
+    """The transition script ``<scripts_dir>/<level>.<suffix>``; ``suffix``
+    is ``to`` (entering the level) or ``from`` (leaving it)."""
+    return os.path.join(scripts_dir, f"{level}.{suffix}")
+
+
+def script_problems(scripts_dir: str, level: str) -> list[str]:
+    """What keeps the two transition scripts of ``level`` from running."""
+    problems = []
+    for suffix in ("to", "from"):
+        path = script_path(scripts_dir, level, suffix)
+        if not os.path.isfile(path):
+            problems.append(f"missing transition script {level}.{suffix}")
+        elif not os.access(path, os.X_OK):
+            problems.append(f"transition script {level}.{suffix} is not executable")
+    return problems
+
+
+def plugin_problem(path: str, written: str) -> str | None:
+    """Why the plugin at ``path``, written ``written`` in the rules, cannot
+    run; None if it can."""
+    if os.path.isfile(path) and os.access(path, os.X_OK):
+        return None
+    return f"plugin {written!r} is missing or not executable"
 
 
 class SubprocessRunner:
@@ -118,9 +150,14 @@ class RuntimeEnv:
     start_ns: int = 0
 
 
-class EngineBase:
-    """Shared engine behavior: interpreted and generated programs differ
-    only in how a single rule is dispatched.
+class Engine:
+    """The rule engine.
+
+    ``levels`` are ``(name, soft)`` pairs in declaration order; with a
+    ``scripts_dir`` every transition runs ``<scripts_dir>/<level>.from`` and
+    ``.to``. The three rule tables hold ``(rule_id, fn)`` pairs, run as
+    ``fn(engine, env, ctx)``. ``regexes``, ``patterns`` and ``plugins`` are
+    the precompiled resources that ``Call.resource`` indexes.
 
     Every outcome goes to ``sink`` (if any) and into one flat buffer; each
     entry point (``start``, ``handle_event``, ``tick``) returns and empties
@@ -130,42 +167,39 @@ class EngineBase:
     def __init__(
         self,
         *,
-        levels: list[Level],
-        scripts: dict[str, tuple[str, str]] | None,
+        levels: list[tuple[str, bool]],
+        scripts_dir: str | None,
         var_init: dict[str, object],
+        graph_rules: list,
+        msg_rules: list,
+        external_rules: list,
+        regexes=(),
+        patterns=(),
+        plugins=(),
         clock=None,
         runner=None,
         counters: SignalCounters | None = None,
         sink=None,
         config: EngineConfig | None = None,
-        regexes=(),
-        patterns=(),
-        plugins=(),
     ):
         self.config = config or EngineConfig()
         self.clock = clock or SystemClock()
         self.runner = runner if runner is not None else SubprocessRunner(self.config.exec_timeout)
         self.counters = counters or SignalCounters()
         self.sink = sink
-        self.machine = LevelMachine(levels)
-        self.scripts = scripts
+        self.machine = LevelMachine([Level(name, soft, i) for i, (name, soft) in enumerate(levels)])
+        self.scripts_dir = scripts_dir
         self.env = RuntimeEnv(variables=dict(var_init))
         self.ids = IdsAlertScanner(self.config.ids_dir, self.config.ids_pattern)
-        # Precompiled resources, indexed by Call.resource.
         self.regexes = list(regexes)
         self.patterns = list(patterns)
         self.plugins = list(plugins)
+        self._graph_rules = list(graph_rules)
+        self._msg_rules = list(msg_rules)
+        self._external_rules = list(external_rules)
         self.events_processed = 0
         self._outcomes: list[Outcome] = []
         self._started = False
-
-    # Rule tables filled by subclasses: lists of (rule_id, impl).
-    _graph_rules: list
-    _msg_rules: list
-    _external_rules: list
-
-    def _call_rule(self, impl, ctx) -> None:
-        raise NotImplementedError
 
     # --- lifecycle ---
 
@@ -180,7 +214,7 @@ class EngineBase:
         self.env.time_ns = now
         if self.machine.levels:
             name = self.machine.levels[0].name
-            if not self._run_script(name, enter=True, from_name="", to_name=name):
+            if not self._run_script(name, "to", from_name="", to_name=name):
                 self._script_failure_alert(f"{name}.to")
         return self._take_outcomes()
 
@@ -213,14 +247,12 @@ class EngineBase:
 
     # --- core loop pieces ---
 
-    def _refresh(self) -> None:
-        self.env.time_ns = self.clock.now_ns()
-
     def _run_rules(self, rules, ctx) -> None:
-        for rule_id, impl in rules:
-            self._refresh()
+        env = self.env
+        for rule_id, fn in rules:
+            env.time_ns = self.clock.now_ns()
             try:
-                self._call_rule(impl, ctx)
+                fn(self, env, ctx)
             except EvalFault as fault:
                 self.act_alert(f"rule {rule_id}: {fault}")
 
@@ -240,14 +272,12 @@ class EngineBase:
     def _script_failure_alert(self, label: str) -> None:
         self.act_alert(f"transition script failed: {label}")
 
-    def _run_script(self, level_name: str, *, enter: bool, from_name: str, to_name: str) -> bool:
-        if self.scripts is None:
+    def _run_script(self, level_name: str, suffix: str, *, from_name: str, to_name: str) -> bool:
+        if self.scripts_dir is None:
             return True
-        to_path, from_path = self.scripts[level_name]
-        path = to_path if enter else from_path
-        return self.runner.run_script(path, from_name, to_name)
+        return self.runner.run_script(script_path(self.scripts_dir, level_name, suffix), from_name, to_name)
 
-    # --- actions ---
+    # --- actions: the impl of each action's BuiltinSig, act_<name lowercased> ---
 
     def act_set(self, name: str, value) -> bool:
         self.env.variables[name] = value
@@ -276,8 +306,8 @@ class EngineBase:
         old = m.current
         old_name = m.name_of(old)
         new_name = m.name_of(target)
-        ok_from = self._run_script(old_name, enter=False, from_name=old_name, to_name=new_name)
-        ok_to = self._run_script(new_name, enter=True, from_name=old_name, to_name=new_name)
+        ok_from = self._run_script(old_name, "from", from_name=old_name, to_name=new_name)
+        ok_to = self._run_script(new_name, "to", from_name=old_name, to_name=new_name)
         m.commit(target)
         self._deliver(
             Outcome(
@@ -295,8 +325,8 @@ class EngineBase:
             self._script_failure_alert(f"{new_name}.to")
         return True
 
-    def act_exec(self, path: str, args) -> bool:
-        return self.runner.run_exec(path, tuple(args))
+    def act_exec(self, path: str, *args: str) -> bool:
+        return self.runner.run_exec(path, args)
 
     def act_crash(self, text: str) -> bool:
         self.act_alert(text)
@@ -304,12 +334,12 @@ class EngineBase:
         log.critical("crash: %s", text)
         raise EngineCrash(text)
 
-    def act_true(self, vals) -> bool:
+    def act_true(self, *vals) -> bool:
         for v in vals:
             log.info("True: %s", values.to_string(v))
         return True
 
-    def act_false(self, vals) -> bool:
+    def act_false(self, *vals) -> bool:
         for v in vals:
             log.info("False: %s", values.to_string(v))
         return False
@@ -318,134 +348,82 @@ class EngineBase:
         return self.machine.name_of(ordinal)
 
 
-class CompiledEngine(EngineBase):
-    """Engine driven by generated rule functions instead of an AST.
-
-    Generated programs hand over their embedded tables (levels, initial
-    variable values, precompiled resources) plus one function per rule; the
-    rest of the behavior is shared with the interpreter.
-    """
-
-    def __init__(
-        self,
-        *,
-        levels: list[tuple[str, bool]],
-        scripts_dir: str | None,
-        var_init: dict[str, object],
-        graph_rules: list,
-        msg_rules: list,
-        external_rules: list,
+def InterpretedEngine(checked, **kwargs) -> Engine:
+    """The engine of a ``CheckedProgram`` whose rule functions walk its AST;
+    keywords as for ``Engine``: clock, runner, counters, sink, config."""
+    res = checked.resources
+    return Engine(
+        levels=[(d.name, d.soft) for d in checked.levels],
+        scripts_dir=checked.scripts_dir,
+        var_init=checked.var_initial,
+        graph_rules=[(r.rule_id, functools.partial(run_rule, r)) for r in checked.graph_rules],
+        msg_rules=[(r.rule_id, functools.partial(run_rule, r)) for r in checked.msg_rules],
+        external_rules=[(r.rule_id, functools.partial(run_rule, r)) for r in checked.external_rules],
+        regexes=res.regexes,
+        patterns=res.patterns,
+        plugins=res.plugins,
         **kwargs,
-    ):
-        level_objs = [Level(name, soft, i) for i, (name, soft) in enumerate(levels)]
-        scripts = None
-        if scripts_dir is not None:
-            scripts = {
-                name: (os.path.join(scripts_dir, f"{name}.to"), os.path.join(scripts_dir, f"{name}.from"))
-                for name, _soft in levels
-            }
-        super().__init__(levels=level_objs, scripts=scripts, var_init=var_init, **kwargs)
-        self._graph_rules = list(graph_rules)
-        self._msg_rules = list(msg_rules)
-        self._external_rules = list(external_rules)
-
-    def _call_rule(self, impl, ctx) -> None:
-        impl(self, self.env, ctx)
+    )
 
 
-class InterpretedEngine(EngineBase):
-    """Tree-walking execution of a checked program."""
+def run_rule(rule: Rule, E: Engine, env: RuntimeEnv, ctx) -> None:
+    """Interpret one rule: its trigger, then its chain of actions."""
+    if evaluate(E, rule.trigger, ctx) is not True:
+        return
+    prev = None
+    for idx, item in enumerate(rule.chain):
+        if idx:
+            conn = rule.chain[idx - 1].connector
+            if conn == "=>" and prev is not True:
+                return
+            if conn == "!>" and prev is not False:
+                return
+        call = item.action
+        prev = call.sig.impl(E, *_arguments(E, call, ctx))
 
-    def __init__(self, checked: CheckedProgram, **kwargs):
-        levels = [Level(d.name, d.soft, d.ordinal) for d in checked.levels]
-        res = checked.resources
-        super().__init__(
-            levels=levels,
-            scripts=checked.scripts,
-            var_init=checked.var_initial,
-            regexes=res.regexes,
-            patterns=res.patterns,
-            plugins=res.plugins,
-            **kwargs,
-        )
-        self.checked = checked
-        self._graph_rules = [(r.rule_id, r) for r in checked.graph_rules]
-        self._msg_rules = [(r.rule_id, r) for r in checked.msg_rules]
-        self._external_rules = [(r.rule_id, r) for r in checked.external_rules]
 
-    def _call_rule(self, rule: Rule, ctx) -> None:
-        if self._eval(rule.trigger, ctx) is True:
-            self._run_chain(rule, ctx)
+def _arguments(E: Engine, call: Call, ctx) -> list:
+    """The prepared first argument, if any, then the evaluated rest."""
+    if call.resource is None:
+        return [evaluate(E, a, ctx) for a in call.args]
+    return [call.resource, *[evaluate(E, a, ctx) for a in call.args[1:]]]
 
-    def _run_chain(self, rule: Rule, ctx) -> None:
-        prev = None
-        for idx, item in enumerate(rule.chain):
-            if idx:
-                conn = rule.chain[idx - 1].connector
-                if conn == "=>" and prev is not True:
-                    return
-                if conn == "!>" and prev is not False:
-                    return
-            prev = self._exec_action(item.action, ctx)
 
-    def _exec_action(self, call: Call, ctx) -> bool:
-        name = call.name
-        if name == "set":
-            return self.act_set(call.args[0].name, self._eval(call.args[1], ctx))
-        if name == "alert":
-            return self.act_alert(self._eval(call.args[0], ctx))
-        if name == "trigger":
-            return self.act_trigger(self._eval(call.args[0], ctx))
-        if name == "exec":
-            vals = [self._eval(a, ctx) for a in call.args]
-            return self.act_exec(vals[0], vals[1:])
-        if name == "crash":
-            return self.act_crash(self._eval(call.args[0], ctx))
-        if name == "True":
-            return self.act_true([self._eval(a, ctx) for a in call.args])
-        return self.act_false([self._eval(a, ctx) for a in call.args])
-
-    def _eval(self, e, ctx):
-        cls = type(e)
-        if cls is Literal:
-            return e.value
-        if cls is Name:
-            sym = e.binding
-            kind = sym.kind
-            if kind == "var":
-                return self.env.variables[sym.name]
-            if kind == "predefined":
-                if sym.name == "CurrLevel":
-                    return self.machine.current
-                if sym.name == "Time":
-                    return self.env.time_ns
-                return self.env.time_ns - self.env.start_ns
-            return sym.value
-        if cls is Binary:
-            op = e.op
-            if op == "&&":
-                return self._eval(e.left, ctx) and self._eval(e.right, ctx)
-            if op == "||":
-                return self._eval(e.left, ctx) or self._eval(e.right, ctx)
-            a = self._eval(e.left, ctx)
-            b = self._eval(e.right, ctx)
-            return values.apply_binary(op, a, b, e.ty.value_type)
-        if cls is Unary:
-            v = self._eval(e.operand, ctx)
-            op = e.op
-            if op == "!":
-                return not v
-            if op == "-":
-                return values.ineg(v) if e.ty.value_type.value == "int" else -v
-            if op == "~":
-                return ~v
-            return v
-        # Call
-        return self._eval_call(e, ctx)
-
-    def _eval_call(self, call: Call, ctx):
-        if call.resource is not None:
-            args = (call.resource[1],)
-        else:
-            args = [self._eval(a, ctx) for a in call.args]
-        return call.sig.impl(self, ctx, *args)
+def evaluate(E: Engine, e, ctx):
+    """The value of expression ``e`` in rule context ``ctx``."""
+    cls = type(e)
+    if cls is Literal:
+        return e.value
+    if cls is Name:
+        sym = e.binding
+        kind = sym.kind
+        if kind == "var":
+            return E.env.variables[sym.name]
+        if kind == "predefined":
+            if sym.name == "CurrLevel":
+                return E.machine.current
+            if sym.name == "Time":
+                return E.env.time_ns
+            return E.env.time_ns - E.env.start_ns
+        return sym.value
+    if cls is Binary:
+        op = e.op
+        if op == "&&":
+            return evaluate(E, e.left, ctx) and evaluate(E, e.right, ctx)
+        if op == "||":
+            return evaluate(E, e.left, ctx) or evaluate(E, e.right, ctx)
+        a = evaluate(E, e.left, ctx)
+        b = evaluate(E, e.right, ctx)
+        return values.apply_binary(op, a, b, e.ty.value_type)
+    if cls is Unary:
+        v = evaluate(E, e.operand, ctx)
+        op = e.op
+        if op == "!":
+            return not v
+        if op == "-":
+            return values.ineg(v) if e.ty.value_type.value == "int" else -v
+        if op == "~":
+            return ~v
+        return v
+    # Call
+    return e.sig.impl(E, ctx, *_arguments(E, e, ctx))

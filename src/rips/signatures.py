@@ -2,9 +2,11 @@
 
 Each builtin appears exactly once. Actions run only in chains and are
 universally typed; predicates and helpers appear only in expressions, and a
-predicate's expression type pins it to one rule section. Every expression
-builtin carries its implementation, the function of the same name in
-``predicates``, as ``impl``: both engines dispatch through that field.
+predicate's expression type pins it to one rule section. Every builtin
+carries its implementation as ``impl``, and both engines dispatch through
+that field: an action's is the ``Engine`` method ``act_<name lowercased>``,
+called ``impl(engine, *args)``; an expression builtin's is the function of
+the same name in ``predicates``, called ``impl(engine, ctx, *args)``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import predicates
+from .runtime import Engine
 from .typesys import ExprType, ValueType
 
 S = ValueType.STRING
@@ -33,7 +36,7 @@ class BuiltinSig:
     # Indices of int arguments that must denote a level (level name,
     # CurrLevel, or an int variable initialized with a level name).
     level_args: tuple[int, ...] = ()
-    # Expression builtins only: called as impl(engine, ctx, *args).
+    # Actions: impl(engine, *args); expression builtins: impl(engine, ctx, *args).
     impl: object = field(default=None, compare=False, repr=False)
 
     def arity_ok(self, n: int) -> bool:
@@ -51,9 +54,11 @@ def _table(sigs: list[BuiltinSig]) -> dict[str, BuiltinSig]:
     out: dict[str, BuiltinSig] = {}
     for sig in sigs:
         assert sig.name not in out, sig.name
-        if sig.kind != "action":
-            sig = replace(sig, impl=getattr(predicates, sig.name))
-        out[sig.name] = sig
+        if sig.kind == "action":
+            impl = getattr(Engine, "act_" + sig.name.lower())
+        else:
+            impl = getattr(predicates, sig.name)
+        out[sig.name] = replace(sig, impl=impl)
     return out
 
 

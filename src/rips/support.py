@@ -2,9 +2,10 @@
 that `rips run`, `rips simulate` and generated programs share.
 
 Generated source imports this module and ``predicates``: this module supplies
-the value arithmetic, resource loaders, the engine class and the program's
-entry point; every expression builtin is called straight from
-``predicates``, the same function the interpreter reaches through
+the value arithmetic, resource loaders, the ``Engine`` class that the
+interpreter uses too, and the program's entry point; every expression
+builtin is called straight from ``predicates``, and every action as an
+``Engine`` method, the same functions the interpreter reaches through
 ``BuiltinSig.impl``.
 """
 
@@ -12,17 +13,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bus import SocketServer, serve
 from .patterns import load_pattern_file
 from .regexlite import compile_pattern as compile_regex
-from .runtime import CompiledEngine, EngineConfig, FakeClock, SubprocessRunner, SystemClock
+from .runtime import Engine, EngineConfig, FakeClock, SubprocessRunner, SystemClock, plugin_problem, script_problems
 from .values import concat, fdiv, iadd, idiv, imod, imul, ineg, isub
 
 __all__ = [
-    "CompiledEngine", "EngineConfig", "FakeClock", "SystemClock", "SubprocessRunner",
+    "Engine", "EngineConfig", "FakeClock", "SystemClock", "SubprocessRunner",
     "compile_regex", "load_pattern_file", "compiled_main",
     "iadd", "isub", "imul", "ineg", "idiv", "imod", "fdiv", "concat",
 ]
@@ -59,7 +59,7 @@ def serve_from_args(build_engine, args: argparse.Namespace) -> int:
     it stops; returns the exit status."""
     config = config_from_args(args)
     engine = build_engine(config=config)
-    status = serve(engine, SocketServer(config.socket_path, config.queue_max))
+    status = serve(engine, SocketServer(config.socket_path))
     if args.dump_vars:
         print(json.dumps(engine.dump_variables(), sort_keys=True, default=repr), file=sys.stderr)
     return status
@@ -70,15 +70,8 @@ def validate_startup(level_names, scripts_dir: str | None, plugins) -> list[str]
     problems: list[str] = []
     if scripts_dir is not None:
         for name in level_names:
-            for ext in (".to", ".from"):
-                path = os.path.join(scripts_dir, name + ext)
-                if not os.path.isfile(path):
-                    problems.append(f"missing transition script {name}{ext}")
-                elif not os.access(path, os.X_OK):
-                    problems.append(f"transition script {name}{ext} is not executable")
-    for path in plugins:
-        if not (os.path.isfile(path) and os.access(path, os.X_OK)):
-            problems.append(f"plugin {path} is missing or not executable")
+            problems += script_problems(scripts_dir, name)
+    problems += filter(None, (plugin_problem(path, path) for path in plugins))
     return problems
 
 

@@ -1,13 +1,15 @@
 """Source-to-source translation of a checked program into a standalone
 Python program.
 
-Each rule becomes one function with its trigger expression inlined and the
-action chain lowered to connector-conditional calls. Every expression
-builtin becomes one call ``_P.<name>(E, ctx, ...)`` of the ``predicates``
-function that its ``BuiltinSig.impl`` names, the same function object the
-interpreter calls; arithmetic, actions and the engine come from the
-``support`` layer. Equivalence with the interpreter is checked by the
-differential test (``tests/test_differential.py``). Generated output is
+Each rule becomes one function ``(E, env, ctx)`` with its trigger expression
+inlined and the action chain lowered to connector-conditional calls; the
+program hands these functions to the same ``Engine`` the interpreter uses.
+Every builtin call names its ``BuiltinSig.impl``, the function object the
+interpreter calls, with the same arguments: an expression builtin becomes
+``_P.<name>(E, ctx, ...)`` of its ``predicates`` function, an action
+``E.act_<name>(...)`` of its engine method. Arithmetic and the engine come
+from the ``support`` layer. Equivalence with the interpreter is checked by
+the differential test (``tests/test_differential.py``). Generated output is
 deterministic except for the generated-at manifest line.
 """
 
@@ -78,31 +80,15 @@ class _Gen:
         raise AssertionError(f"unexpected node {e!r}")
 
     def call(self, call: Call) -> str:
-        if call.resource is not None:
-            args = [repr(call.resource[1])]
-        else:
-            args = [self.expr(a) for a in call.args]
-        return f"_P.{call.sig.impl.__name__}({', '.join(['E', 'ctx', *args])})"
+        return f"_P.{call.sig.impl.__name__}({', '.join(['E', 'ctx', *self.arguments(call)])})"
 
-    # --- actions and chains ---
+    def arguments(self, call: Call) -> list[str]:
+        """The prepared first argument, if any, then the evaluated rest."""
+        if call.resource is None:
+            return [self.expr(a) for a in call.args]
+        return [repr(call.resource), *[self.expr(a) for a in call.args[1:]]]
 
-    def action(self, call: Call) -> str:
-        name = call.name
-        if name == "set":
-            return f"r = E.act_set({call.args[0].name!r}, {self.expr(call.args[1])})"
-        if name == "alert":
-            return f"r = E.act_alert({self.expr(call.args[0])})"
-        if name == "trigger":
-            return f"r = E.act_trigger({self.expr(call.args[0])})"
-        if name == "crash":
-            return f"r = E.act_crash({self.expr(call.args[0])})"
-        if name == "exec":
-            path = self.expr(call.args[0])
-            rest = "".join(f"{self.expr(a)}, " for a in call.args[1:])
-            return f"r = E.act_exec({path}, ({rest}))"
-        vals = "".join(f"{self.expr(a)}, " for a in call.args)
-        method = "act_true" if name == "True" else "act_false"
-        return f"r = E.{method}(({vals}))"
+    # --- chains ---
 
     def rule_fn(self, fn_name: str, rule: Rule) -> list[str]:
         lines = [f"def {fn_name}(E, env, ctx):"]
@@ -118,7 +104,8 @@ class _Gen:
                 elif conn == "!>":
                     lines.append(f"{indent}if not r:")
                     indent += "    "
-            lines.append(indent + self.action(item.action))
+            call = item.action
+            lines.append(f"{indent}r = E.{call.sig.impl.__name__}({', '.join(self.arguments(call))})")
         lines.append("")
         lines.append("")
         return lines
@@ -188,11 +175,11 @@ def transpile(checked: CheckedProgram, timestamp: str | None = None) -> str:
     w("")
     w("")
     w("def build_engine(**engine_kwargs):")
-    w('    """The engine; keywords as for EngineBase: clock, runner, counters, sink, config."""')
-    w("    return _rt.CompiledEngine(")
+    w('    """The engine; keywords as for rips.runtime.Engine: clock, runner, counters, sink, config."""')
+    w("    return _rt.Engine(")
     w("        levels=LEVELS,")
     w("        scripts_dir=SCRIPTS_DIR,")
-    w("        var_init=dict(VAR_INIT),")
+    w("        var_init=VAR_INIT,")
     w("        graph_rules=GRAPH_RULES,")
     w("        msg_rules=MSG_RULES,")
     w("        external_rules=EXTERNAL_RULES,")

@@ -37,22 +37,6 @@ class TypeTuple:
     def __str__(self) -> str:
         return f"({self.value_type.value}, {self.expr_type.value})"
 
-    @property
-    def is_undefined(self) -> bool:
-        return self.value_type is ValueType.UNDEFINED or self.expr_type is ExprType.UNDEFINED
-
-
-def value_compatible(a: ValueType, b: ValueType) -> bool:
-    return a is b or a is ValueType.UNIVERSAL or b is ValueType.UNIVERSAL
-
-
-def expr_compatible(a: ExprType, b: ExprType) -> bool:
-    return a is b or a is ExprType.UNIVERSAL or b is ExprType.UNIVERSAL
-
-
-def compatible(a: TypeTuple, b: TypeTuple) -> bool:
-    return value_compatible(a.value_type, b.value_type) and expr_compatible(a.expr_type, b.expr_type)
-
 
 def meet_expr(a: ExprType, b: ExprType) -> ExprType:
     """Combine the expression types of two operands: the more specific wins."""
@@ -77,7 +61,3 @@ SECTION_EXPR_TYPE = {
     "Msg": ExprType.MSG,
     "External": ExprType.EXTERNAL,
 }
-
-
-def universal(vt: ValueType) -> TypeTuple:
-    return TypeTuple(vt, ExprType.UNIVERSAL)

@@ -179,26 +179,27 @@ def decode_event(doc) -> InboundEvent:
     return ev
 
 
-def encode_event(doc: dict) -> str:
-    """Serialize a monitor-side event mapping as one framed YAML document."""
-    body = yaml.dump(doc, Dumper=_Dumper, sort_keys=False, default_flow_style=False, width=1_000_000)
+def _document(mapping: dict) -> str:
+    """One framed YAML document, keys in the mapping's order."""
+    body = yaml.dump(mapping, Dumper=_Dumper, sort_keys=False, default_flow_style=False, width=1_000_000)
     return "---\n" + body + "...\n"
 
 
+def encode_event(doc: dict) -> str:
+    """Serialize a monitor-side event mapping as one framed YAML document."""
+    return _document(doc)
+
+
 def encode_outcome(o: Outcome) -> str:
-    body = yaml.safe_dump(
+    return _document(
         {
             "event": o.kind,
             "level": o.level,
             "gravity": o.gravity,
             "text": o.text,
             "timestamp": o.timestamp_ns,
-        },
-        sort_keys=False,
-        default_flow_style=False,
-        width=1_000_000,
+        }
     )
-    return "---\n" + body + "...\n"
 
 
 def decode_outcome(doc) -> Outcome:

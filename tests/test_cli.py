@@ -1,6 +1,6 @@
 """Command-line entry points: one engine-options path for `rips run`,
-`rips simulate` and generated programs, `python -m rips`, and
-`rips bench --synthetic`."""
+`rips simulate` and generated programs, `python -m rips`,
+`rips bench --synthetic`, and a generated program refusing to start."""
 
 from __future__ import annotations
 
@@ -13,10 +13,12 @@ import pytest
 
 import rips
 from rips import cli
+from rips.checker import check_source
 from rips.runtime import EngineConfig
 from rips.support import add_engine_args, config_from_args
+from rips.transpiler import load_generated, transpile
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, make_scripts, write_script
 
 SERVING_ARGV = ["-s", "/tmp/x.sock", "--tick", "0.5", "--exec-timeout", "3",
                 "--ids-dir", "alerts", "--ids-pattern", "ids*", "--dump-vars"]
@@ -60,3 +62,24 @@ def test_bench_synthetic_corpus(capsys):
     assert cli.main(["bench", os.path.join(DATA_DIR, "navigation.rul"), "--synthetic", "12", "--seed", "3"]) == 0
     rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
     assert ["interpreted", "12"] in rows and ["generated", "12"] in rows
+
+
+@pytest.mark.parametrize("broken", ["script", "plugin"])
+def test_generated_program_refuses_to_start(tmp_path, capsys, broken):
+    """The run host lacks what the program was compiled against: the program
+    names the problem and exits 1 before it opens its socket."""
+    scripts_dir = make_scripts(tmp_path / "scripts", ["A", "B"])
+    write_script(tmp_path / "inspect.sh")
+    checked = check_source('levels: A; B;\nrules Msg: plugin("inspect.sh") ? trigger(B);',
+                           "startup.rul", scripts_dir=scripts_dir, base_dir=str(tmp_path))
+    module = load_generated(transpile(checked), "startup_generated")
+    if broken == "script":
+        os.unlink(os.path.join(scripts_dir, "B.from"))
+        problem = "error: missing transition script B.from"
+    else:
+        (tmp_path / "inspect.sh").chmod(0o644)
+        problem = f"error: plugin {str(tmp_path / 'inspect.sh')!r} is missing or not executable"
+    sock = tmp_path / "rips.sock"
+    assert module.main(["-s", str(sock)]) == 1
+    assert capsys.readouterr().err.splitlines() == [problem]
+    assert not sock.exists()

@@ -12,9 +12,11 @@ at the first ``EngineCrash``, which both engines must raise at the same step.
 from __future__ import annotations
 
 import ast
+import base64
 import functools
 import os
 import re
+import shutil
 
 import pytest
 
@@ -23,11 +25,13 @@ from rips.bus import SignalCounters
 from rips.checker import check_source
 from rips.errors import EngineCrash
 from rips.randprog import IDS_NEEDLE_POOL, random_corpus, random_program
-from rips.runtime import EngineConfig, FakeClock, InterpretedEngine, RecordingRunner
-from rips.signatures import EXPRESSION_BUILTINS
+from rips.runtime import Engine, EngineConfig, FakeClock, InterpretedEngine, RecordingRunner
+from rips.signatures import ACTIONS, ALL_BUILTINS, EXPRESSION_BUILTINS
 from rips.syntax import Binary, Call, Unary
 from rips.transpiler import load_generated, transpile
 from rips.wire import decode_event
+
+from conftest import DATA_DIR
 
 SEEDS = range(50)
 N_EVENTS = 40
@@ -134,20 +138,27 @@ def test_differential_runs_reach_crash_and_faults(ids_dir):
     assert crashed and faulted
 
 
-def test_plugin_under_both_engines(tmp_path):
+# The shellcode that tests/data/yaraexp3.yar matches.
+SHELLCODE = bytes.fromhex("31c050682f2f7368682f62696e89e3505389e1b00bcd80")
+
+
+@pytest.mark.parametrize("builtin", ['plugin("inspect.sh")', 'payload("yaraexp3.yar")'], ids=["plugin", "payload"])
+def test_plugin_under_both_engines(tmp_path, builtin):
+    """The builtins random programs do not generate, under both engines."""
     plugin = tmp_path / "inspect.sh"
     plugin.write_text("#!/bin/sh\nexit 0\n")
     plugin.chmod(0o755)
+    shutil.copy(os.path.join(DATA_DIR, "yaraexp3.yar"), tmp_path)
     source = (
         'rules Msg:\n'
-        '    plugin("inspect.sh") ? alert("plugin accepted");\n'
-        '    ! plugin("inspect.sh") ? alert("plugin rejected");\n'
+        f'    {builtin} ? alert("accepted");\n'
+        f'    ! {builtin} ? alert("rejected");\n'
     )
     checked = check_source(source, "plugin.rul", base_dir=str(tmp_path))
     docs = [
         {"event": "message", "topic": "/cam", "msgtype": "std_msgs/msg/String",
-         "payload": payload, "context": {"nodes": [], "topics": []}}
-        for payload in ("aGk=", "", "AAEC")
+         "payload": base64.b64encode(payload).decode(), "context": {"nodes": [], "topics": []}}
+        for payload in (b"hi", b"", b"\x00\x01\x02", b"\x90" + SHELLCODE)
     ]
     events = [decode_event(doc) for doc in docs]
     interp, gen = _engines(checked, EngineConfig())
@@ -155,16 +166,21 @@ def test_plugin_under_both_engines(tmp_path):
     gen.replay(events)
     assert gen.steps == interp.steps
     assert gen.runner.calls == interp.runner.calls
-    assert interp.runner.calls[:2] == [("plugin", str(plugin), b"hi")] * 2
-    assert {o.text for o in interp.delivered} == {"plugin accepted", "plugin rejected"}
+    texts = [o.text for o in interp.delivered]
+    if builtin.startswith("plugin"):
+        assert interp.runner.calls[:2] == [("plugin", str(plugin), b"hi")] * 2
+        assert set(texts) == {"accepted", "rejected"}
+    else:
+        assert texts == ["rejected"] * 3 + ["accepted"]
 
 
 def test_both_engines_dispatch_through_the_signature_table():
     source = (
         'levels: A; B;\n'
-        'rules Graph: nodecount(0, 3) && levelname(CurrLevel) == "A" ? alert(string(1));\n'
-        'rules Msg: topicmatches("/c.*") && topicin("/cam") ? trigger(B);\n'
-        'rules External: signal("SIGUSR1") || idsalert("x") ? alert("ext");\n'
+        'vars: n int = 0;\n'
+        'rules Graph: nodecount(0, 3) && levelname(CurrLevel) == "A" ? alert(string(n)) => set(n, 1);\n'
+        'rules Msg: topicmatches("/c.*") && topicin("/cam") ? trigger(B), exec("/bin/true", "x"), True(1) !> False();\n'
+        'rules External: signal("SIGUSR1") || idsalert("x") ? alert("ext"), crash("stop");\n'
     )
     checked = check_source(source, "dispatch.rul")
     module = load_generated(transpile(checked), "dispatch_generated")
@@ -172,6 +188,9 @@ def test_both_engines_dispatch_through_the_signature_table():
     for name, sig in EXPRESSION_BUILTINS.items():
         assert callable(sig.impl), name
         assert getattr(module._P, sig.impl.__name__) is sig.impl, name
+    for name, sig in ACTIONS.items():
+        assert sig.impl is getattr(Engine, sig.impl.__name__), name
+    assert module._rt.Engine is Engine
     interp_calls = []
 
     def walk(node):
@@ -189,20 +208,23 @@ def test_both_engines_dispatch_through_the_signature_table():
         walk(rule.trigger)
         for item in rule.chain:
             walk(item.action)
-    interp_calls = [c for c in interp_calls if c.sig.kind != "action"]
     assert {c.name for c in interp_calls} == {
-        "nodecount", "levelname", "string", "topicmatches", "topicin", "signal", "idsalert"}
+        "nodecount", "levelname", "string", "topicmatches", "topicin", "signal", "idsalert",
+        "alert", "trigger", "set", "exec", "True", "False", "crash"}
     generated = transpile(checked)
     for call in interp_calls:
-        assert call.sig.impl is EXPRESSION_BUILTINS[call.name].impl
-        assert f"_P.{call.name}(E, ctx" in generated
+        assert call.sig.impl is ALL_BUILTINS[call.name].impl
+        if call.sig.kind == "action":
+            assert f"r = E.{call.sig.impl.__name__}(" in generated
+        else:
+            assert f"_P.{call.name}(E, ctx" in generated
 
 
 @pytest.mark.parametrize("module", ["runtime.py", "transpiler.py"])
 def test_engines_do_not_dispatch_on_builtin_names(module):
-    """No string ladder: neither engine compares a name with an expression
-    builtin's name. (``RecordingRunner`` labels its records "plugin", a
-    child-process kind, which is not a comparison.)"""
+    """No string ladder: neither engine compares a name with a builtin's
+    name, action or expression. (``RecordingRunner`` labels its records
+    "plugin" and "exec", child-process kinds, which is not a comparison.)"""
     import rips
 
     path = os.path.join(os.path.dirname(rips.__file__), module)
@@ -214,4 +236,4 @@ def test_engines_do_not_dispatch_on_builtin_names(module):
         for side in (cmp.left, *cmp.comparators)
         for n in ast.walk(side) if isinstance(n, ast.Constant)
     }
-    assert not compared & set(EXPRESSION_BUILTINS)
+    assert not compared & set(ALL_BUILTINS)

@@ -9,7 +9,7 @@ from rips.bus import SignalCounters
 from rips.checker import check_source
 from rips.errors import EngineCrash
 from rips.machine import Level, LevelMachine
-from rips.runtime import EngineConfig, FakeClock, InterpretedEngine, RecordingRunner
+from rips.runtime import EngineConfig, FakeClock, InterpretedEngine, RecordingRunner, evaluate
 from rips.wire import decode_event, encode_event
 
 
@@ -493,14 +493,15 @@ def test_eval_purity_snapshot():
         " && string(n) != \"\" ? True();\n"
         "rules Graph: true ? set(n, n) , set(s, s) , set(f, f) , set(b, b);\n"
     )
-    eng = build(src)
+    checked = check_source(src)
+    eng = InterpretedEngine(checked, runner=RecordingRunner(), clock=FakeClock(1_000))
     eng.start()
-    rule = eng.checked.graph_rules[0]
+    rule = checked.graph_rules[0]
     ev = make_event("graph", topics=[{"topic": "/t", "publishers": ["p"], "subscribers": []}])
     before_vars = copy.deepcopy(eng.env.variables)
     before_level = eng.machine.current
     for _ in range(3):
-        assert eng._eval(rule.trigger, ev.graph) is True
+        assert evaluate(eng, rule.trigger, ev.graph) is True
     assert eng.env.variables == before_vars
     assert eng.machine.current == before_level
 

@@ -2,6 +2,9 @@ import os
 import random
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rips.wire import (
     DecodeError,
@@ -113,21 +116,24 @@ def test_levelchange_outcome_golden_bytes():
     )
 
 
-def test_alert_outcome_round_trip():
-    o = Outcome("alert", "__DEFAULT__", 0, 0.0, "too many subscribers: unauthorized subscriber", 42)
-    back = decode_outcome(encode_outcome(o))
-    assert back.kind == "alert"
-    assert back.level == "__DEFAULT__"
-    assert back.gravity == 0.0
-    assert back.text == o.text
-    assert back.timestamp_ns == 42
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(), level=st.text(max_size=20), gravity=st.floats(0.0, 1.0),
+       timestamp=st.integers(0, 2**63 - 1))
+def test_alert_outcome_round_trip(text, level, gravity, timestamp):
+    """Text, level and gravity survive the wire, and the bytes are those of
+    the pure-Python ``SafeDumper``, whatever dumper ``encode_outcome`` uses."""
+    encoded = encode_outcome(Outcome("alert", level, 0, gravity, text, timestamp))
+    back = decode_outcome(encoded)
+    assert (back.kind, back.level, back.gravity, back.text, back.timestamp_ns) == (
+        "alert", level, gravity, text, timestamp)
+    mapping = {"event": "alert", "level": level, "gravity": gravity, "text": text, "timestamp": timestamp}
+    assert encoded == "---\n" + yaml.dump(mapping, Dumper=yaml.SafeDumper, sort_keys=False,
+                                           default_flow_style=False, width=1_000_000) + "...\n"
 
 
 def test_graph_fixture_reencodes_equal():
     text = load_fixture()
     first = decode_event(text)
-    import yaml
-
     doc = yaml.safe_load(text)
     second = decode_event(encode_event(doc))
     assert second.graph.node_names == first.graph.node_names
@@ -183,10 +189,6 @@ def test_framing_is_split_invariant():
 
 
 # --- hostile input: decode_event raises DecodeError and nothing else ---
-
-import yaml
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 _WIRE_KEYS = st.sampled_from([
     "event", "context", "currentlevel", "currentgrav", "lastalert", "topic", "msgtype", "payload",
