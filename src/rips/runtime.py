@@ -219,10 +219,17 @@ class Engine:
         return self._take_outcomes()
 
     def handle_document(self, text: str) -> list[Outcome]:
+        """Decode one framed document and handle its event. This is the one
+        place a document that fails to decode is skipped, with no outcomes: a
+        ``DecodeError`` is logged as a warning, anything else with its
+        traceback."""
         try:
             event = decode_event(text)
         except DecodeError as exc:
             log.warning("skipping malformed event: %s", exc)
+            return []
+        except Exception:  # noqa: BLE001 - one document must not stop the engine
+            log.exception("skipping event that failed to decode")
             return []
         return self.handle_event(event)
 

@@ -219,45 +219,65 @@ def decode_outcome(doc) -> Outcome:
     )
 
 
+# The longest document the framer holds, its closing marker line counted.
+MAX_DOC_BYTES = 1 << 20
+
+
 class DocumentStream:
     """Splits an incoming byte stream into YAML document texts.
 
     Documents are delimited by ``---`` (start) and ``...`` (end) marker
     lines. Bytes may arrive split at arbitrary boundaries; a partial
-    document left at connection close is discarded.
+    document left at connection close is discarded. A document longer than
+    ``MAX_DOC_BYTES`` is dropped with one warning and framing resumes at the
+    next marker line, so the stream holds at most that many bytes between
+    feeds; each byte is searched for a newline once.
     """
 
     def __init__(self):
-        self._buf = bytearray()
-        self._lines: list[str] = []
+        self._buf = bytearray()  # the document's lines, then the unterminated line
+        self._line = 0  # where the unterminated line starts
+        self._dropping = False  # skipping an oversized document
 
     def feed(self, data: bytes) -> list[str]:
-        self._buf.extend(data)
         docs: list[str] = []
-        while True:
-            idx = self._buf.find(b"\n")
-            if idx < 0:
-                break
-            line = self._buf[: idx + 1].decode("utf-8", errors="replace")
-            del self._buf[: idx + 1]
-            stripped = line.strip()
-            if stripped == "...":
-                self._flush(docs)
-            elif stripped == "---":
-                if any(l.strip() for l in self._lines):
-                    self._flush(docs)
-                else:
-                    self._lines.clear()
-            else:
-                self._lines.append(line)
+        buf = self._buf
+        scan = len(buf)  # the bytes before hold no newline
+        buf += data
+        while (end := buf.find(b"\n", scan)) >= 0:
+            scan = end + 1
+            line = buf[self._line:scan] if scan - self._line <= MAX_DOC_BYTES else b""
+            if line.decode("utf-8", errors="replace").strip() in ("---", "..."):
+                # The limit counts the closing marker line too, so where the
+                # chunks split never changes what is dropped.
+                if scan > MAX_DOC_BYTES:
+                    self._drop()
+                if not self._dropping:
+                    text = buf[:self._line].decode("utf-8", errors="replace")
+                    if text.strip():
+                        docs.append(text)
+                del buf[:scan]
+                scan = 0
+                self._dropping = False
+            self._line = scan
+        if len(buf) > MAX_DOC_BYTES:
+            self._drop()
+        if self._dropping:
+            del buf[:self._line]
+            self._line = 0
+            if len(buf) > MAX_DOC_BYTES:
+                # Cut an overlong line to one non-blank byte, so that what
+                # follows of it never reads as a marker line.
+                buf[:] = b"?"
         return docs
 
-    def _flush(self, docs: list[str]):
-        if any(l.strip() for l in self._lines):
-            docs.append("".join(self._lines))
-        self._lines.clear()
+    def _drop(self) -> None:
+        if not self._dropping:
+            log.warning("dropping an inbound document over %d bytes", MAX_DOC_BYTES)
+            self._dropping = True
 
     def close(self) -> None:
         """Drop any partial document (mid-document disconnect)."""
         self._buf.clear()
-        self._lines.clear()
+        self._line = 0
+        self._dropping = False

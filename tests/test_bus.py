@@ -1,53 +1,146 @@
-"""The socket server: one bad document must not stop later ones, and only
-a stale socket at the socket path is replaced."""
+"""The socket server and the serving loop: `rips run` over a real Unix
+socket, and only a stale socket at the socket path is replaced."""
 
 from __future__ import annotations
 
+import base64
+import contextlib
+import os
+import signal
 import socket
+import subprocess
+import sys
+import time
 
 import pytest
 
-from rips import bus
-from rips.bus import SocketServer
-from rips.wire import encode_event
+import rips
+from rips.bus import SignalCounters, SocketServer, register_signals
+from rips.wire import DocumentStream, decode_outcome, encode_event
 
-GOOD = encode_event({"event": "graph", "context": {"nodes": [{"node": "n1"}], "topics": []}})
+from conftest import make_scripts
+
+RULES = """\
+levels: LOW; HIGH;
+rules Graph:
+    CurrLevel == LOW ? trigger(HIGH);
+    true ? alert("graph");
+rules Msg:
+    topicmatches("/crash") ? crash("fatal");
+rules External:
+    signal("SIGUSR1") ? alert("usr1");
+"""
+
+GOOD = encode_event({"event": "graph", "context": {"nodes": [{"node": "n1"}], "topics": []}}).encode()
+ILL_TYPED = b"---\nevent: graph\ncontext: {nodes: 5}\ncurrentgrav: abc\n...\n"
+CRASH = encode_event({"event": "message", "context": {}, "topic": "/crash", "msgtype": "std_msgs/msg/String",
+                      "payload": base64.b64encode(b"x").decode()}).encode()
+TIMEOUT = 20.0
 
 
-def _fail_first_decode(monkeypatch):
-    """Any per-document failure, not only a DecodeError."""
-    real = bus.decode_event
-    calls = []
+class Monitor:
+    """A monitor-side connection that reads the engine's outcomes."""
 
-    def decode(doc):
-        calls.append(doc)
-        if len(calls) == 1:
-            raise RuntimeError("decoder bug")
-        return real(doc)
+    def __init__(self, path: str):
+        self.sock = _connect(path)
+        self.framer = DocumentStream()
+        self.pending: list = []
 
-    monkeypatch.setattr(bus, "decode_event", decode)
+    def outcomes(self, n: int) -> list[tuple[str, str, str]]:
+        """The next ``n`` outcomes as (kind, level, text)."""
+        while len(self.pending) < n:
+            data = self.sock.recv(65536)
+            assert data, "the engine closed the connection"
+            self.pending += [decode_outcome(doc) for doc in self.framer.feed(data)]
+        taken, self.pending = self.pending[:n], self.pending[n:]
+        return [(o.kind, o.level, o.text) for o in taken]
 
 
-@pytest.mark.parametrize("bad", ["ill-typed", "decoder-failure"])
-def test_reader_survives_a_bad_document(tmp_path, monkeypatch, bad):
-    if bad == "ill-typed":
-        first = "---\nevent: graph\ncontext: {nodes: 5}\ncurrentgrav: abc\n...\n"
-    else:
-        _fail_first_decode(monkeypatch)
-        first = GOOD
+def _connect(path: str) -> socket.socket:
+    deadline = time.monotonic() + TIMEOUT
+    while True:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(TIMEOUT)
+        try:
+            sock.connect(path)
+            return sock
+        except OSError:
+            sock.close()
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.05)
+
+
+@contextlib.contextmanager
+def _engine(tmp_path):
+    """`rips run` of ``RULES`` on a socket in ``tmp_path``: (process, path)."""
+    scripts = make_scripts(tmp_path / "scripts", ["LOW", "HIGH"])
+    rules = tmp_path / "serve.rul"
+    rules.write_text(RULES)
     path = str(tmp_path / "rips.sock")
-    server = SocketServer(path)
-    server.start()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rips.__file__)))
+    # A shell that ignores SIGINT passes that on; the engine needs the default.
+    proc = subprocess.Popen([sys.executable, "-m", "rips", "run", scripts, str(rules), "-s", path, "--tick", "0.05"],
+                            env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     try:
-        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
-            client.connect(path)
-            client.sendall(first.encode())
-            client.sendall(GOOD.encode())
-            event = server.events.get(timeout=5)
-        assert event.graph.node_names == {"n1"}
-        assert server.events.empty()
+        yield proc, path
     finally:
-        server.stop()
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+
+
+def test_serve_over_a_real_socket(tmp_path):
+    with _engine(tmp_path) as (proc, path):
+        monitor = Monitor(path)
+        monitor.sock.sendall(GOOD)
+        assert monitor.outcomes(2) == [("levelchange", "HIGH", ""), ("alert", "HIGH", "graph")]
+
+        # A document that cannot be decoded costs only itself.
+        monitor.sock.sendall(GOOD + ILL_TYPED + GOOD)
+        assert monitor.outcomes(2) == [("alert", "HIGH", "graph")] * 2
+
+        # One monitor at a time: a second connection is closed, the first
+        # still works.
+        with _connect(path) as second:
+            assert second.recv(1) == b""
+        monitor.sock.sendall(GOOD)
+        assert monitor.outcomes(1) == [("alert", "HIGH", "graph")]
+
+        # A signal is seen by the External rules on the next tick.
+        proc.send_signal(signal.SIGUSR1)
+        assert monitor.outcomes(1) == [("alert", "HIGH", "usr1")]
+        monitor.sock.sendall(GOOD)
+        assert monitor.outcomes(1) == [("alert", "HIGH", "graph")]
+        monitor.sock.close()
+
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=TIMEOUT) == 0
+        assert not os.path.exists(path)
+
+
+def test_serve_exits_3_on_a_crash_action(tmp_path):
+    with _engine(tmp_path) as (proc, path):
+        monitor = Monitor(path)
+        monitor.sock.sendall(CRASH)
+        assert monitor.outcomes(1) == [("alert", "LOW", "fatal")]
+        assert proc.wait(timeout=TIMEOUT) == 3
+        monitor.sock.close()
+
+
+def test_repeated_signals_are_each_seen_once():
+    counters = SignalCounters()
+    previous = {sig: signal.getsignal(sig) for sig in (signal.SIGUSR1, signal.SIGUSR2)}
+    register_signals(counters)
+    try:
+        for _ in range(3):
+            signal.raise_signal(signal.SIGUSR1)
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+    assert [counters.consume("SIGUSR1") for _ in range(4)] == [True, True, True, False]
+    assert not counters.consume("SIGUSR2")
 
 
 def test_start_leaves_a_regular_file_at_the_socket_path(tmp_path):

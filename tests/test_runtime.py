@@ -419,6 +419,30 @@ def test_section_dispatch_graph_vs_msg():
     assert (eng.env.variables["g"], eng.env.variables["m"]) == (11, 1)
 
 
+@pytest.mark.parametrize("bad", ["ill-typed", "decoder-failure"])
+def test_handle_document_skips_a_bad_document(monkeypatch, caplog, bad):
+    """Any per-document failure, not only a DecodeError, costs that document
+    alone."""
+    good = encode_event({"event": "graph", "context": {"nodes": [{"node": "n1"}]}})
+    if bad == "ill-typed":
+        first = "event: graph\ncontext: {nodes: 5}\ncurrentgrav: abc\n"
+    else:
+        from rips import runtime
+
+        def decode(text):
+            raise RuntimeError("decoder bug")
+
+        monkeypatch.setattr(runtime, "decode_event", decode)
+        first = good
+    eng = build('rules Graph: nodecount(1, 1) ? alert("one node");')
+    with caplog.at_level(logging.WARNING, logger="rips.engine"):
+        assert eng.handle_document(first) == []
+    monkeypatch.undo()
+    assert "skipping" in caplog.text
+    assert ("decoder bug" in caplog.text) == (bad == "decoder-failure")
+    assert [o.text for o in eng.handle_document(good)] == ["one node"]
+
+
 def test_rules_see_level_changes_within_one_event():
     src = (
         "levels: A; B;\n"

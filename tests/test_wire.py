@@ -1,3 +1,4 @@
+import logging
 import os
 import random
 
@@ -6,7 +7,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rips import wire
 from rips.wire import (
+    MAX_DOC_BYTES,
     DecodeError,
     DocumentStream,
     Outcome,
@@ -168,24 +171,49 @@ def test_partial_document_discarded_on_close():
     assert stream.feed(b"---\nevent: message\ncontext: {}\ntopic: /t\n...\n") != []
 
 
-def test_framing_is_split_invariant():
+def test_framing_is_split_invariant(monkeypatch):
+    """Also under a limit that drops the two longer documents."""
     base = (
         "---\nevent: graph\ncontext: {}\n...\n"
         "---\nevent: message\ncontext: {}\ntopic: /a\nmsgtype: m/msg/T\npayload: aGV5\n...\n"
         "---\nevent: graph\ncontext:\n  nodes:\n    - node: n\n...\n"
     ).encode("utf-8")
-    whole = DocumentStream().feed(base)
-    assert len(whole) == 3
     rng = random.Random(7)
-    for _ in range(50):
-        stream = DocumentStream()
-        docs = []
-        i = 0
-        while i < len(base):
-            j = min(len(base), i + rng.randint(1, 9))
-            docs.extend(stream.feed(base[i:j]))
-            i = j
-        assert docs == whole
+    for limit, kept in ((MAX_DOC_BYTES, 3), (40, 1)):
+        monkeypatch.setattr(wire, "MAX_DOC_BYTES", limit)
+        whole = DocumentStream().feed(base)
+        assert len(whole) == kept
+        for _ in range(50):
+            stream = DocumentStream()
+            docs = []
+            i = 0
+            while i < len(base):
+                j = min(len(base), i + rng.randint(1, 9))
+                docs.extend(stream.feed(base[i:j]))
+                assert len(stream._buf) <= limit
+                i = j
+            assert docs == whole
+
+
+@pytest.mark.parametrize("line_bytes", [1000, 20 << 20], ids=["lines", "one-line"])
+def test_oversized_input_is_dropped_and_framing_resyncs(caplog, line_bytes):
+    """20 MB with no marker line, then a good document: the junk is dropped
+    with one warning and the stream never holds more than the limit plus
+    the chunk being fed."""
+    good = load_fixture().encode("utf-8")
+    data = (b"x" * (line_bytes - 1) + b"\n") * ((20 << 20) // line_bytes) + good
+    chunk = 1 << 16
+    stream = DocumentStream()
+    docs = []
+    held = 0
+    with caplog.at_level(logging.WARNING, logger="rips.wire"):
+        for i in range(0, len(data), chunk):
+            docs += stream.feed(data[i:i + chunk])
+            held = max(held, len(stream._buf))
+    assert docs == DocumentStream().feed(good)
+    assert len(docs) == 1
+    assert held <= MAX_DOC_BYTES + chunk
+    assert len(caplog.records) == 1
 
 
 # --- hostile input: decode_event raises DecodeError and nothing else ---
