@@ -1,5 +1,9 @@
 """Replay benchmark: interpreter vs generated program over a recorded event
-corpus, with decode / rule-execution / encode time broken out."""
+corpus, with decode / rule-execution / encode time broken out.
+
+A document that fails to decode is skipped and counted, as the serving loop
+skips it. Each mode starts with an empty context cache, so both decode the
+corpus alike."""
 
 from __future__ import annotations
 
@@ -9,13 +13,14 @@ from dataclasses import dataclass
 from .checker import CheckedProgram
 from .runtime import FakeClock, InterpretedEngine, RecordingRunner
 from .transpiler import load_generated, transpile
-from .wire import decode_event, encode_outcome
+from .wire import DecodeError, clear_context_cache, decode_event, encode_outcome
 
 
 @dataclass
 class ModeTiming:
     mode: str
     events: int = 0
+    skipped: int = 0  # documents that failed to decode
     outcomes: int = 0
     decode_s: float = 0.0
     execute_s: float = 0.0
@@ -50,11 +55,12 @@ class BenchReport:
 
     def format(self) -> str:
         lines = [
-            f"{'mode':<12} {'events':>7} {'outcomes':>8} {'decode':>10} {'exec':>10} {'encode':>10} {'total':>10}",
+            f"{'mode':<12} {'events':>7} {'skipped':>7} {'outcomes':>8}"
+            f" {'decode':>10} {'exec':>10} {'encode':>10} {'total':>10}",
         ]
         for t in (self.interpreted, self.generated):
             lines.append(
-                f"{t.mode:<12} {t.events:>7} {t.outcomes:>8}"
+                f"{t.mode:<12} {t.events:>7} {t.skipped:>7} {t.outcomes:>8}"
                 f" {t.decode_s:>9.4f}s {t.execute_s:>9.4f}s {t.encode_s:>9.4f}s {t.total_s:>9.4f}s"
             )
         speedup = self.exec_speedup
@@ -72,10 +78,16 @@ class BenchReport:
 def _time_replay(mode: str, engine, docs: list[str]) -> ModeTiming:
     timing = ModeTiming(mode)
     perf = time.perf_counter_ns
+    clear_context_cache()
     engine.start()
     for doc in docs:
         t0 = perf()
-        event = decode_event(doc)
+        try:
+            event = decode_event(doc)
+        except DecodeError:
+            timing.decode_s += (perf() - t0) / 1e9
+            timing.skipped += 1
+            continue
         t1 = perf()
         outcomes = engine.handle_event(event)
         t2 = perf()

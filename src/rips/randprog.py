@@ -292,42 +292,54 @@ def random_program(seed: int) -> str:
     return _ProgramGen(random.Random(seed)).generate()
 
 
+def _random_context(rng: random.Random) -> dict:
+    topics = []
+    for topic in rng.sample(TOPIC_POOL, rng.randint(0, len(TOPIC_POOL))):
+        topics.append(
+            {
+                "topic": topic,
+                "parameters": [rng.choice(TYPE_POOL)],
+                "publishers": rng.sample(NODE_POOL, rng.randint(0, 3)) or [None],
+                "subscribers": rng.sample(NODE_POOL, rng.randint(0, 4)) or [None],
+            }
+        )
+    nodes = []
+    for name in rng.sample(NODE_POOL, rng.randint(1, len(NODE_POOL))):
+        services = [
+            {"service": srv, "params": ["rcl_interfaces/srv/GetParameters"]}
+            for srv in rng.sample(SERVICE_POOL, rng.randint(0, 2))
+        ]
+        nodes.append({"node": name, "gids": [f"{rng.randrange(256):02x}.00.01"], "services": services or [None]})
+    return {"nodes": nodes, "topics": topics or [None]}
+
+
 def random_corpus(seed: int, n_events: int = 200) -> list[str]:
-    """Generate framed graph/message event documents for replay."""
+    """Generate framed graph/message event documents for replay.
+
+    About half the events carry the previous event's context, as a monitor
+    on a stable graph sends it. Empty lists are written as one null entry
+    and gids are plain scalars, as the monitor writes them, so most
+    documents can take the decoder's cached-context path.
+    """
     rng = random.Random(seed)
     docs: list[str] = []
+    context = None
     for _ in range(n_events):
-        n_topics = rng.randint(0, len(TOPIC_POOL))
-        topics = []
-        for topic in rng.sample(TOPIC_POOL, n_topics):
-            topics.append(
-                {
-                    "topic": topic,
-                    "parameters": [rng.choice(TYPE_POOL)],
-                    "publishers": rng.sample(NODE_POOL, rng.randint(0, 3)) or [None],
-                    "subscribers": rng.sample(NODE_POOL, rng.randint(0, 4)) or [None],
-                }
-            )
-        nodes = []
-        for name in rng.sample(NODE_POOL, rng.randint(1, len(NODE_POOL))):
-            services = [
-                {"service": srv, "params": ["rcl_interfaces/srv/GetParameters"]}
-                for srv in rng.sample(SERVICE_POOL, rng.randint(0, 2))
-            ]
-            nodes.append({"node": name, "gids": [f"{rng.randrange(256):02x}.00"], "services": services})
+        if context is None or rng.random() < 0.5:
+            context = _random_context(rng)
         doc = {
             "currentlevel": "LV0",
             "currentgrav": 0.0,
             "lastalert": "",
         }
         if rng.random() < 0.55:
-            doc.update({"event": "graph", "context": {"nodes": nodes, "topics": topics}})
+            doc.update({"event": "graph", "context": context})
         else:
             payload = bytes(rng.randrange(256) for _ in range(rng.randint(0, 48)))
             doc.update(
                 {
                     "event": "message",
-                    "context": {"nodes": nodes, "topics": topics},
+                    "context": context,
                     "topic": rng.choice(TOPIC_POOL),
                     "msgtype": rng.choice(TYPE_POOL),
                     "payload": base64.b64encode(payload).decode("ascii"),

@@ -8,12 +8,34 @@ events the ``topic``, ``msgtype`` and base64 ``payload`` keys. A
 publisher/subscriber list consisting of null entries decodes to the empty
 set. Outcomes go out as one YAML document each, with a fixed key order so
 the byte stream is stable.
+
+A monitor sends the full graph with every event, and on a deployed robot
+that graph rarely changes. ``decode_event`` therefore keeps the
+``GraphContext`` of the last eligible document's ``context:`` block, keyed
+on the block's exact text, and when the next document carries the same
+block it parses only the small rest of that document. A document is
+eligible when it is in block style with one column-0 ``context:`` line, the
+block is that line and the indented lines after it, every other line is a
+one-line top-level ``key: scalar`` entry (plain, or single-quoted and closed
+on the line; a leading ``---`` and a trailing ``...`` line are allowed), and
+the block holds none of ``& * ! % | > [ ] { } " ' # ?``, a tab or a line
+break other than ``\n``. Nothing in such a block can link to, span past or
+resolve differently from the rest of the document, so its graph is a
+function of its text. Any other document, and an eligible one whose block
+differs from the cached one, goes through the full parse, after which an
+eligible block and its graph replace the cached pair. The cache thus holds
+one graph and one block no longer than its document, which the framer
+bounds by ``MAX_DOC_BYTES``, however many distinct contexts a monitor sends.
+A cached graph is shared by every event decoded from its block, so a
+``GraphContext`` must never be mutated. ``parse_graph_context`` runs, and
+its debug lines about malformed entries fire, only on a miss.
 """
 
 from __future__ import annotations
 
 import base64
 import logging
+import re
 from dataclasses import dataclass
 
 import yaml
@@ -131,18 +153,93 @@ def parse_graph_context(mapping) -> GraphContext:
     return graph
 
 
+# The context block of the last eligible document decoded, and its graph.
+# One entry is what the measured traffic needs: a monitor resends the graph
+# it sent last, and on perfbench's steady_graph workload (6000 events, three
+# seeds) a second entry saves only the 0.3% of events that return to the
+# normal graph after an intruder leaves, and eight entries save no more.
+_last_block: str | None = None
+_last_graph: GraphContext | None = None
+
+# The newline that ends the last line of a `context:` block.
+_BLOCK_END = re.compile(r"\n[^ ]")
+# What makes a block ineligible: indicators that link to, span past or
+# resolve against the rest of the document, tabs, and YAML line breaks
+# other than "\n".
+_BLOCK_BARRED = "&*!%|>[]{}\"'#?\t\r\x85\u2028\u2029"
+# One top-level `key: scalar` line other than `context`: a single-quoted
+# scalar closed on the line, or a plain one that starts with no indicator and
+# holds printable ASCII but no `#`. Every repeat is of one character class or
+# starts at a quote pair, so a long payload line costs the regex engine no
+# backtracking state per character.
+_QUOTED = r"'[^'\n\r\x85\u2028\u2029]*(?:''[^'\n\r\x85\u2028\u2029]*)*' *"
+_PLAIN = r"[$()+./0-9;A-Z\\^_a-z~][ -\"$-~]*"
+_LINE = rf"(?!context:)[A-Za-z_][A-Za-z0-9_]*:(?: +(?:{_QUOTED}|{_PLAIN})?)?"
+# The lines before the block, after an optional `---` line, and the lines
+# after it, up to an optional `...` line.
+_HEAD = re.compile(rf"(?:---\n)?(?:{_LINE}\n)*")
+_TAIL = re.compile(rf"(?:{_LINE}\n)*(?:{_LINE}|\.\.\.\n?)?")
+
+
+def _context_span(text: str) -> tuple[int, int] | None:
+    """Where the ``context:`` block of a document starts and ends, when every
+    other line of the document is a one-line ``key: scalar`` entry."""
+    if text.startswith("context:\n"):
+        start = 0
+    else:
+        start = text.find("\ncontext:\n") + 1
+        if not start:
+            return None
+    m = _BLOCK_END.search(text, start + 8)
+    end = m.start() + 1 if m else len(text)
+    if _HEAD.fullmatch(text, 0, start) and _TAIL.fullmatch(text, end):
+        return start, end
+    return None
+
+
+def clear_context_cache() -> None:
+    """Forget the cached graph, so that the next decode starts cold."""
+    global _last_block, _last_graph
+    _last_block = _last_graph = None
+
+
 def decode_event(doc) -> InboundEvent:
     """Decode one YAML document (text or pre-parsed mapping) into an event.
 
     Any input that cannot be understood raises ``DecodeError`` and nothing
-    else, so a hostile document costs the caller one skipped event.
+    else, so a hostile document costs the caller one skipped event. The
+    graph of an eligible document's ``context:`` block comes from the cache
+    when the block is the one last decoded (see the module docstring).
     """
+    global _last_block, _last_graph
+    if isinstance(doc, str) and (span := _context_span(doc)) is not None:
+        start, end = span
+        block = doc[start:end]
+        if block == _last_block:
+            return _event(_load(doc[:start] + doc[end:]) or {}, _last_graph)
+        # Free the old graph before the parse builds a new one, so that a
+        # stream of misses peaks at one graph, as it would with no cache.
+        _last_block = _last_graph = None
+        event = _event(_load(doc))
+        if not any(c in block for c in _BLOCK_BARRED):
+            _last_block, _last_graph = block, event.graph
+        return event
     if isinstance(doc, (str, bytes)):
-        try:
-            doc = yaml.load(doc, Loader=_Loader)
-        except (yaml.YAMLError, ValueError, RecursionError) as exc:
-            # ValueError: scalar constructors, e.g. a timestamp "2001-13-45".
-            raise DecodeError(f"invalid YAML: {exc}") from exc
+        doc = _load(doc)
+    return _event(doc)
+
+
+def _load(text):
+    try:
+        return yaml.load(text, Loader=_Loader)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        # ValueError: scalar constructors, e.g. a timestamp "2001-13-45".
+        raise DecodeError(f"invalid YAML: {exc}") from exc
+
+
+def _event(doc, graph: GraphContext | None = None) -> InboundEvent:
+    """The event of a parsed document; ``graph``, when given, stands for
+    its ``context`` entry, which ``doc`` then lacks."""
     if not isinstance(doc, dict):
         raise DecodeError("event document must be a mapping")
     for key in doc:
@@ -153,9 +250,10 @@ def decode_event(doc) -> InboundEvent:
     kind = str(doc["event"])
     if kind not in ("graph", "message"):
         raise DecodeError(f"unknown event kind {kind!r}")
-    if "context" not in doc:
-        raise DecodeError("event document lacks the 'context' key")
-    graph = parse_graph_context(doc["context"])
+    if graph is None:
+        if "context" not in doc:
+            raise DecodeError("event document lacks the 'context' key")
+        graph = parse_graph_context(doc["context"])
     try:
         current_grav = float(doc.get("currentgrav") or 0.0)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -227,11 +325,19 @@ class DocumentStream:
     """Splits an incoming byte stream into YAML document texts.
 
     Documents are delimited by ``---`` (start) and ``...`` (end) marker
-    lines. Bytes may arrive split at arbitrary boundaries; a partial
-    document left at connection close is discarded. A document longer than
-    ``MAX_DOC_BYTES`` is dropped with one warning and framing resumes at the
-    next marker line, so the stream holds at most that many bytes between
-    feeds; each byte is searched for a newline once.
+    lines: a line that reads as one of them after ``str.strip()``, decoded
+    with ``errors="replace"``. Bytes may arrive split at arbitrary
+    boundaries; a partial document left at connection close is discarded.
+    A document longer than ``MAX_DOC_BYTES`` is dropped with one warning and
+    framing resumes at the next marker line, so the stream holds at most
+    that many bytes between feeds.
+
+    Only a line that contains ``---`` or ``...`` can be a marker line, so the
+    framer jumps from one such candidate line to the next with
+    ``bytearray.find`` and decodes and strips the candidates alone; the
+    lines in between are skipped whole. The buffer is cut once per feed, so
+    the work of a feed is linear in the bytes it holds, however many
+    documents they frame.
     """
 
     def __init__(self):
@@ -242,24 +348,39 @@ class DocumentStream:
     def feed(self, data: bytes) -> list[str]:
         docs: list[str] = []
         buf = self._buf
-        scan = len(buf)  # the bytes before hold no newline
+        old = len(buf)
         buf += data
-        while (end := buf.find(b"\n", scan)) >= 0:
-            scan = end + 1
-            line = buf[self._line:scan] if scan - self._line <= MAX_DOC_BYTES else b""
-            if line.decode("utf-8", errors="replace").strip() in ("---", "..."):
+        # The complete lines not yet searched are buf[line:end]; the current
+        # document starts at doc.
+        line, doc = self._line, 0
+        end = buf.rfind(b"\n", old) + 1 or line
+        # The next "---" and "..." at or after line; end when there is none
+        # (find's -1 modulo end + 1).
+        dash = dots = -1
+        while line < end:
+            if dash < line:
+                dash = buf.find(b"---", line, end) % (end + 1)
+            if dots < line:
+                dots = buf.find(b"...", line, end) % (end + 1)
+            at = min(dash, dots)
+            if at == end:
+                break
+            start = buf.rfind(b"\n", line, at) + 1 or line
+            line = buf.find(b"\n", at) + 1
+            marker = line - start <= MAX_DOC_BYTES and buf[start:line].decode("utf-8", errors="replace").strip()
+            if marker in ("---", "..."):
                 # The limit counts the closing marker line too, so where the
                 # chunks split never changes what is dropped.
-                if scan > MAX_DOC_BYTES:
+                if line - doc > MAX_DOC_BYTES:
                     self._drop()
                 if not self._dropping:
-                    text = buf[:self._line].decode("utf-8", errors="replace")
+                    text = buf[doc:start].decode("utf-8", errors="replace")
                     if text.strip():
                         docs.append(text)
-                del buf[:scan]
-                scan = 0
+                doc = line
                 self._dropping = False
-            self._line = scan
+        del buf[:doc]
+        self._line = end - doc
         if len(buf) > MAX_DOC_BYTES:
             self._drop()
         if self._dropping:

@@ -12,7 +12,8 @@ import sys
 import pytest
 
 import rips
-from rips import cli
+from rips import cli, wire
+from rips.bench import run_benchmark
 from rips.checker import check_source
 from rips.runtime import EngineConfig
 from rips.support import add_engine_args, config_from_args
@@ -62,6 +63,30 @@ def test_bench_synthetic_corpus(capsys):
     assert cli.main(["bench", os.path.join(DATA_DIR, "navigation.rul"), "--synthetic", "12", "--seed", "3"]) == 0
     rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
     assert ["interpreted", "12"] in rows and ["generated", "12"] in rows
+
+
+def test_bench_skips_and_counts_a_malformed_document(tmp_path, capsys):
+    corpus = tmp_path / "corpus.yaml"
+    corpus.write_text("---\nevent: graph\ncontext: {nodes: 5}\n...\n"
+                      "---\nevent: graph\ncontext:\n  nodes:\n  - node: a\n...\n")
+    assert cli.main(["bench", os.path.join(DATA_DIR, "navigation.rul"), str(corpus)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].split()[:3] == ["mode", "events", "skipped"]
+    rows = [line.split()[:3] for line in out.splitlines()]
+    assert ["interpreted", "1", "1"] in rows and ["generated", "1", "1"] in rows
+
+
+def test_bench_modes_start_with_an_empty_context_cache(monkeypatch):
+    """Each mode builds the graph of a repeated context once: the generated
+    run does not decode against the interpreter's warm cache."""
+    calls = []
+    build = wire.parse_graph_context
+    monkeypatch.setattr(wire, "parse_graph_context", lambda m: calls.append(1) or build(m))
+    doc = "event: graph\ncontext:\n  nodes:\n  - node: a\n"
+    checked = check_source('rules Graph: nodecount(1, 1) ? alert("one");', "one.rul")
+    report = run_benchmark(checked, [doc] * 3)
+    assert (report.interpreted.outcomes, report.generated.outcomes) == (3, 3)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("broken", ["script", "plugin"])

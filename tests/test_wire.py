@@ -4,10 +4,14 @@ import random
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rips import wire
+from rips.checker import check_source
+from rips.randprog import random_corpus
+from rips.runtime import FakeClock, InterpretedEngine, RecordingRunner
+from rips.transpiler import load_generated, transpile
 from rips.wire import (
     MAX_DOC_BYTES,
     DecodeError,
@@ -268,3 +272,222 @@ def test_mappings_over_known_keys_raise_only_decode_error(doc):
 def test_ill_typed_fields_rejected(text):
     with pytest.raises(DecodeError):
         decode_event(text)
+
+
+# --- the cached-context fast path ---
+
+
+def _decoded(text) -> str:
+    """Everything an event carries, graph contents included, or "DecodeError"."""
+    try:
+        ev = decode_event(text)
+    except DecodeError:
+        return "DecodeError"
+    return repr((ev.kind, ev.current_level, ev.current_grav, ev.last_alert, ev.topic, ev.msg_type,
+                 ev.payload, ev.graph.nodes, ev.graph.topics))
+
+
+def _parts(text: str) -> tuple[list[str], list[str], list[str]]:
+    """An eligible base document as (lines before, block lines, lines after)."""
+    lines = text.splitlines()
+    at = lines.index("context:")
+    end = at + 1
+    while end < len(lines) and lines[end].startswith(" "):
+        end += 1
+    return lines[:at], lines[at:end], lines[end:]
+
+
+def _rest_line(rng: random.Random) -> str:
+    return rng.choice(["currentlevel: LV{v}", "lastalert: 'v{v}'", "topic: /t{v}", "futurefield: {v}"])
+
+
+def _mutate(text: str, mutation: str, seed: int, v: int) -> str:
+    """A copy of ``text`` that defeats one eligibility rule. The two variants
+    ``v`` of one (mutation, seed) differ only outside the context block, in
+    what a block that depended on the rest of the document would read."""
+    rng = random.Random(seed)
+    head, block, tail = _parts(text)
+    start = head[:1] == ["---"]
+    end = tail[-1:] == ["..."]
+    head, tail = head[start:], tail[:len(tail) - end]
+    extra = _rest_line(rng).format(v=v)
+    if mutation == "none":
+        head = head + [extra]
+    elif mutation == "duplicate-context":
+        tail = tail + rng.choice([block, ["context:"], ["context: ~"], ["context: {}"], ["context:", f"  nodes: ~{v}"]])
+    elif mutation == "spanning-block":
+        # A quoted or flow scalar opened in the block and closed in the line
+        # after it; a later `nodes` key wins over the first.
+        opener, closer = rng.choice([('"x', '"'), ("'x", "'"), ("[x,", "]"), ("{x: 1,", "}")])
+        block = block + ["  nodes:", f"  - node: {opener}"]
+        tail = [f"lastalert: v{v}{closer}"] + tail
+    elif mutation == "spanning-document":
+        # A quoted scalar opened in the first line and closed after the block.
+        head = [f"lastalert: 'x{v}"] + head
+        tail = ["topic: y'", "event: graph"] + tail
+    elif mutation == "hidden-line-break":
+        # A key after a YAML line break other than "\n" sits at column 0.
+        block = block[:-1] + [block[-1] + rng.choice("\r\x85\u2028\u2029") + "currentlevel: HIDDEN"]
+        head = head + [extra]
+    elif mutation in ("anchor-in-block", "alias-in-block"):
+        i = next(i for i, line in enumerate(block) if "node: " in line)
+        cut = block[i].index("node: ") + 6
+        if mutation == "anchor-in-block":
+            block[i] = block[i][:cut] + "&a " + block[i][cut:]
+            tail = tail + ["lastalert: *a", extra]
+        else:
+            block[i] = block[i][:cut] + "*a"
+            head = head + [f"lastalert: &a n{v}"]
+    elif mutation == "flow":
+        value = yaml.safe_load("\n".join(block))["context"]
+        flow = yaml.safe_dump(value, default_flow_style=True, width=rng.choice([40, 10_000])).rstrip("\n")
+        block = rng.choice([[f"context: {flow}"], ["context: {}"], ["context:", "  " + flow.replace("\n", "\n  ")]])
+        head = head + [extra]
+    elif mutation == "continued-scalar":
+        head = head + rng.choice([
+            [f"lastalert: 'x{v}", "y'"],
+            [f"currentlevel: a{v}", "b"],
+            [f"currentlevel: a{v}", "  b"],
+            [f"lastalert: \"x{v}", "  y\""],
+        ])
+    elif mutation == "tab-or-comment":
+        i = rng.randrange(1, len(block))
+        block = block[:i] + [rng.choice([block[i] + "\t", block[i] + " # c", "# c", "  # c"])] + block[i + 1:]
+        head = head + [extra + rng.choice(["", " # c", "\t"])]
+    elif mutation == "context-position":
+        others = head + tail + [extra]
+        where = rng.choice([0, len(others), rng.randrange(len(others) + 1)])
+        head, tail = others[:where], others[where:]
+    elif mutation == "fuzz":
+        lines = head + block + tail
+        i = rng.randrange(len(lines))
+        j = rng.randrange(len(lines[i]) + 1)
+        lines[i] = lines[i][:j] + rng.choice("&*!%|>[]{}\"'#?\t\r\x85  -:.,@`~\\") + lines[i][j:]
+        head, block, tail = [], lines, [extra]
+    return "\n".join(["---"] * start + head + block + tail + ["..."] * end) + rng.choice(["\n", ""])
+
+
+_BASES = [load_fixture(), DocumentStream().feed(load_fixture().encode("utf-8"))[0],
+          *random_corpus(11, 6), *DocumentStream().feed("".join(random_corpus(12, 6)).encode("utf-8"))]
+_MUTATIONS = ["none", "duplicate-context", "spanning-block", "spanning-document", "hidden-line-break",
+              "anchor-in-block", "alias-in-block", "flow", "continued-scalar", "tab-or-comment",
+              "context-position", "fuzz"]
+
+
+def test_bases_take_the_fast_path():
+    assert all(wire._context_span(text) is not None for text in _BASES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(_BASES), mutation=st.sampled_from(_MUTATIONS), seed=st.integers(0, 2**32))
+def test_cached_decode_equals_full_decode(base, mutation, seed):
+    """With a cache warmed by the base document and by the other variant, in
+    either order, where the variants share the context block unless the
+    mutation changed it, a document decodes as the uncached full parse
+    decodes it: the same event, or DecodeError."""
+    docs = [_mutate(base, mutation, seed, v) for v in (0, 1)]
+    for doc, other in (docs, docs[::-1]):
+        wire.clear_context_cache()
+        cold = _decoded(doc)
+        for warm in ((base, other), (other, base)):
+            wire.clear_context_cache()
+            for text in warm:
+                _decoded(text)
+            assert _decoded(doc) == cold
+            assert _decoded(doc) == cold
+
+
+def test_repeated_contexts_skip_the_graph_build(monkeypatch):
+    """random_corpus repeats contexts, and a repeat costs no graph build."""
+    calls = []
+    build = wire.parse_graph_context
+    monkeypatch.setattr(wire, "parse_graph_context", lambda m: calls.append(1) or build(m))
+    wire.clear_context_cache()
+    docs = random_corpus(3, 200)
+    for doc in docs:
+        decode_event(doc)
+    assert 0 < len(calls) < 0.7 * len(docs)
+
+
+def test_cache_holds_one_context(monkeypatch):
+    """Thousands of distinct contexts, as a hostile monitor could send, leave
+    the cache holding the last block and its graph alone."""
+    wire.clear_context_cache()
+    texts = [f"event: graph\ncontext:\n  nodes:\n  - node: n{i}\n" for i in range(3000)]
+    for text in texts:
+        decode_event(text)
+    assert wire._last_block == "context:\n  nodes:\n  - node: n2999\n"
+    assert [n.name for n in wire._last_graph.nodes] == ["n2999"]
+    calls = []
+    build = wire.parse_graph_context
+    monkeypatch.setattr(wire, "parse_graph_context", lambda m: calls.append(1) or build(m))
+    decode_event(texts[-1])
+    assert calls == []
+    decode_event(texts[-2])
+    assert calls == [1]
+
+
+def test_same_document_twice_under_both_engines():
+    """The second decode of a document is a cache hit; through
+    Engine.handle_document it gives an equal event, and the same outcomes,
+    under the interpreter and the generated program."""
+    checked = check_source(
+        'rules Graph: nodecount(2, 2) ? alert("two nodes");\n'
+        'rules Msg: publishers("recorder", "rips") ? alert("published by both");\n',
+        "twice.rul",
+    )
+    module = load_generated(transpile(checked), "twice_generated")
+    graph = DocumentStream().feed(load_fixture().encode("utf-8"))[0]
+    message = graph.replace("event: graph", "event: message") + "topic: /rosout\nmsgtype: rcl_interfaces/msg/Log\n"
+    for engine in (InterpretedEngine(checked, clock=FakeClock(0), runner=RecordingRunner()),
+                   module.build_engine(clock=FakeClock(0), runner=RecordingRunner())):
+        wire.clear_context_cache()
+        seen = []
+        handle = engine.handle_event
+        engine.handle_event = lambda ev: seen.append(ev) or handle(ev)
+        outcomes = [[o.text for o in engine.handle_document(doc)] for doc in (graph, graph, message, message)]
+        assert outcomes == [["two nodes"]] * 2 + [["published by both"]] * 2
+        assert wire._last_graph is seen[0].graph
+        assert seen[0] == seen[1] and seen[2] == seen[3]
+        assert seen[0].graph is seen[3].graph
+
+
+def _reference_frames(stream: bytes, limit: int) -> list[str]:
+    """The framing rule, one line at a time."""
+    docs, doc = [], b""
+    for raw in stream.split(b"\n")[:-1]:
+        line = raw + b"\n"
+        if len(line) <= limit and line.decode("utf-8", errors="replace").strip() in ("---", "..."):
+            text = doc.decode("utf-8", errors="replace")
+            if len(doc) + len(line) <= limit and text.strip():
+                docs.append(text)
+            doc = b""
+        else:
+            doc += line
+    return docs
+
+
+_STREAM_PIECES = st.sampled_from([
+    b"---", b"...", b"\n---\n", b"\n...\n", b"---x", b" --- ", b" ...", b"....", b"a---b", b"x...y", b"--", b"..",
+    b"\n", b"\r\n", b"\r", b" ", b"\t", b"\xff", b"\xc3", b"\xe2\x80", b"\x85", b"\xc2\x85",
+    b"event: graph", b"context: {}", b"payload: '...'", b"a", b"x" * 30, b" " * 40,
+])
+
+
+@settings(max_examples=600, deadline=None)
+@given(pieces=st.lists(_STREAM_PIECES, max_size=80), cuts=st.lists(st.integers(1, 13), max_size=40),
+       limit=st.sampled_from([MAX_DOC_BYTES, 40, 16]))
+# Lines over the limit that would read as markers: one padded, one cut short.
+@example(pieces=[b" " * 40, b"---", b"\n", b"a", b"\n...\n"], cuts=[], limit=16)
+@example(pieces=[b"x" * 30, b"---", b"\n", b"a", b"\n...\n"], cuts=[30], limit=16)
+def test_framer_matches_a_per_line_reference(pieces, cuts, limit):
+    stream = b"".join(pieces)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wire, "MAX_DOC_BYTES", limit)
+        framer = DocumentStream()
+        docs, i = [], 0
+        for n in cuts + [len(stream)]:
+            docs += framer.feed(stream[i:i + n])
+            assert len(framer._buf) <= limit
+            i += n
+        assert docs == _reference_frames(stream, limit)
