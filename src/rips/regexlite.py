@@ -3,11 +3,17 @@
 Supports literals, ``.``, character classes (ranges, negation), grouping,
 alternation and the ``* + ?`` quantifiers, plus ``\\d \\w \\s`` and literal
 escapes. No backreferences, no lookaround, no counted repeats: patterns
-compile to a Thompson NFA and matching simulates it with state sets, so the
-worst case stays O(len(pattern) * len(input)).
+compile to a Thompson NFA, and ``CompiledPattern.full_match`` runs it as a
+lazy DFA whose states are NFA state sets built on first use and memoized in
+a bounded cache (Cox, "Regular Expression Matching Can Be Simple And Fast",
+2007, and "Regular Expression Matching in the Wild", 2010). The worst case
+stays O(len(pattern) * len(input)) per match and memory stays bounded, so
+topic names an attacker chooses cannot make matching slow. Matching never
+falls back to backtracking.
 
 Matching is whole-string: a leading ``^`` or trailing ``$`` is accepted and
-ignored, anchors anywhere else are rejected.
+ignored, anchors anywhere else are rejected. A ``$`` after an odd number of
+backslashes is a literal ``$``.
 """
 
 from __future__ import annotations
@@ -185,22 +191,41 @@ class _Parser:
 
 
 class CompiledPattern:
-    """Thompson NFA compiled from a pattern; matches whole strings."""
+    """A pattern compiled to a Thompson NFA, matched by a lazy DFA.
+
+    ``full_match`` walks DFA states built on demand from the NFA: each
+    state is an epsilon-closed set of NFA states, interned to a small int,
+    and each ``(state, char)`` step is memoized once the NFA has computed
+    it. When the memo reaches ``cache_entries``, it is flushed, states
+    included, and rebuilding resumes from the current state set, as RE2's
+    DFA cache does. A miss costs one NFA step and a hit one dict lookup, so
+    the bound stays O(len(pattern) * len(input)) per call and memory stays
+    bounded whatever topics a monitor sends. ``nfa_match`` simulates the
+    NFA directly and serves as the oracle in tests.
+    """
+
+    # Memoized transitions kept before a flush. DFA states number at most
+    # two more, each an NFA state set no larger than the pattern's NFA.
+    cache_entries = 4096
 
     def __init__(self, pattern: str):
         self.pattern = pattern
         body = pattern
         if body.startswith("^"):
             body = body[1:]
-        if body.endswith("$") and not body.endswith("\\$"):
-            body = body[:-1]
+        if body.endswith("$"):
+            # An odd run of backslashes before the "$" escapes it.
+            backslashes = len(body) - 1 - len(body[:-1].rstrip("\\"))
+            if backslashes % 2 == 0:
+                body = body[:-1]
         tree = _Parser(body).parse()
         # States: epsilon edges and at most one consuming edge each.
         self.eps: list[list[int]] = []
         self.edge: list[tuple[_Matcher, int] | None] = []
         start, accept = self._build(tree)
-        self.start = start
         self.accept = accept
+        self._start_set = self._closure({start})
+        self._flush()
 
     def _new_state(self) -> int:
         self.eps.append([])
@@ -253,7 +278,7 @@ class CompiledPattern:
             return s, t
         raise AssertionError(kind)
 
-    def _closure(self, states: set[int]) -> set[int]:
+    def _closure(self, states) -> frozenset[int]:
         stack = list(states)
         seen = set(states)
         while stack:
@@ -262,20 +287,74 @@ class CompiledPattern:
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)
-        return seen
+        return frozenset(seen)
+
+    def _step(self, states: frozenset[int], c: str) -> frozenset[int]:
+        """The NFA states reachable from ``states`` by consuming ``c``."""
+        nxt = set()
+        for s in states:
+            e = self.edge[s]
+            if e is not None and e[0].matches(c):
+                nxt.add(e[1])
+        return self._closure(nxt)
+
+    def nfa_match(self, text: str) -> bool:
+        current = self._start_set
+        for c in text:
+            current = self._step(current, c)
+            if not current:
+                return False
+        return self.accept in current
+
+    # --- the lazy DFA ---
+
+    def _flush(self) -> None:
+        self._ids: dict[frozenset[int], int] = {}
+        self._sets: list[frozenset[int]] = []
+        self._accepting: list[bool] = []
+        self._next: list[dict[str, int]] = []
+        self._entries = 0
+        self._start = self._intern(self._start_set)
+
+    def _intern(self, states: frozenset[int]) -> int:
+        """The id of a DFA state; -1 for the empty set, where no match can
+        continue."""
+        if not states:
+            return -1
+        sid = self._ids.get(states)
+        if sid is None:
+            sid = self._ids[states] = len(self._sets)
+            self._sets.append(states)
+            self._accepting.append(self.accept in states)
+            self._next.append({})
+        return sid
+
+    def _miss(self, sid: int, c: str) -> int:
+        """Step DFA state ``sid`` on ``c`` through the NFA and memoize it,
+        flushing the memo first if it is full. The returned id is valid in
+        the tables as they stand after the call."""
+        states = self._step(self._sets[sid], c)
+        if self._entries >= self.cache_entries:
+            source = self._sets[sid]
+            self._flush()
+            sid = self._intern(source)
+        nxt = self._intern(states)
+        self._next[sid][c] = nxt
+        self._entries += 1
+        return nxt
 
     def full_match(self, text: str) -> bool:
-        current = self._closure({self.start})
+        sid = self._start
+        table = self._next
         for c in text:
-            nxt = set()
-            for s in current:
-                e = self.edge[s]
-                if e is not None and e[0].matches(c):
-                    nxt.add(e[1])
-            if not nxt:
+            nxt = table[sid].get(c)
+            if nxt is None:
+                nxt = self._miss(sid, c)
+                table = self._next
+            if nxt < 0:
                 return False
-            current = self._closure(nxt)
-        return self.accept in current
+            sid = nxt
+        return self._accepting[sid]
 
 
 def compile_pattern(pattern: str) -> CompiledPattern:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import base64
 import logging
+import math
 import re
 from dataclasses import dataclass
 
@@ -288,16 +289,65 @@ def encode_event(doc: dict) -> str:
     return _document(doc)
 
 
-def encode_outcome(o: Outcome) -> str:
-    return _document(
-        {
-            "event": o.kind,
-            "level": o.level,
-            "gravity": o.gravity,
-            "text": o.text,
-            "timestamp": o.timestamp_ns,
-        }
+# encode_outcome writes a string value itself only when it is printable
+# ASCII on one line and too short for the emitter to fold. The dumper then
+# writes it plain or single-quoted, by the rules of Emitter.analyze_scalar
+# and of the implicit resolvers: plain unless an indicator, an edge space or
+# a resolver for another type says otherwise.
+_ASCII_LINE = re.compile(r"[ -~]{1,4096}\Z")
+_LEADING_INDICATORS = frozenset("#,[]{}&*!|>'\"%@`")
+_IMPLICIT_RESOLVERS = yaml.resolver.Resolver.yaml_implicit_resolvers
+
+
+def _str_scalar(value) -> str | None:
+    """``value`` as the dumper writes it, or None when only the dumper knows."""
+    if type(value) is not str:
+        return None
+    if not _ASCII_LINE.match(value):
+        return "''" if value == "" else None
+    plain = not (
+        value[0] in _LEADING_INDICATORS
+        or value[0] == " "
+        or value[-1] in " :"
+        or value in ("-", "?")
+        or value.startswith(("- ", "? ", "---", "..."))
+        or ": " in value
+        or " #" in value
+        or any(regexp.match(value) for _tag, regexp in _IMPLICIT_RESOLVERS.get(value[0], ()))
     )
+    return value if plain else "'" + value.replace("'", "''") + "'"
+
+
+def _float_scalar(value) -> str | None:
+    """``value`` as ``SafeRepresenter.represent_float`` writes it."""
+    if type(value) is not float:
+        return None
+    if value != value:
+        return ".nan"
+    if value in (math.inf, -math.inf):
+        return ".inf" if value > 0 else "-.inf"
+    text = repr(value).lower()
+    if "." not in text and "e" in text:
+        text = text.replace("e", ".0e", 1)
+    return text
+
+
+def encode_outcome(o: Outcome) -> str:
+    """One framed outcome document with the bytes ``_document`` would write,
+    from a fixed template unless a value needs the dumper's quoting."""
+    kind, level, text = _str_scalar(o.kind), _str_scalar(o.level), _str_scalar(o.text)
+    gravity = _float_scalar(o.gravity)
+    if None in (kind, level, gravity, text) or type(o.timestamp_ns) is not int:
+        return _document(
+            {
+                "event": o.kind,
+                "level": o.level,
+                "gravity": o.gravity,
+                "text": o.text,
+                "timestamp": o.timestamp_ns,
+            }
+        )
+    return f"---\nevent: {kind}\nlevel: {level}\ngravity: {gravity}\ntext: {text}\ntimestamp: {o.timestamp_ns}\n...\n"
 
 
 def decode_outcome(doc) -> Outcome:

@@ -143,8 +143,13 @@ SHELLCODE = bytes.fromhex("31c050682f2f7368682f62696e89e3505389e1b00bcd80")
 
 
 @pytest.mark.parametrize("builtin", ['plugin("inspect.sh")', 'payload("yaraexp3.yar")'], ids=["plugin", "payload"])
-def test_plugin_under_both_engines(tmp_path, builtin):
-    """The builtins random programs do not generate, under both engines."""
+def test_plugin_under_both_engines(tmp_path, monkeypatch, builtin):
+    """The builtins random programs do not generate, under both engines.
+
+    The files are named relative to the working directory, so the plugin
+    path, and with it ``_runner``'s answers, do not depend on where the
+    temporary directory is."""
+    monkeypatch.chdir(tmp_path)
     plugin = tmp_path / "inspect.sh"
     plugin.write_text("#!/bin/sh\nexit 0\n")
     plugin.chmod(0o755)
@@ -154,7 +159,7 @@ def test_plugin_under_both_engines(tmp_path, builtin):
         f'    {builtin} ? alert("accepted");\n'
         f'    ! {builtin} ? alert("rejected");\n'
     )
-    checked = check_source(source, "plugin.rul", base_dir=str(tmp_path))
+    checked = check_source(source, "plugin.rul", base_dir=".")
     docs = [
         {"event": "message", "topic": "/cam", "msgtype": "std_msgs/msg/String",
          "payload": base64.b64encode(payload).decode(), "context": {"nodes": [], "topics": []}}
@@ -168,7 +173,7 @@ def test_plugin_under_both_engines(tmp_path, builtin):
     assert gen.runner.calls == interp.runner.calls
     texts = [o.text for o in interp.delivered]
     if builtin.startswith("plugin"):
-        assert interp.runner.calls[:2] == [("plugin", str(plugin), b"hi")] * 2
+        assert interp.runner.calls[:2] == [("plugin", "./inspect.sh", b"hi")] * 2
         assert set(texts) == {"accepted", "rejected"}
     else:
         assert texts == ["rejected"] * 3 + ["accepted"]

@@ -3,8 +3,10 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rips.regexlite import PatternError, compile_pattern
+from rips.regexlite import CompiledPattern, PatternError, compile_pattern
 
 
 def matches(pattern, text):
@@ -78,6 +80,16 @@ def test_edge_anchors_tolerated():
     assert matches("^a.*", "abc")
 
 
+def test_trailing_anchor_after_escaped_backslashes():
+    # Backslashes before a trailing "$" pair up; an odd one out escapes it.
+    assert matches(r"a\\$", "a\\")
+    assert not matches(r"a\\$", "a\\$")
+    assert matches(r"a\$", "a$")
+    assert not matches(r"a\$", "a")
+    assert matches(r"a\\\$", "a\\$")
+    assert not matches(r"a\\\$", "a\\")
+
+
 def test_unsupported_constructs_rejected():
     for bad in (r"a{2,3}", "a(b", "a)b", "[abc", "*a", "a|*", r"\1", r"(?=x)", "a^b", "a$b"):
         with pytest.raises(PatternError):
@@ -132,3 +144,48 @@ def test_agrees_with_stdlib_fullmatch_on_supported_subset():
             assert mine.full_match(text) == bool(gold.fullmatch(text)), (pattern, text)
             checked += 1
     assert checked > 2000
+
+
+# --- the lazy DFA against the NFA it is built from ---
+
+_ATOMS = st.sampled_from(["a", "b", "é", "\u2603", ".", "[ab]", "[^a]", "[a-zé]", r"\d", r"\w", r"\s", r"\.", "/"])
+
+
+@st.composite
+def _patterns(draw, depth=3):
+    if depth == 0 or draw(st.booleans()):
+        return draw(_ATOMS)
+    kind = draw(st.sampled_from(["cat", "alt", "star", "plus", "opt"]))
+    left = draw(_patterns(depth - 1))
+    if kind == "cat":
+        return left + draw(_patterns(depth - 1))
+    if kind == "alt":
+        return f"({left}|{draw(_patterns(depth - 1))})"
+    return f"({left})" + {"star": "*", "plus": "+", "opt": "?"}[kind]
+
+
+_TOPICS = st.text(alphabet=st.sampled_from("ab/é\u2603 1_.\n"), max_size=16) | st.text(max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern=_patterns(), topics=st.lists(_TOPICS, min_size=1, max_size=8),
+       cap=st.sampled_from([CompiledPattern.cache_entries, 2]))
+def test_dfa_agrees_with_nfa(pattern, topics, cap):
+    """Under the default cap, and under a cap of 2 entries that flushes the
+    cache in the middle of most matches, every answer is the NFA's."""
+    compiled = compile_pattern(pattern)
+    compiled.cache_entries = cap
+    for topic in topics:
+        assert compiled.full_match(topic) == compiled.nfa_match(topic), (pattern, topic)
+        assert compiled._entries <= cap
+        assert len(compiled._sets) <= compiled._entries + 2
+
+
+def test_dfa_cache_stays_bounded_on_hostile_topics():
+    compiled = compile_pattern(".*(x|y)z.*")
+    compiled.cache_entries = 64
+    for i in range(200):
+        topic = "".join(chr(0x4E00 + (i * 31 + j) % 5000) for j in range(40)) + "xz"
+        assert compiled.full_match(topic)
+        assert compiled._entries <= 64
+        assert len(compiled._sets) <= compiled._entries + 2
