@@ -26,13 +26,12 @@ Absent topics and nodes contribute empty sets, so count predicates see 0.
 
 from __future__ import annotations
 
-import codecs
 import fnmatch
-import io
 import logging
 import os
 import re
 import stat
+import time
 
 from . import values
 from .context import GraphContext, MessageContext
@@ -172,63 +171,28 @@ def signal(E, ctx, name: str) -> bool:
     return E.counters.consume(name)
 
 
-# Bytes kept from the end of what was read, to tell an append from a rewrite.
-_RESYNC_BYTES = 64
-# Bytes read from an alert file per system call.
-_CHUNK_BYTES = 1 << 16
-# Distinct needles tracked per file; one more restarts the file's scan.
+# Distinct needles whose answers are kept per file; one more drops the others.
 _MAX_NEEDLES = 32
+# File system timestamps are coarse (2 s on FAT), so a file can change again
+# without changing its stamp for this long after its last modification.
+_SETTLE_NS = 2_000_000_000
 
 
-def _text_decoder() -> io.IncrementalNewlineDecoder:
-    """The decoder of a text-mode ``open(path, encoding="utf-8",
-    errors="replace")``: invalid bytes become U+FFFD and every newline
-    becomes ``\\n``."""
-    return io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")("replace"), translate=True)
+def _open_nonblocking(path: str, flags: int) -> int:
+    """Open without waiting for a writer, should ``path`` turn into a FIFO
+    between its ``stat`` and the open."""
+    return os.open(path, flags | os.O_NONBLOCK)
 
 
 class _AlertFile:
-    """Incremental scan state of one alert file (one inode).
+    """The answers read from one alert file (one inode) at one stamp."""
 
-    ``text`` holds the last characters decoded, as many as the longest
-    needle needs to match across a chunk boundary. ``hits`` maps each
-    needle to whether it occurs in the text decoded so far, which appended
-    bytes cannot undo. ``found`` also counts what the decoder still holds
-    back (a partial UTF-8 sequence, or a ``\\r`` that may start ``\\r\\n``)
-    as a read to the end of the file would decode it now.
-    """
+    __slots__ = ("stamp", "recheck_ns", "answers")
 
-    __slots__ = ("stamp", "offset", "tail", "decoder", "text", "keep", "hits", "found")
-
-    def __init__(self, needles):
-        self.stamp = None
-        self.offset = 0
-        self.tail = b""
-        self.decoder = _text_decoder()
-        self.text = ""
-        self.keep = max(len(n) for n in needles) - 1
-        self.hits = {needle: not needle for needle in needles}
-        self.found = dict(self.hits)
-
-    def feed(self, data: bytes) -> None:
-        self.offset += len(data)
-        self.tail = (self.tail + data)[-_RESYNC_BYTES:]
-        text = self.text + self.decoder.decode(data)
-        for needle, hit in self.hits.items():
-            if not hit and needle in text:
-                self.hits[needle] = True
-        self.text = text[-self.keep :] if self.keep > 0 else ""
-
-    def settle(self) -> None:
-        """Recompute ``found`` after a read."""
-        state = self.decoder.getstate()
-        if state == (b"", 0):
-            self.found = dict(self.hits)
-            return
-        flushed = _text_decoder()
-        flushed.setstate(state)
-        text = self.text + flushed.decode(b"", final=True)
-        self.found = {needle: hit or needle in text for needle, hit in self.hits.items()}
+    def __init__(self, stamp: tuple[int, int], recheck_ns: int | None):
+        self.stamp = stamp
+        self.recheck_ns = recheck_ns
+        self.answers: dict[str, bool] = {}
 
 
 class IdsAlertScanner:
@@ -242,21 +206,18 @@ class IdsAlertScanner:
     once until it exists again; a file that cannot be read is logged once
     until it can be read again.
 
-    Alert logs are assumed to be append-only, so the scan is incremental.
-    Per file, keyed on (device, inode), the scanner keeps how far it has
-    read, the last ``_RESYNC_BYTES`` bytes it read, and per needle whether
-    the needle has occurred (``_AlertFile``). Each call stats every file;
-    only a file whose size or modification time changed is opened, and only
-    what was appended is read, in ``_CHUNK_BYTES`` chunks. A file's scan
-    restarts from offset 0 when the file is a new inode (rotation), is
-    shorter than what was read (truncation), or no longer holds the kept
-    bytes where they were read (a rewrite, such as a copytruncate followed
-    by regrowth past the old size). A rewrite is missed when it keeps the
-    size and the modification time (within the file system's timestamp
-    granularity), or keeps the size and the kept bytes. A needle new to a
-    file also restarts the file's scan, and a needle beyond
-    ``_MAX_NEEDLES`` first drops the others, because ``idsalert``'s
-    argument need not be a constant. State for files no longer found is
+    Each call stats every file, and a file is read again only when its
+    stamp, the size and modification time, has changed since its last
+    read. Per file, keyed on (device, inode), the scanner keeps that stamp
+    and the answer for each needle asked of it (``_AlertFile``), at most
+    ``_MAX_NEEDLES`` of them because ``idsalert``'s argument need not be a
+    constant. A rotated file is a new inode, and an append or a truncation
+    changes the size, so all are seen at once. A rewrite that keeps the
+    size is seen by its modification time: if that is still within
+    ``_SETTLE_NS`` of the read, where a coarse timestamp might not tell two
+    writes apart, the file is read once more when that time has passed. A
+    rewrite that keeps the size and sets the modification time back (``cp
+    -p``, ``touch -r``) is not seen. State for files no longer found is
     dropped after each walk.
     """
 
@@ -288,44 +249,38 @@ class IdsAlertScanner:
                     if not stat.S_ISREG(st.st_mode):
                         continue
                     key = (st.st_dev, st.st_ino)
-                    f = files.get(key) or self._read(key, path, st, needle)
+                    f = self._answer(key, path, (st.st_size, st.st_mtime_ns), needle)
                 except OSError as exc:
                     unreadable.add(path)
                     if path not in self._unreadable:
                         log.warning("cannot read IDS alert file %s: %s", path, exc)
                     continue
                 files[key] = f
-                found = found or f.found[needle]
+                found = found or f.answers[needle]
         self._files = files
         self._unreadable = unreadable
         return found
 
-    def _read(self, key: tuple[int, int], path: str, st: os.stat_result, needle: str) -> _AlertFile:
-        """The scan state of file ``key``, brought up to the file's end."""
+    def _answer(self, key: tuple[int, int], path: str, stamp: tuple[int, int], needle: str) -> _AlertFile:
+        """The state of file ``key``, holding the answer for ``needle``."""
         f = self._files.get(key)
-        if f is not None and needle in f.hits and f.stamp == (st.st_size, st.st_mtime_ns):
-            return f
-        if f is None or needle not in f.hits:
-            needles = list(f.hits) if f is not None and len(f.hits) < _MAX_NEEDLES else []
-            f = _AlertFile(needles + [needle])
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-        try:
-            st = os.fstat(fd)
+        now = time.time_ns()
+        if f is not None and f.stamp == stamp and (f.recheck_ns is None or now < f.recheck_ns):
+            if needle in f.answers:
+                return f
+            if len(f.answers) >= _MAX_NEEDLES:
+                f.answers.clear()
+        else:
+            f = None
+        with open(path, encoding="utf-8", errors="replace", opener=_open_nonblocking) as fh:
+            st = os.fstat(fh.fileno())
             if (st.st_dev, st.st_ino) != key or not stat.S_ISREG(st.st_mode):
                 raise OSError(f"{path} was replaced while it was scanned")
-            if f.offset and (st.st_size < f.offset or os.pread(fd, len(f.tail), f.offset - len(f.tail)) != f.tail):
-                f = _AlertFile(list(f.hits))
-            start = f.offset
-            while f.offset < st.st_size:
-                data = os.pread(fd, min(_CHUNK_BYTES, st.st_size - f.offset), f.offset)
-                if not data:
-                    break
-                f.feed(data)
-        finally:
-            os.close(fd)
-        f.stamp = (st.st_size, st.st_mtime_ns)
-        if f.offset != start:
-            f.settle()
+            text = fh.read()
+        if f is None:
+            settled_ns = st.st_mtime_ns + _SETTLE_NS
+            f = _AlertFile((st.st_size, st.st_mtime_ns), settled_ns if settled_ns > now else None)
+        f.answers[needle] = needle in text
         return f
 
 

@@ -278,9 +278,13 @@ def _event(doc, graph: GraphContext | None = None) -> InboundEvent:
     return ev
 
 
+# Wider than any line an engine writes, so the dumper never folds one.
+_WIDTH = 1_000_000
+
+
 def _document(mapping: dict) -> str:
     """One framed YAML document, keys in the mapping's order."""
-    body = yaml.dump(mapping, Dumper=_Dumper, sort_keys=False, default_flow_style=False, width=1_000_000)
+    body = yaml.dump(mapping, Dumper=_Dumper, sort_keys=False, default_flow_style=False, width=_WIDTH)
     return "---\n" + body + "...\n"
 
 
@@ -289,33 +293,29 @@ def encode_event(doc: dict) -> str:
     return _document(doc)
 
 
-# encode_outcome writes a string value itself only when it is printable
-# ASCII on one line and too short for the emitter to fold. The dumper then
-# writes it plain or single-quoted, by the rules of Emitter.analyze_scalar
-# and of the implicit resolvers: plain unless an indicator, an edge space or
-# a resolver for another type says otherwise.
-_ASCII_LINE = re.compile(r"[ -~]{1,4096}\Z")
-_LEADING_INDICATORS = frozenset("#,[]{}&*!|>'\"%@`")
-_IMPLICIT_RESOLVERS = yaml.resolver.Resolver.yaml_implicit_resolvers
+# The pure-Python emitter's scalar analysis and the dumper's resolver, as
+# encode_outcome asks them how a string is written.
+_ANALYZE_SCALAR = yaml.emitter.Emitter(None).analyze_scalar
+_RESOLVE = yaml.resolver.Resolver().resolve
+_STR_TAG = "tag:yaml.org,2002:str"
 
 
 def _str_scalar(value) -> str | None:
-    """``value`` as the dumper writes it, or None when only the dumper knows."""
-    if type(value) is not str:
+    """``value`` as the dumper writes it as a block mapping value: plain or
+    single-quoted, as ``Emitter.choose_scalar_style`` picks; None when the
+    value spans lines, is long enough to fold, or needs double quotes.
+    Quoting at most doubles a value, so one under a quarter of the width
+    stays on its line."""
+    if type(value) is not str or len(value) > _WIDTH // 4:
         return None
-    if not _ASCII_LINE.match(value):
-        return "''" if value == "" else None
-    plain = not (
-        value[0] in _LEADING_INDICATORS
-        or value[0] == " "
-        or value[-1] in " :"
-        or value in ("-", "?")
-        or value.startswith(("- ", "? ", "---", "..."))
-        or ": " in value
-        or " #" in value
-        or any(regexp.match(value) for _tag, regexp in _IMPLICIT_RESOLVERS.get(value[0], ()))
-    )
-    return value if plain else "'" + value.replace("'", "''") + "'"
+    analysis = _ANALYZE_SCALAR(value)
+    if analysis.multiline:
+        return None
+    if analysis.allow_block_plain and _RESOLVE(yaml.ScalarNode, value, (True, False)) == _STR_TAG:
+        return value
+    if analysis.allow_single_quoted:
+        return "'" + value.replace("'", "''") + "'"
+    return None
 
 
 def _float_scalar(value) -> str | None:

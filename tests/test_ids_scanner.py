@@ -1,14 +1,16 @@
-"""The IDS alert scan: incremental, yet always the answer of a fresh read."""
+"""The IDS alert scan: cached per file, yet always the answer of a fresh read."""
 
 from __future__ import annotations
 
 import fnmatch
+import itertools
 import logging
 import os
 import stat
 import subprocess
 import sys
 import tempfile
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,10 @@ from rips import predicates
 from rips.predicates import IdsAlertScanner
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Modification times a second apart, long past: each write gets its own,
+# as it would from a clock finer than the writes, and none is recent.
+_PAST_NS = itertools.count(1_000_000_000 * 10**9, 10**9)
 
 
 def fresh_read(directory: str, needle: str, pattern: str = "alert*") -> bool:
@@ -32,29 +38,45 @@ def fresh_read(directory: str, needle: str, pattern: str = "alert*") -> bool:
     return False
 
 
-def append(path, data: bytes) -> None:
-    with open(path, "ab") as fh:
+def stamped(path) -> None:
+    t = next(_PAST_NS)
+    os.utime(path, ns=(t, t))
+
+
+def write(path, data: bytes, mode: str = "wb") -> None:
+    with open(path, mode) as fh:
         fh.write(data)
+    stamped(path)
 
 
-def test_append_reads_only_the_new_bytes(tmp_path, monkeypatch):
+def append(path, data: bytes) -> None:
+    write(path, data, "ab")
+
+
+def count_opens(monkeypatch) -> list:
+    opened = []
+    real_open = os.open
+    monkeypatch.setattr(predicates.os, "open", lambda path, flags: opened.append(path) or real_open(path, flags))
+    return opened
+
+
+def test_an_unchanged_file_is_not_read_again(tmp_path, monkeypatch):
     log_file = tmp_path / "alert.log"
-    log_file.write_bytes(b"x" * 10_000)
+    write(log_file, b"x" * 10_000)
     scanner = IdsAlertScanner(str(tmp_path), "alert*")
-    assert not scanner.search("NEEDLE")
-    read = []
-    real_pread = os.pread
-    monkeypatch.setattr(predicates.os, "pread", lambda fd, n, off: read.append(n) or real_pread(fd, n, off))
+    opened = count_opens(monkeypatch)
+    for _ in range(3):
+        assert not scanner.search("NEEDLE")
+    assert len(opened) == 1
     append(log_file, b" NEEDLE\n")
-    assert scanner.search("NEEDLE")
-    assert sum(read) == predicates._RESYNC_BYTES + len(b" NEEDLE\n")
-    append(log_file, b"more\n")
-    assert scanner.search("NEEDLE")  # a hit stays true while the file only grows
+    for _ in range(3):
+        assert scanner.search("NEEDLE")
+    assert len(opened) == 2
 
 
 def test_needle_split_across_appends(tmp_path):
     log_file = tmp_path / "alert.log"
-    log_file.write_bytes(b"[**] ET SCAN NEE")
+    write(log_file, b"[**] ET SCAN NEE")
     scanner = IdsAlertScanner(str(tmp_path), "alert*")
     assert not scanner.search("NEEDLE")
     append(log_file, b"DLE [**]\n")
@@ -63,7 +85,7 @@ def test_needle_split_across_appends(tmp_path):
 
 def test_crlf_reads_as_newline_even_when_split(tmp_path):
     log_file = tmp_path / "alert.log"
-    log_file.write_bytes(b"one\r")
+    write(log_file, b"one\r")
     scanner = IdsAlertScanner(str(tmp_path), "alert*")
     assert scanner.search("one\n")  # a trailing CR reads as a newline
     append(log_file, b"\ntwo\r\n")
@@ -74,7 +96,7 @@ def test_crlf_reads_as_newline_even_when_split(tmp_path):
 
 def test_multibyte_character_split_across_appends(tmp_path):
     log_file = tmp_path / "alert.log"
-    log_file.write_bytes(b"caf\xc3")
+    write(log_file, b"caf\xc3")
     scanner = IdsAlertScanner(str(tmp_path), "alert*")
     assert scanner.search("caf\ufffd")  # what a read sees now: a cut sequence
     assert not scanner.search("café")
@@ -83,13 +105,13 @@ def test_multibyte_character_split_across_appends(tmp_path):
     assert not scanner.search("\ufffd")
 
 
-def test_rotation_starts_the_new_file_from_zero(tmp_path):
+def test_rotation_is_a_new_file(tmp_path):
     log_file = tmp_path / "alert.log"
-    log_file.write_bytes(b"NEEDLE\n")
+    write(log_file, b"NEEDLE\n")
     scanner = IdsAlertScanner(str(tmp_path), "alert*")
     assert scanner.search("NEEDLE")
     os.rename(log_file, tmp_path / "alert.log.1")  # still matches: its hit stays
-    log_file.write_bytes(b"quiet\n")
+    write(log_file, b"quiet\n")
     assert scanner.search("NEEDLE")
     os.rename(tmp_path / "alert.log.1", tmp_path / "old.1")
     assert not scanner.search("NEEDLE")
@@ -98,10 +120,11 @@ def test_rotation_starts_the_new_file_from_zero(tmp_path):
 
 def test_truncation_clears_a_hit(tmp_path):
     log_file = tmp_path / "alert.log"
-    log_file.write_bytes(b"NEEDLE\n")
+    write(log_file, b"NEEDLE\n")
     scanner = IdsAlertScanner(str(tmp_path), "alert*")
     assert scanner.search("NEEDLE")
     os.truncate(log_file, 0)
+    stamped(log_file)
     assert not scanner.search("NEEDLE")
     append(log_file, b"quiet\n")
     assert not scanner.search("NEEDLE")
@@ -109,14 +132,33 @@ def test_truncation_clears_a_hit(tmp_path):
 
 def test_copytruncate_then_regrowth_past_the_old_size(tmp_path):
     log_file = tmp_path / "alert.log"
-    log_file.write_bytes(b"NEEDLE " + b"x" * 200)
+    write(log_file, b"NEEDLE " + b"x" * 200)
     scanner = IdsAlertScanner(str(tmp_path), "alert*")
     assert scanner.search("NEEDLE")
     with open(log_file, "r+b") as fh:  # copytruncate, then the writer goes on
         fh.truncate(0)
-        fh.write(b"y" * 300)
-    assert not scanner.search("NEEDLE")
+        fh.write(b"NEEDLE " + b"y" * 300)
+    stamped(log_file)
+    assert scanner.search("NEEDLE")
+    assert not scanner.search("xxx")
     assert scanner.search("yyy")
+
+
+def test_same_size_rewrite_within_a_timestamp_tick(tmp_path, monkeypatch):
+    """Two writes a coarse clock cannot tell apart leave one stamp: a file
+    read soon after its last change is read once more when that has
+    settled."""
+    log_file = tmp_path / "alert.log"
+    log_file.write_bytes(b"NEEDLE\n")
+    mtime = os.stat(log_file).st_mtime_ns
+    scanner = IdsAlertScanner(str(tmp_path), "alert*")
+    assert scanner.search("NEEDLE")
+    log_file.write_bytes(b"quiet!\n")
+    os.utime(log_file, ns=(mtime, mtime))
+    now = time.time_ns()
+    monkeypatch.setattr(predicates.time, "time_ns", lambda: now + predicates._SETTLE_NS)
+    assert not scanner.search("NEEDLE")
+    assert scanner.search("quiet")
 
 
 def test_missing_directory_warns_once_until_it_exists(tmp_path, caplog):
@@ -156,14 +198,14 @@ def test_empty_needle(tmp_path):
 
 def test_more_needles_than_the_state_bound(tmp_path):
     log_file = tmp_path / "alert.log"
-    log_file.write_bytes(b"".join(b"sig-%d\n" % i for i in range(0, 100, 2)))
+    write(log_file, b"".join(b"sig-%d\n" % i for i in range(0, 100, 2)))
     scanner = IdsAlertScanner(str(tmp_path), "alert*")
     needles = [f"sig-{i}\n" for i in range(2 * predicates._MAX_NEEDLES)]
     for _ in range(2):
         for needle in needles:
             assert scanner.search(needle) == fresh_read(str(tmp_path), needle)
             (state,) = scanner._files.values()
-            assert len(state.hits) <= predicates._MAX_NEEDLES
+            assert len(state.answers) <= predicates._MAX_NEEDLES
 
 
 def test_fifo_does_not_block_the_scan(tmp_path):
@@ -181,16 +223,17 @@ def test_fifo_does_not_block_the_scan(tmp_path):
                           text=True, timeout=30)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "True"
+    assert "cannot read" not in done.stderr
 
 
 # --- against a fresh read, under random appends, rewrites and rotations ---
 
 # Needle halves, newline pieces, cut UTF-8 sequences, an invalid byte, and
-# a run longer than the bytes the scanner keeps.
+# a long run of one byte.
 _PIECES = [b"NEE", b"DLE", b"ab", b" ", b"\r", b"\n", b"\r\n", b"\xc3", b"\xa9", b"\xe2\x82", b"\xac", b"\xff",
            b"x" * 70]
 _BYTES = st.lists(st.sampled_from(_PIECES), max_size=8).map(b"".join) | st.binary(max_size=90)
-_OPS = st.lists(st.tuples(st.sampled_from(["append", "rewrite", "rotate"]), st.integers(0, 1), _BYTES),
+_OPS = st.lists(st.tuples(st.sampled_from(["append", "rewrite", "overwrite", "rotate"]), st.integers(0, 1), _BYTES),
                 min_size=1, max_size=12)
 _NEEDLES = ["NEEDLE", "E\nab", "\n", "\n\n", "é", "€", "\ufffd", "\ufffdab", "", "ab\r", "x" * 66 + "NEE"]
 
@@ -204,18 +247,18 @@ def _agrees(scanner, directory, what):
 @given(ops=_OPS)
 def test_search_equals_a_fresh_read(ops):
     """A rewrite is a copytruncate: the scan sees the emptied file before
-    the new content. (A rewrite the scan never sees, which keeps the size
-    and the last ``_RESYNC_BYTES`` bytes read, is the documented blind
-    spot; ``test_copytruncate_then_regrowth_past_the_old_size`` covers one
-    it does catch.)"""
+    the new content. An overwrite writes from the start without
+    truncating, so it may keep the size."""
     with tempfile.TemporaryDirectory() as directory:
         scanner = IdsAlertScanner(directory, "alert*")
         for op, index, data in ops:
             path = os.path.join(directory, f"alert{index}.log")
-            if op == "rewrite" and os.path.exists(path):
+            exists = os.path.exists(path)
+            if op == "rewrite" and exists:
                 os.truncate(path, 0)
+                stamped(path)
                 _agrees(scanner, directory, "truncated")
-            elif op == "rotate" and os.path.exists(path):  # the old file keeps matching
+            elif op == "rotate" and exists:  # the old file keeps matching
                 os.replace(path, path + ".1")
-            append(path, data)
+            write(path, data, "r+b" if op == "overwrite" and exists else "ab")
             _agrees(scanner, directory, op)
