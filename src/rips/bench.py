@@ -35,11 +35,6 @@ class ModeTiming:
         total = self.total_s
         return (self.decode_s + self.encode_s) / total if total else 0.0
 
-    @property
-    def execute_share(self) -> float:
-        total = self.total_s
-        return self.execute_s / total if total else 0.0
-
 
 @dataclass
 class BenchReport:

@@ -85,11 +85,26 @@ class _NotConstant(Exception):
         self.node = node
 
 
-_BOOL = TypeTuple(ValueType.BOOL, ExprType.UNIVERSAL)
+_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
 
-_NUMERIC = (ValueType.INT, ValueType.FLOAT)
-_ORDERED = (ValueType.INT, ValueType.FLOAT, ValueType.STRING)
-_EQUAL = (ValueType.INT, ValueType.FLOAT, ValueType.STRING, ValueType.BOOL)
+# The diagnostic for an operand type an operator has no row for in
+# ``values.UNARY`` or ``values.BINARY``.
+_UNARY_NEEDS = {
+    "!": "operator '{}' needs bool, got {}",
+    "~": "operator '{}' needs int, got {}",
+    "-": "unary '{}' needs int or float, got {}",
+    "+": "unary '{}' needs int or float, got {}",
+}
+_BINARY_NEEDS = {
+    "&&": "operator '{}' needs bool operands, got {}",
+    "||": "operator '{}' needs bool operands, got {}",
+    "==": "operator '{}' cannot compare {} values",
+    "!=": "operator '{}' cannot compare {} values",
+    **{op: "operator '{}' cannot order {} values" for op in ("<", "<=", ">", ">=")},
+    "+": "operator '{}' needs numbers or strings, got {}",
+    **{op: "operator '{}' needs int or float operands, got {}" for op in "-*/"},
+    **{op: "operator '{}' needs int operands, got {}" for op in "%&^|"},
+}
 
 
 class _Checker:
@@ -278,6 +293,13 @@ class _Checker:
                 self.fail(f"{call.name!r} is an expression builtin, not an action", call)
             self.fail(f"unknown action {call.name!r}", call)
         call.sig = sig
+        self.check_arguments(call, sig, section)
+
+    def check_arguments(self, call: Call, sig: BuiltinSig, section: ExprType | None) -> None:
+        """Check a builtin call's argument count, then the type of each
+        argument, its constant arguments and its level arguments. The
+        variable that ``set`` names is no expression, so ``check_set``
+        checks the arguments of ``set``."""
         if not sig.arity_ok(len(call.args)):
             self.fail(
                 f"{call.name} expects {self._arity_text(sig)}, got {len(call.args)}",
@@ -297,6 +319,8 @@ class _Checker:
                     f" got {ty.value_type.value}",
                     arg,
                 )
+        for i in sig.const_args:
+            self.prepare_constant_arg(call, i)
         for i in sig.level_args:
             self.check_level_form(call.args[i], call.name)
 
@@ -379,16 +403,9 @@ class _Checker:
 
         if isinstance(e, Unary):
             ty = self.check_expr(e.operand, section)
-            vt = ty.value_type
-            if e.op == "!":
-                if vt is not ValueType.BOOL:
-                    self.fail(f"operator '!' needs bool, got {vt.value}", e)
-            elif e.op == "~":
-                if vt is not ValueType.INT:
-                    self.fail(f"operator '~' needs int, got {vt.value}", e)
-            else:  # unary + -
-                if vt not in _NUMERIC:
-                    self.fail(f"unary '{e.op}' needs int or float, got {vt.value}", e)
+            e.impl = values.UNARY.get((e.op, ty.value_type))
+            if e.impl is None:
+                self.fail(_UNARY_NEEDS[e.op].format(e.op, ty.value_type.value), e)
             e.ty = ty
             return e.ty
 
@@ -405,34 +422,13 @@ class _Checker:
                     e,
                 )
             if op in ("&&", "||"):
-                if lv is not ValueType.BOOL:
-                    self.fail(f"operator '{op}' needs bool operands, got {lv.value}", e)
-                result = ValueType.BOOL
-            elif op in ("==", "!="):
-                if lv not in _EQUAL:
-                    self.fail(f"operator '{op}' cannot compare {lv.value} values", e)
-                result = ValueType.BOOL
-            elif op in ("<", "<=", ">", ">="):
-                if lv not in _ORDERED:
-                    self.fail(f"operator '{op}' cannot order {lv.value} values", e)
-                result = ValueType.BOOL
-            elif op == "+":
-                if lv not in (ValueType.INT, ValueType.FLOAT, ValueType.STRING):
-                    self.fail(f"operator '+' needs numbers or strings, got {lv.value}", e)
-                result = lv
-            elif op in ("-", "*", "/"):
-                if lv not in _NUMERIC:
-                    self.fail(f"operator '{op}' needs int or float operands, got {lv.value}", e)
-                result = lv
-            elif op == "%":
-                if lv is not ValueType.INT:
-                    self.fail(f"operator '%' needs int operands, got {lv.value}", e)
-                result = ValueType.INT
-            else:  # & ^ |
-                if lv is not ValueType.INT:
-                    self.fail(f"operator '{op}' needs int operands, got {lv.value}", e)
-                result = ValueType.INT
-            e.ty = TypeTuple(result, et)
+                ok = lv is ValueType.BOOL
+            else:
+                e.impl = values.BINARY.get((op, lv))
+                ok = e.impl is not None
+            if not ok:
+                self.fail(_BINARY_NEEDS[op].format(op, lv.value), e)
+            e.ty = TypeTuple(ValueType.BOOL if op in _COMPARISONS else lv, et)
             return e.ty
 
         if isinstance(e, Call):
@@ -456,24 +452,7 @@ class _Checker:
                     f" be used in a {section.value} rule",
                     call,
                 )
-        if not sig.arity_ok(len(call.args)):
-            self.fail(
-                f"{call.name} expects {self._arity_text(sig)}, got {len(call.args)}",
-                call,
-            )
-        for i, arg in enumerate(call.args):
-            ty = self.check_expr(arg, section)
-            want = sig.param_at(i)
-            if want is not ValueType.UNIVERSAL and ty.value_type is not want:
-                self.fail(
-                    f"argument {i + 1} of {call.name} must be {want.value},"
-                    f" got {ty.value_type.value}",
-                    arg,
-                )
-        for i in sig.const_args:
-            self.prepare_constant_arg(call, i)
-        for i in sig.level_args:
-            self.check_level_form(call.args[i], call.name)
+        self.check_arguments(call, sig, section)
         call.ty = TypeTuple(sig.result, sig.expr_type)
         return call.ty
 
@@ -532,22 +511,13 @@ class _Checker:
                 return sym.value
             raise _NotConstant(e)
         if isinstance(e, Unary):
-            v = self.fold(e.operand)
-            if e.op == "!":
-                return not v
-            if e.op == "~":
-                return ~v
-            if e.op == "-":
-                return values.ineg(v) if isinstance(v, int) and not isinstance(v, bool) else -v
-            return v
+            return e.impl(self.fold(e.operand))
         if isinstance(e, Binary):
+            if e.impl is not None:
+                return e.impl(self.fold(e.left), self.fold(e.right))
             if e.op == "&&":
                 return self.fold(e.left) and self.fold(e.right)
-            if e.op == "||":
-                return self.fold(e.left) or self.fold(e.right)
-            a = self.fold(e.left)
-            b = self.fold(e.right)
-            return values.apply_binary(e.op, a, b, e.ty.value_type if e.ty else None)
+            return self.fold(e.left) or self.fold(e.right)
         raise _NotConstant(e)
 
     # --- usage analysis ---

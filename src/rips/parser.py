@@ -11,6 +11,7 @@ import sys
 
 from .errors import ParseError
 from .syntax import (
+    BINARY_PRECEDENCE,
     Binary,
     Call,
     ChainItem,
@@ -32,19 +33,6 @@ MAX_NESTING = 256
 
 _SECTION_KEYWORDS = {"levels", "consts", "vars", "rules"}
 _TYPE_NAMES = {"string", "int", "bool", "float"}
-
-# Binary operator precedence, higher binds tighter. All left-associative.
-BINARY_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "|": 3,
-    "^": 4,
-    "&": 5,
-    "==": 6, "!=": 6,
-    "<": 7, "<=": 7, ">": 7, ">=": 7,
-    "+": 8, "-": 8,
-    "*": 9, "/": 9, "%": 9,
-}
 
 UNARY_OPS = {"!", "-", "+", "~"}
 

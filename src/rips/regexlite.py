@@ -107,7 +107,8 @@ class _Parser:
         if c == ".":
             return ("match", _Matcher(None))
         if c == "\\":
-            return ("match", self.escape())
+            e = self.escape()
+            return ("match", _Matcher(e if isinstance(e, tuple) else ((e, e),)))
         if c == "{":
             self.error("counted repeats are not supported")
         if c in "*+?":
@@ -116,25 +117,25 @@ class _Parser:
             self.error("anchors are only allowed at the pattern edges")
         return ("match", _Matcher(((c, c),)))
 
-    def escape(self) -> _Matcher:
+    def escape(self):
+        """Read the escape after a backslash: the ranges of a class escape
+        (``\\d \\w \\s``), or else the one character it stands for."""
         if self.peek() is None:
             self.error("trailing backslash")
         c = self.take()
         if c in _CLASS_ESCAPES:
-            return _Matcher(_CLASS_ESCAPES[c])
+            return _CLASS_ESCAPES[c]
         if c in _CHAR_ESCAPES:
-            ch = _CHAR_ESCAPES[c]
-            return _Matcher(((ch, ch),))
+            return _CHAR_ESCAPES[c]
         if c == "x":
             hexpart = self.pat[self.pos : self.pos + 2]
             if len(hexpart) < 2 or not all(h in "0123456789abcdefABCDEF" for h in hexpart):
                 self.error("\\x needs two hex digits")
             self.pos += 2
-            ch = chr(int(hexpart, 16))
-            return _Matcher(((ch, ch),))
+            return chr(int(hexpart, 16))
         if c.isalnum():
             self.error(f"unsupported escape \\{c}")
-        return _Matcher(((c, c),))
+        return c
 
     def char_class(self) -> _Matcher:
         negated = False
@@ -170,24 +171,8 @@ class _Parser:
 
     def class_char(self):
         c = self.take()
-        if c == "\\":
-            if self.peek() is None:
-                self.error("trailing backslash")
-            e = self.take()
-            if e in _CLASS_ESCAPES:
-                return _CLASS_ESCAPES[e]  # expands to ranges; no '-' allowed after
-            if e in _CHAR_ESCAPES:
-                return _CHAR_ESCAPES[e]
-            if e == "x":
-                hexpart = self.pat[self.pos : self.pos + 2]
-                if len(hexpart) < 2 or not all(h in "0123456789abcdefABCDEF" for h in hexpart):
-                    self.error("\\x needs two hex digits")
-                self.pos += 2
-                return chr(int(hexpart, 16))
-            if e.isalnum():
-                self.error(f"unsupported escape \\{e}")
-            return e
-        return c
+        # A class escape expands to ranges; no '-' may follow it.
+        return self.escape() if c == "\\" else c
 
 
 class CompiledPattern:

@@ -7,7 +7,10 @@ program hands over the functions it defines, and ``InterpretedEngine``
 builds functions that walk the checked AST. Every builtin call, action or
 expression, goes through its ``BuiltinSig.impl``, with the same arguments in
 both engines: the first argument the checker prepared in ``Call.resource``,
-if there is one, then the evaluated rest.
+if there is one, then the evaluated rest. Every operator goes through the
+``impl`` the checker bound on its ``Unary`` or ``Binary`` node from the
+operator table in ``values``; only ``&&`` and ``||``, which short-circuit,
+are walked here.
 
 One logical loop owns the environment; rules never run concurrently. Each
 rule evaluation refreshes Time/Uptime/CurrLevel first. A fault inside one
@@ -197,7 +200,6 @@ class Engine:
         self._graph_rules = list(graph_rules)
         self._msg_rules = list(msg_rules)
         self._external_rules = list(external_rules)
-        self.events_processed = 0
         self._outcomes: list[Outcome] = []
         self._started = False
 
@@ -240,7 +242,6 @@ class Engine:
         else:
             rules, ctx = self._msg_rules, event.message_context()
         self._run_rules(rules, ctx)
-        self.events_processed += 1
         return self._take_outcomes()
 
     def tick(self) -> list[Outcome]:
@@ -414,23 +415,12 @@ def evaluate(E: Engine, e, ctx):
             return E.env.time_ns - E.env.start_ns
         return sym.value
     if cls is Binary:
-        op = e.op
-        if op == "&&":
+        if e.impl is not None:
+            return e.impl(evaluate(E, e.left, ctx), evaluate(E, e.right, ctx))
+        if e.op == "&&":
             return evaluate(E, e.left, ctx) and evaluate(E, e.right, ctx)
-        if op == "||":
-            return evaluate(E, e.left, ctx) or evaluate(E, e.right, ctx)
-        a = evaluate(E, e.left, ctx)
-        b = evaluate(E, e.right, ctx)
-        return values.apply_binary(op, a, b, e.ty.value_type)
+        return evaluate(E, e.left, ctx) or evaluate(E, e.right, ctx)
     if cls is Unary:
-        v = evaluate(E, e.operand, ctx)
-        op = e.op
-        if op == "!":
-            return not v
-        if op == "-":
-            return values.ineg(v) if e.ty.value_type.value == "int" else -v
-        if op == "~":
-            return ~v
-        return v
+        return e.impl(evaluate(E, e.operand, ctx))
     # Call
     return e.sig.impl(E, ctx, *_arguments(E, e, ctx))

@@ -42,6 +42,9 @@ class Name(Node):
 class Unary(Node):
     op: str = ""
     operand: "Expr" = None
+    # The operator's function from ``values.UNARY``, filled in by the
+    # checker; engines call it as they call ``Call.sig.impl``.
+    impl: object = field(compare=False, repr=False, kw_only=True, default=None)
 
 
 @dataclass(eq=True)
@@ -49,6 +52,9 @@ class Binary(Node):
     op: str = ""
     left: "Expr" = None
     right: "Expr" = None
+    # The operator's function from ``values.BINARY``, filled in by the
+    # checker; None for the short-circuit ``&&`` and ``||``.
+    impl: object = field(compare=False, repr=False, kw_only=True, default=None)
 
 
 @dataclass(eq=True)
@@ -115,9 +121,9 @@ class Program:
     source_name: str = field(default="rules", compare=False)
 
 
-# --- formatting back to source ---------------------------------------------
-
-_PREC = {
+# Binary operator precedence, higher binds tighter. All left-associative.
+# The parser climbs it and the formatter parenthesizes by it.
+BINARY_PRECEDENCE = {
     "||": 1,
     "&&": 2,
     "|": 3,
@@ -128,6 +134,10 @@ _PREC = {
     "+": 8, "-": 8,
     "*": 9, "/": 9, "%": 9,
 }
+
+
+# --- formatting back to source ---------------------------------------------
+
 _UNARY_PREC = 10
 
 
@@ -166,7 +176,7 @@ def format_expr(e: Expr, parent_prec: int = 0) -> str:
         inner = format_expr(e.operand, _UNARY_PREC)
         return f"{e.op}{inner}"
     if isinstance(e, Binary):
-        prec = _PREC[e.op]
+        prec = BINARY_PRECEDENCE[e.op]
         left = format_expr(e.left, prec)
         # All binary operators associate left; force parens on an equal-
         # precedence right child so the reparse rebuilds the same tree.

@@ -7,22 +7,33 @@ program hands these functions to the same ``Engine`` the interpreter uses.
 Every builtin call names its ``BuiltinSig.impl``, the function object the
 interpreter calls, with the same arguments: an expression builtin becomes
 ``_P.<name>(E, ctx, ...)`` of its ``predicates`` function, an action
-``E.act_<name>(...)`` of its engine method. Arithmetic and the engine come
-from the ``support`` layer. Equivalence with the interpreter is checked by
-the differential test (``tests/test_differential.py``). Generated output is
-deterministic except for the generated-at manifest line.
+``E.act_<name>(...)`` of its engine method. Every operator likewise names
+the ``impl`` the checker bound on its node: a ``values`` function becomes
+``_rt.<name>(...)`` through the ``support`` layer, which also supplies the
+engine; a plain Python operator is written inline, ``!`` as ``not``, and
+``&&`` and ``||``, which have no ``impl``, as ``and`` and ``or``.
+Equivalence with the interpreter is checked by the differential test
+(``tests/test_differential.py``). Generated output is deterministic except
+for the generated-at manifest line.
 """
 
 from __future__ import annotations
 
 import datetime
+import math
 
-from . import __version__
+from . import __version__, values
 from .checker import CheckedProgram
 from .syntax import Binary, Call, Literal, Name, Rule, Unary
-from .typesys import ValueType
 
-_INT_BINOPS = {"+": "iadd", "-": "isub", "*": "imul", "/": "idiv"}
+
+def _constant(value) -> str:
+    """Python source for a rule constant. A NaN or infinite float has no
+    literal, so it is spelled ``float('nan')``, ``float('inf')`` or
+    ``float('-inf')``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"float({str(value)!r})"
+    return repr(value)
 
 
 class _Gen:
@@ -33,7 +44,7 @@ class _Gen:
 
     def expr(self, e) -> str:
         if isinstance(e, Literal):
-            return repr(e.value)
+            return _constant(e.value)
         if isinstance(e, Name):
             sym = e.binding
             if sym.kind == "var":
@@ -45,36 +56,24 @@ class _Gen:
                     return "env.time_ns"
                 return "(env.time_ns - env.start_ns)"
             # const / level / rule-local const: folded value inlined
-            return repr(sym.value)
+            return _constant(sym.value)
         if isinstance(e, Unary):
             inner = self.expr(e.operand)
+            if e.impl.__module__ == values.__name__:
+                return f"_rt.{e.impl.__name__}({inner})"
             if e.op == "!":
                 return f"(not {inner})"
-            if e.op == "-":
-                if e.ty.value_type is ValueType.INT:
-                    return f"_rt.ineg({inner})"
-                return f"(-{inner})"
-            if e.op == "~":
-                return f"(~{inner})"
-            return f"({inner})"
+            if e.op == "+":
+                return f"({inner})"
+            return f"({e.op}{inner})"
         if isinstance(e, Binary):
             a = self.expr(e.left)
             b = self.expr(e.right)
-            op = e.op
-            if op == "&&":
-                return f"({a} and {b})"
-            if op == "||":
-                return f"({a} or {b})"
-            vt = e.ty.value_type
-            if op == "+" and vt is ValueType.STRING:
-                return f"_rt.concat({a}, {b})"
-            if op == "%":
-                return f"_rt.imod({a}, {b})"
-            if op == "/" and vt is ValueType.FLOAT:
-                return f"_rt.fdiv({a}, {b})"
-            if vt is ValueType.INT and op in _INT_BINOPS:
-                return f"_rt.{_INT_BINOPS[op]}({a}, {b})"
-            return f"({a} {op} {b})"
+            if e.impl is None:
+                return f"({a} {'and' if e.op == '&&' else 'or'} {b})"
+            if e.impl.__module__ == values.__name__:
+                return f"_rt.{e.impl.__name__}({a}, {b})"
+            return f"({a} {e.op} {b})"
         if isinstance(e, Call):
             return self.call(e)
         raise AssertionError(f"unexpected node {e!r}")
@@ -150,7 +149,8 @@ def transpile(checked: CheckedProgram, timestamp: str | None = None) -> str:
     else:
         w("PATTERNS = []")
     w(f"PLUGINS = {res.plugins!r}")
-    w(f"VAR_INIT = {checked.var_initial!r}")
+    var_init = ", ".join(f"{name!r}: {_constant(value)}" for name, value in checked.var_initial.items())
+    w(f"VAR_INIT = {{{var_init}}}")
     w("")
     w("")
 

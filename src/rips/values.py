@@ -4,13 +4,20 @@ Integers behave as wrapping two's-complement 64-bit values, division and
 modulo truncate toward zero (the remainder takes the dividend's sign), and
 floats follow IEEE 754 double rules. Strings are capped at STRING_CAP code
 points; concatenation silently truncates the excess.
+
+Operators dispatch through ``UNARY`` and ``BINARY``: the checker binds each
+operator node's ``impl`` from them, and the constant folder, the interpreter
+and the generated code call that function, as they call a builtin's
+``BuiltinSig.impl``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import EvalFault
+from .typesys import ValueType
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
@@ -87,43 +94,36 @@ def to_string(v) -> str:
     return str(v)
 
 
-def apply_binary(op: str, a, b, value_type):
-    """Evaluate a non-short-circuit binary operator.
+# The operator table: (operator, operand value type) -> implementation. A
+# pair with no row is a type error. ``&&`` and ``||`` short-circuit, so they
+# have no row.
+UNARY = {
+    ("!", ValueType.BOOL): operator.not_,
+    ("~", ValueType.INT): operator.invert,
+    ("-", ValueType.INT): ineg,
+    ("-", ValueType.FLOAT): operator.neg,
+    ("+", ValueType.INT): operator.pos,
+    ("+", ValueType.FLOAT): operator.pos,
+}
 
-    ``value_type`` is the statically determined operand/result ValueType;
-    only its name is inspected so the checker and the engine can share this.
-    """
-    name = value_type.value if value_type is not None else None
-    if op == "+":
-        if name == "string":
-            return concat(a, b)
-        if name == "int":
-            return iadd(a, b)
-        return a + b
-    if op == "-":
-        return isub(a, b) if name == "int" else a - b
-    if op == "*":
-        return imul(a, b) if name == "int" else a * b
-    if op == "/":
-        return idiv(a, b) if name == "int" else fdiv(a, b)
-    if op == "%":
-        return imod(a, b)
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "&":
-        return a & b
-    if op == "^":
-        return a ^ b
-    if op == "|":
-        return a | b
-    raise AssertionError(f"unknown operator {op!r}")
+BINARY = {
+    ("+", ValueType.INT): iadd,
+    ("+", ValueType.FLOAT): operator.add,
+    ("+", ValueType.STRING): concat,
+    ("-", ValueType.INT): isub,
+    ("-", ValueType.FLOAT): operator.sub,
+    ("*", ValueType.INT): imul,
+    ("*", ValueType.FLOAT): operator.mul,
+    ("/", ValueType.INT): idiv,
+    ("/", ValueType.FLOAT): fdiv,
+    ("%", ValueType.INT): imod,
+    ("&", ValueType.INT): operator.and_,
+    ("^", ValueType.INT): operator.xor,
+    ("|", ValueType.INT): operator.or_,
+    **{(op, vt): fn
+       for op, fn in (("==", operator.eq), ("!=", operator.ne))
+       for vt in (ValueType.INT, ValueType.FLOAT, ValueType.STRING, ValueType.BOOL)},
+    **{(op, vt): fn
+       for op, fn in (("<", operator.lt), ("<=", operator.le), (">", operator.gt), (">=", operator.ge))
+       for vt in (ValueType.INT, ValueType.FLOAT, ValueType.STRING)},
+}

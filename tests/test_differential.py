@@ -20,15 +20,16 @@ import shutil
 
 import pytest
 
-from rips import predicates
+from rips import predicates, values
 from rips.bus import SignalCounters
 from rips.checker import check_source
-from rips.errors import EngineCrash
+from rips.errors import EngineCrash, StaticError
 from rips.randprog import IDS_NEEDLE_POOL, random_corpus, random_program
 from rips.runtime import Engine, EngineConfig, FakeClock, InterpretedEngine, RecordingRunner
 from rips.signatures import ACTIONS, ALL_BUILTINS, EXPRESSION_BUILTINS
 from rips.syntax import Binary, Call, Unary
 from rips.transpiler import load_generated, transpile
+from rips.typesys import ValueType
 from rips.wire import decode_event
 
 from conftest import DATA_DIR
@@ -225,20 +226,112 @@ def test_both_engines_dispatch_through_the_signature_table():
             assert f"_P.{call.name}(E, ctx" in generated
 
 
+def _compared_constants(node) -> set:
+    """The constants that the code under ``node`` compares with anything."""
+    return {
+        n.value
+        for cmp in ast.walk(node) if isinstance(cmp, ast.Compare)
+        for side in (cmp.left, *cmp.comparators)
+        for n in ast.walk(side) if isinstance(n, ast.Constant)
+    }
+
+
+def _module_tree(module: str) -> ast.Module:
+    import rips
+
+    with open(os.path.join(os.path.dirname(rips.__file__), module), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
 @pytest.mark.parametrize("module", ["runtime.py", "transpiler.py"])
 def test_engines_do_not_dispatch_on_builtin_names(module):
     """No string ladder: neither engine compares a name with a builtin's
     name, action or expression. (``RecordingRunner`` labels its records
     "plugin" and "exec", child-process kinds, which is not a comparison.)"""
-    import rips
+    assert not _compared_constants(_module_tree(module)) & set(ALL_BUILTINS)
 
-    path = os.path.join(os.path.dirname(rips.__file__), module)
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    compared = {
-        n.value
-        for cmp in ast.walk(tree) if isinstance(cmp, ast.Compare)
-        for side in (cmp.left, *cmp.comparators)
-        for n in ast.walk(side) if isinstance(n, ast.Constant)
-    }
-    assert not compared & set(ALL_BUILTINS)
+
+@pytest.mark.parametrize("module, function", [("runtime.py", "evaluate"), ("checker.py", "fold")])
+def test_evaluators_do_not_dispatch_on_operators(module, function):
+    """The interpreter and the constant folder call the ``impl`` the checker
+    bound on each operator node; only the short-circuit operators, which
+    have none, are told apart by their symbol."""
+    (fn,) = [n for n in ast.walk(_module_tree(module)) if isinstance(n, ast.FunctionDef) and n.name == function]
+    operators = {op for op, _ in values.UNARY} | {op for op, _ in values.BINARY} | {"&&", "||"}
+    assert _compared_constants(fn) & operators <= {"&&", "||"}
+
+
+# Source text for edge operands of each value type: i64 wrap, zero divisors,
+# negative modulo, NaN, infinities, float /0.0 and strings at the cap.
+_EDGE_OPERANDS = {
+    ValueType.INT: ["9223372036854775807", "(-9223372036854775807 - 1)", "-7", "3", "0", "-1"],
+    ValueType.FLOAT: ["(0.0 / 0.0)", "(1.0 / 0.0)", "-1.5", "0.0", "1e308", "0.25"],
+    ValueType.STRING: [f'"{"x" * (values.STRING_CAP + 10)}"', '"y"', '""', '"fff"'],
+    ValueType.BOOL: ["true", "false"],
+}
+_DEFAULT = {ValueType.INT: "0", ValueType.FLOAT: "0.0", ValueType.STRING: '""', ValueType.BOOL: "false"}
+
+
+_ROWS = [(op, vt, True) for op, vt in values.UNARY] + [(op, vt, False) for op, vt in values.BINARY]
+
+
+@pytest.mark.parametrize("op, vt, unary", _ROWS, ids=[f"{'unary' if u else ''}{op}{vt.value}" for op, vt, u in _ROWS])
+def test_operator_table_parity(op, vt, unary):
+    """Every row of the operator table gives the same value, or the same
+    fault, when the checker folds it, the interpreter runs it and the
+    generated code runs it."""
+    table = values.UNARY if unary else values.BINARY
+    result = ValueType.BOOL if op in ("==", "!=", "<", "<=", ">", ">=") else vt
+    expr = f"{op}A" if unary else f"A {op} B"
+    edges = _EDGE_OPERANDS[vt]
+    pairs = [(a, a) for a in edges] if unary else [(a, b) for a in edges for b in edges]
+
+    folded = []
+    for a, b in pairs:
+        source = f"consts: A {vt.value} = {a}; B {vt.value} = {b}; F {result.value} = {expr};\n"
+        try:
+            folded.append(("value", repr(check_source(source, "fold.rul").symbols["F"].value)))
+        except StaticError as exc:
+            (diag,) = exc.diagnostics
+            folded.append(("fault", diag.message.removeprefix("in constant expression: ")))
+
+    lines = ["consts:"]
+    lines += [f"    A{i} {vt.value} = {a}; B{i} {vt.value} = {b};" for i, (a, b) in enumerate(pairs)]
+    lines.append("vars:")
+    lines += [f"    R{i} {result.value} = {_DEFAULT[result]};" for i in range(len(pairs))]
+    lines.append("rules External:")
+    lines += [
+        f"    true ? set(R{i}, {expr.replace('A', f'A{i}').replace('B', f'B{i}')}) => True(R{i});"
+        for i in range(len(pairs))
+    ]
+    checked = check_source("\n".join(lines) + "\n", "ops.rul")
+    for node in (r.chain[0].action.args[1] for r in checked.external_rules):
+        assert node.impl is table[op, vt]
+
+    for run in _engines(checked, EngineConfig()):
+        run.engine.tick()
+        faults = {o.text.split(": ", 1)[0]: o.text.split(": ", 1)[1] for o in run.delivered}
+        variables = run.engine.dump_variables()
+        ran = [
+            ("fault", faults[f"rule ops.rul:External:{i}"]) if f"rule ops.rul:External:{i}" in faults
+            else ("value", repr(variables[f"R{i}"]))
+            for i in range(len(pairs))
+        ]
+        assert ran == folded
+
+
+def test_generated_code_spells_non_finite_floats():
+    """NaN and the infinities have no Python literal. A generated program
+    that inlines one, as a literal, a constant or a variable's initial
+    value, still runs, and agrees with the interpreter."""
+    checked = check_source(
+        "consts: N float = 0.0 / 0.0;\n"
+        "vars: v float = -1e999;\n"
+        "rules External: true ? set(v, N + 1e999) => True(v);\n",
+        "nonfinite.rul",
+    )
+    for run in _engines(checked, EngineConfig()):
+        assert repr(run.engine.dump_variables()) == "{'v': -inf}"
+        run.engine.tick()
+        assert repr(run.engine.dump_variables()) == "{'v': nan}"
+        assert run.delivered == []

@@ -77,12 +77,12 @@ def test_float_to_string_round_trips():
         assert float(values.to_string(f)) == f
 
 
-def test_apply_binary_dispatch():
+def test_operator_table_dispatch():
     from rips.typesys import ValueType
 
-    assert values.apply_binary("+", "a", "b", ValueType.STRING) == "ab"
-    assert values.apply_binary("+", 2**63 - 1, 1, ValueType.INT) == -(2**63)
-    assert values.apply_binary("+", 0.5, 0.25, ValueType.FLOAT) == 0.75
-    assert values.apply_binary("<", "fff", "zzz", ValueType.BOOL) is True
-    assert values.apply_binary("&", 0b1100, 0b1010, ValueType.INT) == 0b1000
-    assert values.apply_binary("^", -1, -1, ValueType.INT) == 0
+    assert values.BINARY["+", ValueType.STRING]("a", "b") == "ab"
+    assert values.BINARY["+", ValueType.INT](2**63 - 1, 1) == -(2**63)
+    assert values.BINARY["+", ValueType.FLOAT](0.5, 0.25) == 0.75
+    assert values.BINARY["<", ValueType.STRING]("fff", "zzz") is True
+    assert values.BINARY["&", ValueType.INT](0b1100, 0b1010) == 0b1000
+    assert values.BINARY["^", ValueType.INT](-1, -1) == 0
