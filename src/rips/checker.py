@@ -391,6 +391,8 @@ class _Checker:
         if isinstance(e, Literal):
             if e.kind == "string":
                 e.value = values.clamp_str(e.value)
+            elif e.kind == "int" and not values.I64_MIN <= e.value <= values.I64_MAX:
+                self.note(f"int literal {e.value} is outside the 64-bit range", e)
             e.ty = TypeTuple(VALUE_TYPE_BY_NAME[e.kind], ExprType.UNIVERSAL)
             return e.ty
 

@@ -9,31 +9,49 @@ publisher/subscriber list consisting of null entries decodes to the empty
 set. Outcomes go out as one YAML document each, with a fixed key order so
 the byte stream is stable.
 
+The monitor writes a narrow dialect of YAML, and ``decode_event`` reads it
+with a line recognizer instead of libyaml. A document is in the dialect
+when, after an optional ``---`` line and before an optional ``...`` line,
+every line is a top-level ``key: scalar`` entry except one column-0
+``context:`` line and the indented lines after it (the block). The block
+holds block mappings and block sequences, indented under their key or not,
+of ``key: scalar``, ``key:`` and ``- `` lines. A scalar sits on one line
+and is plain or single-quoted; a plain scalar resolves as PyYAML's YAML 1.1
+implicit resolvers resolve it, and is built by its ``SafeConstructor``.
+The recognizer either returns exactly the mapping the safe loader would, or
+declines: at a comment or flow indicator (``# , [ ] { }``) outside single
+quotes; at a key or plain scalar that starts with any other indicator, such
+as an anchor, alias, tag, block scalar or double quote; at a quoted key, a
+tab, a blank line, a multi-line scalar, a line break other than ``\n`` or a
+character outside printable ASCII; at a scalar that resolves to a type
+other than str, null, int or float, or a key that resolves to any type but
+str; and at nesting deeper than ``MAX_DEPTH``. The tokens of a short line
+are kept in a bounded cache, because a monitor repeats its entries.
+
 A monitor sends the full graph with every event, and on a deployed robot
 that graph rarely changes. ``decode_event`` therefore keeps the
-``GraphContext`` of the last eligible document's ``context:`` block, keyed
-on the block's exact text, and when the next document carries the same
-block it parses only the small rest of that document. A document is
-eligible when it is in block style with one column-0 ``context:`` line, the
-block is that line and the indented lines after it, every other line is a
-one-line top-level ``key: scalar`` entry (plain, or single-quoted and closed
-on the line; a leading ``---`` and a trailing ``...`` line are allowed), and
-the block holds none of ``& * ! % | > [ ] { } " ' # ?``, a tab or a line
-break other than ``\n``. Nothing in such a block can link to, span past or
-resolve differently from the rest of the document, so its graph is a
-function of its text. Any other document, and an eligible one whose block
-differs from the cached one, goes through the full parse, after which an
-eligible block and its graph replace the cached pair. The cache thus holds
-one graph and one block no longer than its document, which the framer
-bounds by ``MAX_DOC_BYTES``, however many distinct contexts a monitor sends.
-A cached graph is shared by every event decoded from its block, so a
+``GraphContext`` of the last block the recognizer read, keyed on the
+block's exact text, and when the next document carries the same block it
+reads only the rest of the document's lines. Nothing in the dialect can
+link to, span past or resolve differently from the rest of the document,
+so a block's graph is a function of its text. The cache holds one graph and
+one block no longer than its document, which the framer bounds by
+``MAX_DOC_BYTES``, however many distinct contexts a monitor sends. A cached
+graph is shared by every event decoded from its block, so a
 ``GraphContext`` must never be mutated. ``parse_graph_context`` runs, and
 its debug lines about malformed entries fire, only on a miss.
+
+A document the recognizer declines takes the full parse, bounded: a walk of
+libyaml's events rejects it at its first alias or at a collection nested
+deeper than ``MAX_DEPTH`` before the composer recurses into it, so neither
+an alias bomb nor a 50,000-deep nesting gets further than one
+``DecodeError``.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import logging
 import math
 import re
@@ -154,37 +172,156 @@ def parse_graph_context(mapping) -> GraphContext:
     return graph
 
 
-# The context block of the last eligible document decoded, and its graph.
-# One entry is what the measured traffic needs: a monitor resends the graph
-# it sent last, and on perfbench's steady_graph workload (6000 events, three
-# seeds) a second entry saves only the 0.3% of events that return to the
-# normal graph after an intruder leaves, and eight entries save no more.
+# The context block of the last document the recognizer took, and its
+# graph. One entry is what the measured traffic needs: a monitor resends the
+# graph it sent last, and on perfbench's steady_graph workload (6000 events,
+# three seeds) a second entry saves only the 0.3% of events that return to
+# the normal graph after an intruder leaves, and eight entries save no more.
 _last_block: str | None = None
 _last_graph: GraphContext | None = None
 
+# The deepest nesting of collections a document may have, the top-level
+# mapping counted; the schema needs about 8.
+MAX_DEPTH = 64
+
+
+class _Declined(Exception):
+    """The recognizer does not take the document; the full parse does."""
+
+
+# Printable ASCII that may start a plain scalar: no indicator, and "-" only
+# before a character that continues one, as in "-1".
+_FIRST = r"(?:[$()+./0-9;<=A-Z\\^_a-z~]|-(?=[!\"$-+\--9;-Z\\^-z|~]))"
+# Printable ASCII that may continue one, besides ":" and space: no "#" and
+# no flow indicator.
+_INNER = r"!\"$-+\--9;-Z\\^-z|~"
+# One line of the dialect: indentation, an optional "- " sequence entry, an
+# optional "key:" whose key is short enough to be a YAML simple key, and an
+# optional scalar, plain or single-quoted, then trailing spaces. Each scalar
+# is one run of a character class, so a long line costs a single scan; what
+# the classes let through (": " or a trailing ":" in a plain scalar, a lone
+# quote in a quoted one) is checked on the match.
+_LINE = re.compile(
+    rf"( *)(?:(-)(?: +|$))?(?:({_FIRST}[{_INNER}]{{0,127}}):(?: +|$))?(?:({_FIRST}[{_INNER}: ]*)|'([ -~]*)')? *"
+)
 # The newline that ends the last line of a `context:` block.
 _BLOCK_END = re.compile(r"\n[^ ]")
-# What makes a block ineligible: indicators that link to, span past or
-# resolve against the rest of the document, tabs, and YAML line breaks
-# other than "\n".
-_BLOCK_BARRED = "&*!%|>[]{}\"'#?\t\r\x85\u2028\u2029"
-# One top-level `key: scalar` line other than `context`: a single-quoted
-# scalar closed on the line, or a plain one that starts with no indicator and
-# holds printable ASCII but no `#`. Every repeat is of one character class or
-# starts at a quote pair, so a long payload line costs the regex engine no
-# backtracking state per character.
-_QUOTED = r"'[^'\n\r\x85\u2028\u2029]*(?:''[^'\n\r\x85\u2028\u2029]*)*' *"
-_PLAIN = r"[$()+./0-9;A-Z\\^_a-z~][ -\"$-~]*"
-_LINE = rf"(?!context:)[A-Za-z_][A-Za-z0-9_]*:(?: +(?:{_QUOTED}|{_PLAIN})?)?"
-# The lines before the block, after an optional `---` line, and the lines
-# after it, up to an optional `...` line.
-_HEAD = re.compile(rf"(?:---\n)?(?:{_LINE}\n)*")
-_TAIL = re.compile(rf"(?:{_LINE}\n)*(?:{_LINE}|\.\.\.\n?)?")
+
+# The tag the YAML 1.1 implicit resolvers give a plain scalar.
+_plain_tag = functools.partial(yaml.resolver.Resolver().resolve, yaml.ScalarNode, implicit=(True, False))
+_STR_TAG = "tag:yaml.org,2002:str"
+_CONSTRUCTOR = yaml.constructor.SafeConstructor()
+_BUILD = {
+    "tag:yaml.org,2002:null": _CONSTRUCTOR.construct_yaml_null,
+    "tag:yaml.org,2002:int": _CONSTRUCTOR.construct_yaml_int,
+    "tag:yaml.org,2002:float": _CONSTRUCTOR.construct_yaml_float,
+}
 
 
-def _context_span(text: str) -> tuple[int, int] | None:
-    """Where the ``context:`` block of a document starts and ends, when every
-    other line of the document is a one-line ``key: scalar`` entry."""
+def _plain(text: str):
+    """A plain scalar's value as the safe loader builds it. Any type but
+    str, null, int and float declines."""
+    tag = _plain_tag(text)
+    if tag == _STR_TAG:
+        return text
+    build = _BUILD.get(tag)
+    if build is None:
+        raise _Declined
+    try:
+        return build(yaml.ScalarNode(tag, text))
+    except ValueError:  # e.g. "0b_", which the full parse rejects too
+        raise _Declined from None
+
+
+_DASH, _SCALAR, _EMPTY = object(), object(), object()
+
+
+def _line_tokens(line: str) -> tuple[tuple, ...]:
+    """One line as (column, kind, value) tokens: a sequence entry's dash
+    (kind ``_DASH``), then a bare scalar (``_SCALAR``) or a mapping key (the
+    key itself, with ``_EMPTY`` for no value on the line)."""
+    m = _LINE.fullmatch(line)
+    if m is None:
+        raise _Declined
+    indent, dash, key, plain, quoted = m.groups()
+    tokens = ((len(indent), _DASH, None),) if dash else ()
+    if plain is not None:
+        plain = plain.rstrip(" ")
+        if ": " in plain or plain[-1] == ":":
+            raise _Declined
+        value, at = _plain(plain), m.start(4)
+    elif quoted is not None:
+        if "'" in quoted.replace("''", ""):
+            raise _Declined
+        value, at = quoted.replace("''", "'"), m.start(5) - 1
+    elif key is not None:
+        value = _EMPTY
+    elif dash:
+        return tokens
+    else:
+        raise _Declined  # a blank line
+    if key is None:
+        return tokens + ((at, _SCALAR, value),)
+    if type(_plain(key)) is not str:
+        raise _Declined
+    return tokens + ((m.start(3), key, value),)
+
+
+# A monitor sends the same entries again and again (a node's gids and
+# services, a topic's type), so the tokens of a line up to this long are
+# kept, for a bounded number of lines.
+_CACHED_LINE = 128
+_cached_line_tokens = functools.lru_cache(maxsize=512)(_line_tokens)
+
+
+def _tokens(lines: list[str]) -> list[tuple]:
+    tokens = []
+    for line in lines:
+        tokens += (_cached_line_tokens if len(line) <= _CACHED_LINE else _line_tokens)(line)
+    return tokens
+
+
+def _node(tokens: list[tuple], i: int, depth: int) -> tuple[object, int]:
+    """The node whose first token is ``tokens[i]``, nested ``depth`` deep,
+    and the index of the token after it. A token in a column that no open
+    collection has ends every collection; the caller declines it."""
+    if depth > MAX_DEPTH:
+        raise _Declined
+    col, kind, value = tokens[i]
+    n = len(tokens)
+    if kind is _SCALAR:
+        return value, i + 1
+    if kind is _DASH:
+        items = []
+        while i < n and tokens[i][0] == col and tokens[i][1] is _DASH:
+            i += 1
+            if i < n and tokens[i][0] > col:
+                item, i = _node(tokens, i, depth + 1)
+            else:
+                item = None
+            items.append(item)
+        return items, i
+    mapping = {}
+    while i < n and tokens[i][0] == col:
+        _, key, value = tokens[i]
+        if key is _DASH or key is _SCALAR:
+            raise _Declined
+        i += 1
+        if value is _EMPTY:
+            # The value is the next token's node when that token is deeper,
+            # or is a dash in this column (an indentless sequence).
+            if i < n and (tokens[i][0] > col or tokens[i][0] == col and tokens[i][1] is _DASH):
+                value, i = _node(tokens, i, depth + 1)
+            else:
+                value = None
+        mapping[key] = value
+    return mapping, i
+
+
+def _recognize(text: str) -> tuple[dict, str] | None:
+    """The mapping of a document's top-level lines other than its
+    ``context:`` block, and that block's text; None when the document is
+    not in the monitor's dialect outside the block."""
     if text.startswith("context:\n"):
         start = 0
     else:
@@ -193,9 +330,39 @@ def _context_span(text: str) -> tuple[int, int] | None:
             return None
     m = _BLOCK_END.search(text, start + 8)
     end = m.start() + 1 if m else len(text)
-    if _HEAD.fullmatch(text, 0, start) and _TAIL.fullmatch(text, end):
-        return start, end
-    return None
+    head, tail = text[:start].split("\n"), text[end:].split("\n")
+    del head[-1]  # what follows the last newline: nothing
+    if head[:1] == ["---"]:
+        del head[0]
+    if tail[-1:] == [""]:
+        del tail[-1]
+    if tail[-1:] == ["..."]:
+        del tail[-1]
+    try:
+        tokens = _tokens(head + tail)
+    except _Declined:
+        return None
+    rest = {}
+    for col, key, value in tokens:
+        if col or key is _DASH or key is _SCALAR or key == "context":
+            return None
+        rest[key] = None if value is _EMPTY else value
+    return rest, text[start:end]
+
+
+def _block_value(block: str):
+    """The value of a ``context:`` block; ``_Declined`` when the block is
+    not in the dialect."""
+    lines = block.split("\n")
+    if lines[-1] == "":
+        del lines[-1]
+    tokens = _tokens(lines[1:])
+    if not tokens:
+        return None
+    value, i = _node(tokens, 0, 2)
+    if i != len(tokens):
+        raise _Declined
+    return value
 
 
 def clear_context_cache() -> None:
@@ -208,30 +375,47 @@ def decode_event(doc) -> InboundEvent:
     """Decode one YAML document (text or pre-parsed mapping) into an event.
 
     Any input that cannot be understood raises ``DecodeError`` and nothing
-    else, so a hostile document costs the caller one skipped event. The
-    graph of an eligible document's ``context:`` block comes from the cache
-    when the block is the one last decoded (see the module docstring).
+    else, so a hostile document costs the caller one skipped event. A
+    document in the monitor's dialect is read by the recognizer, and the
+    graph of its ``context:`` block comes from the cache when the block is
+    the one last read (see the module docstring).
     """
     global _last_block, _last_graph
-    if isinstance(doc, str) and (span := _context_span(doc)) is not None:
-        start, end = span
-        block = doc[start:end]
+    if isinstance(doc, str) and (parts := _recognize(doc)) is not None:
+        rest, block = parts
         if block == _last_block:
-            return _event(_load(doc[:start] + doc[end:]) or {}, _last_graph)
-        # Free the old graph before the parse builds a new one, so that a
-        # stream of misses peaks at one graph, as it would with no cache.
+            return _event(rest, _last_graph)
+        # Free the old graph before the new one is built, so that a stream
+        # of misses peaks at one graph, as it would with no cache.
         _last_block = _last_graph = None
-        event = _event(_load(doc))
-        if not any(c in block for c in _BLOCK_BARRED):
+        try:
+            rest["context"] = _block_value(block)
+        except _Declined:
+            pass
+        else:
+            event = _event(rest)
             _last_block, _last_graph = block, event.graph
-        return event
+            return event
     if isinstance(doc, (str, bytes)):
         doc = _load(doc)
     return _event(doc)
 
 
 def _load(text):
+    """The full parse, after a walk of the parser's events that rejects a
+    document at its first alias or at a collection nested deeper than
+    ``MAX_DEPTH``, before libyaml's composer recurses into it."""
     try:
+        depth = 0
+        for event in yaml.parse(text, Loader=_Loader):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise DecodeError(f"collections nested deeper than {MAX_DEPTH}")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+            elif isinstance(event, yaml.AliasEvent):
+                raise DecodeError("the document uses an alias")
         return yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         # ValueError: scalar constructors, e.g. a timestamp "2001-13-45".
@@ -293,11 +477,9 @@ def encode_event(doc: dict) -> str:
     return _document(doc)
 
 
-# The pure-Python emitter's scalar analysis and the dumper's resolver, as
-# encode_outcome asks them how a string is written.
+# The pure-Python emitter's scalar analysis, which encode_outcome asks, with
+# the resolver, how a string is written.
 _ANALYZE_SCALAR = yaml.emitter.Emitter(None).analyze_scalar
-_RESOLVE = yaml.resolver.Resolver().resolve
-_STR_TAG = "tag:yaml.org,2002:str"
 
 
 def _str_scalar(value) -> str | None:
@@ -311,7 +493,7 @@ def _str_scalar(value) -> str | None:
     analysis = _ANALYZE_SCALAR(value)
     if analysis.multiline:
         return None
-    if analysis.allow_block_plain and _RESOLVE(yaml.ScalarNode, value, (True, False)) == _STR_TAG:
+    if analysis.allow_block_plain and _plain_tag(value) == _STR_TAG:
         return value
     if analysis.allow_single_quoted:
         return "'" + value.replace("'", "''") + "'"

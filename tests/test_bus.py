@@ -120,6 +120,21 @@ def test_serve_over_a_real_socket(tmp_path):
         assert not os.path.exists(path)
 
 
+def test_deep_and_aliased_documents_cost_only_themselves(tmp_path):
+    """One line of 50,000 nested block sequences, and a document that
+    aliases a node: each is dropped, and the engine answers the documents
+    after them, the last of which ends it."""
+    deep = b"---\nevent: graph\ncontext:\n  " + b"- " * 50_000 + b"x\n...\n"
+    aliased = b"---\nevent: graph\ncontext:\n  nodes:\n  - &n\n    node: n1\n  - *n\n...\n"
+    with _engine(tmp_path) as (proc, path):
+        monitor = Monitor(path)
+        monitor.sock.sendall(deep + aliased + GOOD + CRASH)
+        assert monitor.outcomes(3) == [("levelchange", "HIGH", ""), ("alert", "HIGH", "graph"),
+                                       ("alert", "HIGH", "fatal")]
+        assert proc.wait(timeout=TIMEOUT) == 3
+        monitor.sock.close()
+
+
 def test_serve_exits_3_on_a_crash_action(tmp_path):
     with _engine(tmp_path) as (proc, path):
         monitor = Monitor(path)

@@ -83,6 +83,21 @@ def test_overflow_wraps_in_constant_fold():
     assert checked.symbols["X"].value == -(2**63)
 
 
+@pytest.mark.parametrize("source, line, column", [
+    ("consts: X int = 99999999999999999999;", 1, 17),
+    ("consts: X int = 9223372036854775808;", 1, 17),
+    ("consts: X int = 0b" + "1" * 64 + ";", 1, 17),
+    ("vars: v int = 0;\nrules Graph: true ? set(v, 99999999999999999999 & -1) => True(v);", 2, 28),
+], ids=["decimal", "max-plus-one", "binary", "in-rule"])
+def test_int_literal_outside_i64_rejected(source, line, column):
+    err = expect_error(source, "outside the 64-bit range")
+    assert (err.diagnostics[0].line, err.diagnostics[0].column) == (line, column)
+
+
+def test_int_literal_at_i64_max_accepted():
+    assert check_source("consts: X int = 9223372036854775807;").symbols["X"].value == 2**63 - 1
+
+
 # --- sections and builtins ---
 
 

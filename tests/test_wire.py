@@ -2,18 +2,22 @@ import logging
 import math
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rips
 from rips import wire
 from rips.checker import check_source
 from rips.randprog import random_corpus
 from rips.runtime import FakeClock, InterpretedEngine, RecordingRunner
 from rips.transpiler import load_generated, transpile
 from rips.wire import (
+    MAX_DEPTH,
     MAX_DOC_BYTES,
     DecodeError,
     DocumentStream,
@@ -284,17 +288,23 @@ def test_ill_typed_fields_rejected(text):
         decode_event(text)
 
 
-# --- the cached-context fast path ---
+# --- the dialect recognizer and the context cache ---
 
 
-def _decoded(text) -> str:
+def _decoded(text, decode=decode_event) -> str:
     """Everything an event carries, graph contents included, or "DecodeError"."""
     try:
-        ev = decode_event(text)
+        ev = decode(text)
     except DecodeError:
         return "DecodeError"
     return repr((ev.kind, ev.current_level, ev.current_grav, ev.last_alert, ev.topic, ev.msg_type,
                  ev.payload, ev.graph.nodes, ev.graph.topics))
+
+
+def _full_parse(text):
+    """The event of the full parse alone, as a document the recognizer
+    declines gets it."""
+    return wire._event(wire._load(text))
 
 
 def _parts(text: str) -> tuple[list[str], list[str], list[str]]:
@@ -311,10 +321,47 @@ def _rest_line(rng: random.Random) -> str:
     return rng.choice(["currentlevel: LV{v}", "lastalert: 'v{v}'", "topic: /t{v}", "futurefield: {v}"])
 
 
+# Plain scalars the YAML 1.1 implicit resolvers read as null, bool, int,
+# float, timestamp, value or merge, and two that stay strings ("0o17" and
+# "1e3", which YAML 1.2 would read as numbers).
+_RESOLVER_FORMS = ["yes", "No", "on", "~", "null", "", "0x1f", "0o17", "017", "0b101", "1_000", "1:20", "1:20.5",
+                   ".inf", "-.Inf", ".NaN", "1e3", "2001-12-14", "=", "<<"]
+
+
+def _scalar_at(line: str) -> int:
+    """Where the last scalar of a `- scalar` or `key: scalar` line starts, or -1."""
+    cut = max(line.rfind(": "), line.rfind("- "))
+    return cut + 2 if cut >= 0 else -1
+
+
+def _layout(value, col: int, rng: random.Random) -> list[str]:
+    """``value`` as block lines at column ``col``: sequences indented or
+    not, and one or three spaces after each "-" and ":"."""
+    def scalar(x):
+        return rng.choice(["~", "null", ""]) if x is None else str(x)
+
+    lines = []
+    if isinstance(value, dict):
+        for key, x in value.items():
+            if isinstance(x, (dict, list)) and x:
+                lines.append(" " * col + f"{key}:")
+                lines += _layout(x, col + rng.choice([0, 2, 4] if isinstance(x, list) else [1, 2, 4]), rng)
+            else:
+                lines.append(" " * col + f"{key}:" + " " * rng.choice([1, 3]) + scalar(x))
+    else:
+        for x in value:
+            pad = rng.choice([1, 3])
+            inner = (_layout(x, col + 1 + pad, rng) if isinstance(x, (dict, list)) and x
+                     else [" " * (col + 1 + pad) + scalar(x)])
+            lines += [" " * col + "-" + inner[0][col + 1:], *inner[1:]]
+    return lines
+
+
 def _mutate(text: str, mutation: str, seed: int, v: int) -> str:
-    """A copy of ``text`` that defeats one eligibility rule. The two variants
-    ``v`` of one (mutation, seed) differ only outside the context block, in
-    what a block that depended on the rest of the document would read."""
+    """A copy of ``text`` changed in one way, which the recognizer must read
+    as the full parse does or decline. The two variants ``v`` of one
+    (mutation, seed) differ only outside the context block, in what a block
+    that depended on the rest of the document would read."""
     rng = random.Random(seed)
     head, block, tail = _parts(text)
     start = head[:1] == ["---"]
@@ -368,6 +415,26 @@ def _mutate(text: str, mutation: str, seed: int, v: int) -> str:
         others = head + tail + [extra]
         where = rng.choice([0, len(others), rng.randrange(len(others) + 1)])
         head, tail = others[:where], others[where:]
+    elif mutation == "resolver-form":
+        lines = head + block + tail
+        i = rng.choice([i for i, line in enumerate(lines) if _scalar_at(line) >= 0])
+        lines[i] = lines[i][:_scalar_at(lines[i])] + rng.choice(_RESOLVER_FORMS)
+        head, block, tail = [], lines, [extra]
+    elif mutation == "non-string-key":
+        i = rng.choice([i for i, line in enumerate(block) if ":" in line])
+        indent = len(block[i]) - len(block[i].lstrip(" -"))
+        block[i] = block[i][:indent] + rng.choice(["yes", "1", "~", "null", "1.5", "No"]) + block[i][block[i].index(":"):]
+        head = head + [extra]
+    elif mutation == "layout":
+        value = yaml.safe_load("\n".join(block))["context"]
+        block = ["context:"] + [line + rng.choice(["", "", "  "]) for line in _layout(value, rng.choice([1, 2, 4]), rng)]
+        head = head + [extra + rng.choice(["", "  "])]
+    elif mutation == "non-printable":
+        lines = head + block + tail
+        i = rng.choice([i for i, line in enumerate(lines) if _scalar_at(line) >= 0 and len(line) > _scalar_at(line)])
+        at = _scalar_at(lines[i]) + 1
+        lines[i] = lines[i][:at] + rng.choice("\x00\x07\ufeff") + lines[i][at:]
+        head, block, tail = [], lines, [extra]
     elif mutation == "fuzz":
         lines = head + block + tail
         i = rng.randrange(len(lines))
@@ -381,30 +448,122 @@ _BASES = [load_fixture(), DocumentStream().feed(load_fixture().encode("utf-8"))[
           *random_corpus(11, 6), *DocumentStream().feed("".join(random_corpus(12, 6)).encode("utf-8"))]
 _MUTATIONS = ["none", "duplicate-context", "spanning-block", "spanning-document", "hidden-line-break",
               "anchor-in-block", "alias-in-block", "flow", "continued-scalar", "tab-or-comment",
-              "context-position", "fuzz"]
+              "context-position", "resolver-form", "non-string-key", "layout", "non-printable", "fuzz"]
 
 
-def test_bases_take_the_fast_path():
-    assert all(wire._context_span(text) is not None for text in _BASES)
+def _refuse_full_parse(monkeypatch):
+    def refuse(text):
+        raise AssertionError(f"the full parse was asked for {text[:80]!r}")
+
+    monkeypatch.setattr(wire, "_load", refuse)
 
 
-@settings(max_examples=300, deadline=None)
+def test_bases_decode_without_yaml_load(monkeypatch):
+    """The fixture and every random_corpus document are in the dialect, cold
+    and with the cache warm."""
+    _refuse_full_parse(monkeypatch)
+    docs = _BASES + random_corpus(3, 200) + DocumentStream().feed("".join(random_corpus(4, 200)).encode("utf-8"))
+    for warm in (False, True):
+        for doc in docs:
+            if not warm:
+                wire.clear_context_cache()
+            decode_event(doc)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dialect_layouts_decode_without_yaml_load(monkeypatch, seed):
+    """Sequences indented or not, extra spaces after "-" and ":", trailing
+    spaces, and null, int and float scalars are all in the dialect, and
+    decode as the full parse does."""
+    rng = random.Random(seed)
+    head, block, tail = _parts(rng.choice(_BASES))
+    value = yaml.safe_load("\n".join(block))["context"]
+    block = ["context:"] + [line + rng.choice(["", "  "]) for line in _layout(value, rng.choice([1, 2, 4]), rng)]
+    alert = rng.choice(["~", "null", "", "0x1f", "1_000", "1:20", ".inf", "-.Inf", ".NaN", "1e3", "0o17"])
+    rest = [line for line in head + tail if not line.startswith("lastalert") and line not in ("---", "...")]
+    doc = "\n".join(["---", *rest, *block, f"lastalert: {alert}", "..."]) + "\n"
+    expected = _decoded(doc, _full_parse)
+    _refuse_full_parse(monkeypatch)
+    wire.clear_context_cache()
+    assert _decoded(doc) == expected != "DecodeError"
+
+
+@settings(max_examples=400, deadline=None)
 @given(base=st.sampled_from(_BASES), mutation=st.sampled_from(_MUTATIONS), seed=st.integers(0, 2**32))
 def test_cached_decode_equals_full_decode(base, mutation, seed):
-    """With a cache warmed by the base document and by the other variant, in
+    """A document decodes as the full parse alone decodes it, the same event
+    or DecodeError: cold, where the recognizer reads it or declines it, and
+    with a cache warmed by the base document and by the other variant, in
     either order, where the variants share the context block unless the
-    mutation changed it, a document decodes as the uncached full parse
-    decodes it: the same event, or DecodeError."""
+    mutation changed it."""
     docs = [_mutate(base, mutation, seed, v) for v in (0, 1)]
     for doc, other in (docs, docs[::-1]):
         wire.clear_context_cache()
         cold = _decoded(doc)
+        assert cold == _decoded(doc, _full_parse)
         for warm in ((base, other), (other, base)):
             wire.clear_context_cache()
             for text in warm:
                 _decoded(text)
             assert _decoded(doc) == cold
             assert _decoded(doc) == cold
+
+
+# 100-250 KB documents, under the framing limit, that nest 50,000 deep. The
+# block sequence is one line, which no count of "[" and "{" would see.
+_DEEP = {
+    "flow-sequence": "event: graph\ncontext: " + "[" * 50_000 + "]" * 50_000 + "\n",
+    "flow-mapping": "event: graph\ncontext: " + "{a: " * 50_000 + "}" * 50_000 + "\n",
+    "block-sequence": "event: graph\ncontext:\n  " + "- " * 50_000 + "x\n",
+}
+
+
+@pytest.mark.parametrize("form", sorted(_DEEP))
+def test_deep_document_costs_one_decode_error(form):
+    """In a child process, so that a crash in the parser fails this test
+    rather than killing pytest."""
+    code = ("import sys, time\nfrom rips.wire import DecodeError, decode_event\n"
+            "doc = sys.stdin.read()\nstart = time.process_time()\n"
+            "try:\n    decode_event(doc)\nexcept DecodeError as exc:\n"
+            "    print(time.process_time() - start, exc)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rips.__file__)))
+    child = subprocess.run([sys.executable, "-c", code], input=_DEEP[form], capture_output=True, text=True,
+                           env=env, timeout=60)
+    assert child.returncode == 0, child.stderr[-2000:]
+    seconds, message = child.stdout.split(" ", 1)
+    assert "nested deeper than" in message
+    assert float(seconds) < 1.0
+
+
+@pytest.mark.parametrize("flow", [False, True], ids=["block", "flow"])
+def test_depth_bound_is_one_for_the_recognizer_and_the_full_parse(monkeypatch, flow):
+    """The top-level mapping counts as depth 1 and the context as 2: a
+    document MAX_DEPTH deep decodes, and one level more is rejected."""
+    def nested(depth):
+        if flow:
+            return "event: graph\ncontext: " + "{a: " * (depth - 1) + "1" + "}" * (depth - 1) + "\n"
+        return ("event: graph\ncontext:\n" + "".join(" " * k + "a:\n" for k in range(1, depth - 1))
+                + " " * (depth - 1) + "a: 1\n")
+
+    assert _decoded(nested(MAX_DEPTH), _full_parse) != "DecodeError"
+    with pytest.raises(DecodeError, match="nested deeper than"):
+        _full_parse(nested(MAX_DEPTH + 1))
+    with pytest.raises(DecodeError, match="nested deeper than"):
+        decode_event(nested(MAX_DEPTH + 1))
+    if not flow:
+        _refuse_full_parse(monkeypatch)
+    wire.clear_context_cache()
+    assert decode_event(nested(MAX_DEPTH)).graph.nodes == ()
+
+
+def test_aliases_are_rejected():
+    """An alias can make a small document expand to a huge graph, and the
+    monitor's schema needs none."""
+    wire.clear_context_cache()
+    with pytest.raises(DecodeError, match="alias"):
+        decode_event("event: graph\ncontext:\n  nodes:\n  - &n\n    node: a\n  - *n\n")
+    nodes = "".join(f"  - &n{i}\n    node: a{i}\n" for i in range(3))
+    assert len(decode_event("event: graph\ncontext:\n  nodes:\n" + nodes).graph.nodes) == 3
 
 
 def test_repeated_contexts_skip_the_graph_build(monkeypatch):
