@@ -176,12 +176,35 @@ _MAX_NEEDLES = 32
 # File system timestamps are coarse (2 s on FAT), so a file can change again
 # without changing its stamp for this long after its last modification.
 _SETTLE_NS = 2_000_000_000
+# Characters read from an alert file at a time. A text stream's read of n
+# characters holds about 3n bytes at once (the raw chunk, the copy it keeps
+# for tell() and the decoded text), so the window is the stream's own 8 KiB
+# chunk, and a scan peaks near 50 KB of allocations however large the file.
+_WINDOW_CHARS = 8 * 1024
 
 
 def _open_nonblocking(path: str, flags: int) -> int:
     """Open without waiting for a writer, should ``path`` turn into a FIFO
     between its ``stat`` and the open."""
     return os.open(path, flags | os.O_NONBLOCK)
+
+
+def _contains(fh, needle: str) -> bool:
+    """``needle in fh.read()``, read ``_WINDOW_CHARS`` characters at a time
+    and stopping at the first hit. Each window is searched behind the last
+    ``len(needle) - 1`` characters before it, so a needle that straddles two
+    windows is found; the text stream itself carries a cut UTF-8 sequence
+    or a ``\r`` that may start a ``\r\n`` from one read to the next."""
+    if not needle:
+        return True
+    keep = len(needle) - 1
+    overlap = ""
+    while window := fh.read(_WINDOW_CHARS):
+        text = overlap + window
+        if needle in text:
+            return True
+        overlap = text[max(0, len(text) - keep):]
+    return False
 
 
 class _AlertFile:
@@ -205,6 +228,10 @@ class IdsAlertScanner:
     it could block the loop. A missing directory yields False and is logged
     once until it exists again; a file that cannot be read is logged once
     until it can be read again.
+
+    A file is read ``_WINDOW_CHARS`` characters at a time, and only until
+    the needle is found, so the memory a scan takes is bounded by that
+    window and the needle's length, not by the size of the log.
 
     Each call stats every file, and a file is read again only when its
     stamp, the size and modification time, has changed since its last
@@ -276,11 +303,11 @@ class IdsAlertScanner:
             st = os.fstat(fh.fileno())
             if (st.st_dev, st.st_ino) != key or not stat.S_ISREG(st.st_mode):
                 raise OSError(f"{path} was replaced while it was scanned")
-            text = fh.read()
+            found = _contains(fh, needle)
         if f is None:
             settled_ns = st.st_mtime_ns + _SETTLE_NS
             f = _AlertFile((st.st_size, st.st_mtime_ns), settled_ns if settled_ns > now else None)
-        f.answers[needle] = needle in text
+        f.answers[needle] = found
         return f
 
 

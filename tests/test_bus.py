@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import logging
 import os
 import signal
 import socket
@@ -15,7 +16,7 @@ import time
 import pytest
 
 import rips
-from rips.bus import SignalCounters, SocketServer, register_signals
+from rips.bus import MAX_OUTBOUND_BYTES, SignalCounters, SocketServer, register_signals
 from rips.wire import DocumentStream, decode_outcome, encode_event
 
 from conftest import make_scripts
@@ -142,6 +143,58 @@ def test_serve_exits_3_on_a_crash_action(tmp_path):
         assert monitor.outcomes(1) == [("alert", "LOW", "fatal")]
         assert proc.wait(timeout=TIMEOUT) == 3
         monitor.sock.close()
+
+
+def test_a_monitor_that_stops_reading_is_dropped(tmp_path):
+    """A monitor that sends one-alert events and never reads its outcomes
+    is dropped when they pass the outbound bound; the loop goes on ticking
+    and serves the next monitor."""
+    with _engine(tmp_path) as (proc, path):
+        with _connect(path) as stalled, pytest.raises((BrokenPipeError, ConnectionResetError)):
+            for _ in range(2 * MAX_OUTBOUND_BYTES // len(GOOD)):
+                stalled.sendall(GOOD * 16)
+        monitor = Monitor(path)
+        monitor.sock.sendall(GOOD)
+        assert monitor.outcomes(1) == [("alert", "HIGH", "graph")]
+        proc.send_signal(signal.SIGUSR1)
+        assert monitor.outcomes(1) == [("alert", "HIGH", "usr1")]
+        monitor.sock.close()
+        assert proc.poll() is None
+
+
+def test_outcomes_a_monitor_has_not_read_wait_in_order(tmp_path, caplog):
+    """What the socket does not take is queued and written, in order, as
+    the monitor reads. A queue that would pass the bound drops the monitor
+    with one warning; with no monitor, send is False."""
+    previous = socket.getdefaulttimeout()
+    socket.setdefaulttimeout(TIMEOUT)  # a blocking write fails rather than hangs
+    server = SocketServer(str(tmp_path / "rips.sock"))
+    try:
+        server.start()
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
+            client.connect(server.path)
+            server.receive(TIMEOUT)
+            chunks = [bytes([i]) * 100_000 for i in range(8)]
+            assert all(server.send(chunk) for chunk in chunks)
+            received = bytearray()
+            while len(received) < 800_000:
+                server.receive(0.01)
+                received += client.recv(1 << 20)
+            assert received == b"".join(chunks)
+
+            with caplog.at_level(logging.WARNING, logger="rips.bus"):
+                sent = 0
+                while server.send(chunks[0]):
+                    sent += len(chunks[0])
+                    assert sent < 4 * MAX_OUTBOUND_BYTES
+            (record,) = caplog.records
+            assert "unsent outcome bytes" in record.getMessage()
+            assert not server.send(b"x")
+            while client.recv(1 << 20):  # what the socket took, then the end
+                pass
+    finally:
+        server.stop()
+        socket.setdefaulttimeout(previous)
 
 
 def test_repeated_signals_are_each_seen_once():

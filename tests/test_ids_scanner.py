@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import fnmatch
+import io
 import itertools
 import logging
 import os
@@ -11,6 +12,8 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,6 +229,51 @@ def test_fifo_does_not_block_the_scan(tmp_path):
     assert "cannot read" not in done.stderr
 
 
+# --- a file read a window at a time ---
+
+
+def test_needles_across_window_edges(tmp_path, monkeypatch):
+    """With a window of four characters: a needle longer than the window, one
+    across a window edge, and one in the last characters of the file."""
+    monkeypatch.setattr(predicates, "_WINDOW_CHARS", 4)
+    write(tmp_path / "alert.log", b"abcdefghij\r\nkl\xc3\xa9")
+    scanner = IdsAlertScanner(str(tmp_path), "alert*")
+    for needle, expected in (("bcdefghij\nk", True), ("bcdefghij\rk", False), ("de", True), ("ij\n", True),
+                             ("l\u00e9", True), ("\u00e9", True), ("kl\u00e9!", False), ("abcdefghij\nkl\u00e9", True)):
+        assert fresh_read(str(tmp_path), needle) is expected, needle
+        assert scanner.search(needle) is expected, needle
+
+
+def test_a_hit_in_the_first_window_stops_the_read(tmp_path, monkeypatch):
+    write(tmp_path / "alert.log", b"NEEDLE\n" + b"x" * (8 << 20))
+    reads = []
+
+    class CountingText(io.TextIOWrapper):
+        def read(self, size=-1):
+            text = super().read(size)
+            reads.append(len(text))
+            return text
+
+    monkeypatch.setattr(predicates, "open", raising=False,
+                        value=lambda path, opener, **kw: CountingText(open(path, "rb", opener=opener), **kw))
+    assert IdsAlertScanner(str(tmp_path), "alert*").search("NEEDLE")
+    assert reads == [predicates._WINDOW_CHARS]
+
+
+def test_scanning_a_large_file_takes_memory_of_one_window(tmp_path):
+    """An 8 MB alert file whose needle is in its last line is read whole,
+    yet the scan's traced allocations peak under 1 MB."""
+    write(tmp_path / "alert.log", b"[**] quiet [**]\n" * (1 << 19) + b"NEEDLE\n")
+    scanner = IdsAlertScanner(str(tmp_path), "alert*")
+    tracemalloc.start()
+    try:
+        assert scanner.search("NEEDLE")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # --- against a fresh read, under random appends, rewrites and rotations ---
 
 # Needle halves, newline pieces, cut UTF-8 sequences, an invalid byte, and
@@ -249,6 +297,19 @@ def test_search_equals_a_fresh_read(ops):
     """A rewrite is a copytruncate: the scan sees the emptied file before
     the new content. An overwrite writes from the start without
     truncating, so it may keep the size."""
+    _replay(ops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_OPS, window=st.integers(1, 5))
+def test_search_equals_a_fresh_read_in_small_windows(ops, window):
+    """The same with a window of a few characters, so that needles, "\\r\\n"
+    pairs and UTF-8 sequences straddle windows."""
+    with mock.patch.object(predicates, "_WINDOW_CHARS", window):
+        _replay(ops)
+
+
+def _replay(ops):
     with tempfile.TemporaryDirectory() as directory:
         scanner = IdsAlertScanner(directory, "alert*")
         for op, index, data in ops:

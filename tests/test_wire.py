@@ -495,7 +495,9 @@ def test_cached_decode_equals_full_decode(base, mutation, seed):
     or DecodeError: cold, where the recognizer reads it or declines it, and
     with a cache warmed by the base document and by the other variant, in
     either order, where the variants share the context block unless the
-    mutation changed it."""
+    mutation changed it. The same holds for a document whose block is the
+    cached block and one more line, and after a cached block that ended
+    without its final newline, in the middle of a line."""
     docs = [_mutate(base, mutation, seed, v) for v in (0, 1)]
     for doc, other in (docs, docs[::-1]):
         wire.clear_context_cache()
@@ -507,6 +509,31 @@ def test_cached_decode_equals_full_decode(base, mutation, seed):
                 _decoded(text)
             assert _decoded(doc) == cold
             assert _decoded(doc) == cold
+    for warm, doc in _block_prefix_pairs(docs[0]):
+        wire.clear_context_cache()
+        cold, cold_parts = _decoded(doc), wire._recognize(doc)
+        assert cold == _decoded(doc, _full_parse)
+        _decoded(warm)
+        assert wire._recognize(doc) == cold_parts
+        assert _decoded(doc) == cold
+
+
+def _block_prefix_pairs(doc: str) -> list[tuple[str, str]]:
+    """(warm, doc) pairs in which the context block of ``warm`` starts the
+    block of ``doc`` but is not all of it: ``doc`` before ``doc`` with the
+    last line of its block repeated, and ``doc`` cut before the last
+    character of its block's last line before ``doc``."""
+    wire.clear_context_cache()
+    parts = wire._recognize(doc)
+    if parts is None or "\n" not in parts[1].rstrip("\n"):
+        return []
+    block = parts[1]
+    start = 0 if doc.startswith("context:\n") else doc.find("\ncontext:\n") + 1
+    end = start + len(block)
+    last = block.rstrip("\n").rsplit("\n", 1)[1]
+    grown = doc[:end] + (last + "\n" if block.endswith("\n") else "\n" + last) + doc[end:]
+    cut = doc[:start + len(block.rstrip("\n")) - 1]
+    return [(doc, grown), (cut, doc)]
 
 
 # 100-250 KB documents, under the framing limit, that nest 50,000 deep. The
