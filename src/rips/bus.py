@@ -9,13 +9,12 @@ hands each to ``Engine.handle_document``, runs a due tick after each event
 and writes outcome documents back. Backpressure on input is the kernel's
 socket buffer: the loop reads no faster than it handles.
 
-Outcomes are written without blocking. What the monitor's socket does not
-take at once waits, in order, in an outbound queue, and the same wait also
-watches for the socket to become writable while the queue holds bytes. A
-monitor that stops reading thus cannot stop the loop: when its queue would
-pass ``MAX_OUTBOUND_BYTES`` the monitor is dropped with one warning, its
-queued outcomes discarded, and the loop goes on ticking and accepts the
-next monitor.
+Outcomes are written without blocking, and the kernel's send buffer is the
+only outbound queue. A monitor that stops reading thus cannot stop the
+loop: when its socket does not take the whole of an outcome, the monitor is
+dropped with one warning, and the loop goes on ticking and accepts the next
+monitor. What the socket took before stays readable by the monitor after
+the engine closes it, on a drop and on exit alike.
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ from .errors import EngineCrash
 from .wire import DocumentStream, encode_outcome
 
 log = logging.getLogger("rips.bus")
-
-# The most outcome bytes a monitor may leave unread before it is dropped.
-MAX_OUTBOUND_BYTES = 1 << 20
 
 
 class SignalCounters:
@@ -73,7 +69,6 @@ class SocketServer:
         self._conn: socket.socket | None = None
         self._selector: selectors.BaseSelector | None = None
         self._framer = DocumentStream()
-        self._outbox = bytearray()
 
     def start(self) -> None:
         """Listen on ``path``, replacing a stale socket there; any other file
@@ -108,41 +103,33 @@ class SocketServer:
                 pass
 
     def send(self, data: bytes) -> bool:
-        """Write outbound bytes to the connected monitor, or queue what its
-        socket does not take now; False if there is no monitor, or if it
-        was dropped because the queue would pass ``MAX_OUTBOUND_BYTES``."""
+        """Write outbound bytes to the connected monitor without blocking;
+        False if there is no monitor, or if its socket did not take all of
+        them, which drops the monitor."""
         if self._conn is None:
             return False
-        if not self._outbox:
-            try:
-                data = data[self._conn.send(data):]
-            except BlockingIOError:
-                pass
-            except OSError:
-                return False
-            if not data:
-                return True
-            self._selector.modify(self._conn, selectors.EVENT_READ | selectors.EVENT_WRITE)
-        if len(self._outbox) + len(data) > MAX_OUTBOUND_BYTES:
-            log.warning("monitor stopped reading; dropping it and %d unsent outcome bytes",
-                        len(self._outbox) + len(data))
-            self._disconnect()
+        try:
+            sent = self._conn.send(data)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
             return False
-        self._outbox += data
-        return True
+        if sent == len(data):
+            return True
+        log.warning("monitor stopped reading; dropping it and %d unsent outcome bytes",
+                    len(data) - sent)
+        self._disconnect()
+        return False
 
     def receive(self, timeout: float) -> list[str]:
         """Wait up to ``timeout`` seconds for the listener or the monitor;
-        write queued outcomes the monitor's socket takes, and return the
-        documents completed by what the monitor sent, often none."""
+        return the documents completed by what the monitor sent, often
+        none."""
         docs: list[str] = []
-        for key, events in self._selector.select(timeout):
+        for key, _ in self._selector.select(timeout):
             if key.fileobj is self._listener:
                 self._accept()
-                continue
-            if events & selectors.EVENT_WRITE:
-                self._flush()
-            if events & selectors.EVENT_READ and self._conn is not None:
+            else:
                 docs += self._read()
         return docs
 
@@ -161,17 +148,6 @@ class SocketServer:
         self._conn = conn
         self._selector.register(conn, selectors.EVENT_READ)
 
-    def _flush(self) -> None:
-        try:
-            del self._outbox[:self._conn.send(self._outbox)]
-        except BlockingIOError:
-            return
-        except OSError:
-            # The monitor went away; reading its end of the stream drops it.
-            self._outbox.clear()
-        if not self._outbox:
-            self._selector.modify(self._conn, selectors.EVENT_READ)
-
     def _read(self) -> list[str]:
         try:
             data = self._conn.recv(65536)
@@ -185,7 +161,6 @@ class SocketServer:
 
     def _disconnect(self) -> None:
         self._framer.close()
-        self._outbox = bytearray()
         self._selector.unregister(self._conn)
         self._conn.close()
         self._conn = None

@@ -32,16 +32,14 @@ A monitor sends the full graph with every event, and on a deployed robot
 that graph rarely changes. ``decode_event`` therefore keeps the
 ``GraphContext`` of the last block the recognizer read, keyed on the
 block's exact text, and when the next document carries the same block it
-reads only the rest of the document's lines. That block is recognized by
-comparing the text at its start with the cached block, before any scan for
-the block's end. Nothing in the dialect can link to, span past or resolve
-differently from the rest of the document, so a block's graph is a
-function of its text. The cache holds one graph and one block no longer
-than its document, which the framer bounds by ``MAX_DOC_BYTES``, however
-many distinct contexts a monitor sends. A cached graph is shared by every
-event decoded from its block, so a ``GraphContext`` must never be
-mutated. ``parse_graph_context`` runs, and its debug lines about
-malformed entries fire, only on a miss.
+reads only the rest of the document's lines. Nothing in the dialect can
+link to, span past or resolve differently from the rest of the document,
+so a block's graph is a function of its text. The cache holds one graph and
+one block no longer than its document, which the framer bounds by
+``MAX_DOC_BYTES``, however many distinct contexts a monitor sends. A cached
+graph is shared by every event decoded from its block, so a
+``GraphContext`` must never be mutated. ``parse_graph_context`` runs, and
+its debug lines about malformed entries fire, only on a miss.
 
 A document the recognizer declines takes the full parse, bounded: a walk of
 libyaml's events rejects it at its first alias or at a collection nested
@@ -320,20 +318,6 @@ def _node(tokens: list[tuple], i: int, depth: int) -> tuple[object, int]:
     return mapping, i
 
 
-def _block_end(text: str, start: int) -> int:
-    """The end of the ``context:`` block at ``start``. The cached block is
-    the block there when the text goes on with it and the block then ends:
-    at the end of the text, or at a newline whose next line is not
-    indented. Only when it is not is the text scanned for the end."""
-    block = _last_block
-    if block is not None and text.startswith(block, start):
-        end = start + len(block)
-        if end == len(text) or block[-1] == "\n" and text[end] != " ":
-            return end
-    m = _BLOCK_END.search(text, start + 8)
-    return m.start() + 1 if m else len(text)
-
-
 def _recognize(text: str) -> tuple[dict, str] | None:
     """The mapping of a document's top-level lines other than its
     ``context:`` block, and that block's text; None when the document is
@@ -344,7 +328,8 @@ def _recognize(text: str) -> tuple[dict, str] | None:
         start = text.find("\ncontext:\n") + 1
         if not start:
             return None
-    end = _block_end(text, start)
+    m = _BLOCK_END.search(text, start + 8)
+    end = m.start() + 1 if m else len(text)
     head, tail = text[:start].split("\n"), text[end:].split("\n")
     del head[-1]  # what follows the last newline: nothing
     if head[:1] == ["---"]:

@@ -16,7 +16,7 @@ import time
 import pytest
 
 import rips
-from rips.bus import MAX_OUTBOUND_BYTES, SignalCounters, SocketServer, register_signals
+from rips.bus import SignalCounters, SocketServer, register_signals
 from rips.wire import DocumentStream, decode_outcome, encode_event
 
 from conftest import make_scripts
@@ -137,21 +137,25 @@ def test_deep_and_aliased_documents_cost_only_themselves(tmp_path):
 
 
 def test_serve_exits_3_on_a_crash_action(tmp_path):
+    """The crash alert, and the outcomes the monitor had not read before
+    it, stay readable after the engine exits."""
     with _engine(tmp_path) as (proc, path):
         monitor = Monitor(path)
-        monitor.sock.sendall(CRASH)
-        assert monitor.outcomes(1) == [("alert", "LOW", "fatal")]
+        monitor.sock.sendall(GOOD * 50 + CRASH)
         assert proc.wait(timeout=TIMEOUT) == 3
+        assert monitor.outcomes(52) == ([("levelchange", "HIGH", "")] + [("alert", "HIGH", "graph")] * 50
+                                        + [("alert", "HIGH", "fatal")])
+        assert monitor.sock.recv(1) == b""
         monitor.sock.close()
 
 
 def test_a_monitor_that_stops_reading_is_dropped(tmp_path):
     """A monitor that sends one-alert events and never reads its outcomes
-    is dropped when they pass the outbound bound; the loop goes on ticking
-    and serves the next monitor."""
+    is dropped once its socket's send buffer is full; the loop goes on
+    ticking and serves the next monitor."""
     with _engine(tmp_path) as (proc, path):
         with _connect(path) as stalled, pytest.raises((BrokenPipeError, ConnectionResetError)):
-            for _ in range(2 * MAX_OUTBOUND_BYTES // len(GOOD)):
+            for _ in range(100_000):
                 stalled.sendall(GOOD * 16)
         monitor = Monitor(path)
         monitor.sock.sendall(GOOD)
@@ -162,10 +166,11 @@ def test_a_monitor_that_stops_reading_is_dropped(tmp_path):
         assert proc.poll() is None
 
 
-def test_outcomes_a_monitor_has_not_read_wait_in_order(tmp_path, caplog):
-    """What the socket does not take is queued and written, in order, as
-    the monitor reads. A queue that would pass the bound drops the monitor
-    with one warning; with no monitor, send is False."""
+def test_an_outcome_the_socket_does_not_take_drops_the_monitor(tmp_path, caplog):
+    """Outcomes go out whole and in order while the monitor's socket takes
+    them. The first one it does not take whole drops the monitor with one
+    warning, and what the socket took stays readable after that; with no
+    monitor, send is False."""
     previous = socket.getdefaulttimeout()
     socket.setdefaulttimeout(TIMEOUT)  # a blocking write fails rather than hangs
     server = SocketServer(str(tmp_path / "rips.sock"))
@@ -174,24 +179,22 @@ def test_outcomes_a_monitor_has_not_read_wait_in_order(tmp_path, caplog):
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
             client.connect(server.path)
             server.receive(TIMEOUT)
-            chunks = [bytes([i]) * 100_000 for i in range(8)]
-            assert all(server.send(chunk) for chunk in chunks)
-            received = bytearray()
-            while len(received) < 800_000:
-                server.receive(0.01)
-                received += client.recv(1 << 20)
-            assert received == b"".join(chunks)
-
+            taken = bytearray()
             with caplog.at_level(logging.WARNING, logger="rips.bus"):
-                sent = 0
-                while server.send(chunks[0]):
-                    sent += len(chunks[0])
-                    assert sent < 4 * MAX_OUTBOUND_BYTES
+                for i in range(100_000):
+                    chunk = b"%08d" % i * 125
+                    if not server.send(chunk):
+                        break
+                    taken += chunk
             (record,) = caplog.records
             assert "unsent outcome bytes" in record.getMessage()
+            assert taken
             assert not server.send(b"x")
-            while client.recv(1 << 20):  # what the socket took, then the end
-                pass
+            received = bytearray()
+            while data := client.recv(1 << 20):
+                received += data
+            assert received.startswith(taken)
+            assert len(received) < len(taken) + len(chunk)
     finally:
         server.stop()
         socket.setdefaulttimeout(previous)
