@@ -49,7 +49,6 @@ class Symbol:
 class Resources:
     """Constant arguments validated and prepared at compile time."""
 
-    regex_sources: list[str] = field(default_factory=list)
     regexes: list[regexlite.CompiledPattern] = field(default_factory=list)
     pattern_paths: list[str] = field(default_factory=list)
     patterns: list[PatternFile] = field(default_factory=list)
@@ -472,7 +471,6 @@ class _Checker:
             except regexlite.PatternError as exc:
                 self.fail(f"invalid regular expression: {exc}", arg)
             call.resource = len(self.resources.regexes)
-            self.resources.regex_sources.append(value)
             self.resources.regexes.append(compiled)
         elif call.name == "payload":
             path = value if os.path.isabs(value) else os.path.join(self.base_dir, value)

@@ -1,73 +1,33 @@
-"""Computation-graph and message contexts carried by inbound events."""
+"""The computation graph that arrives with every inbound event, kept as the
+name sets that rules read. (Msg rules read the decoded ``wire.InboundEvent``
+itself, which carries the message's topic, type and payload and its graph.)"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class ServiceInfo:
-    name: str
-    params: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class NodeInfo:
-    name: str
-    gids: tuple[str, ...] = ()
-    services: tuple[ServiceInfo, ...] = ()
-
-
-@dataclass(frozen=True)
-class TopicInfo:
-    name: str
-    parameters: tuple[str, ...] = ()
-    publishers: frozenset[str] = frozenset()
-    subscribers: frozenset[str] = frozenset()
-
 
 class GraphContext:
-    """Snapshot of the computation graph, with name-indexed lookups."""
+    """The node and topic names, and per name the services of a node and the
+    publishers and subscribers of a topic; an absent name has the empty set.
 
-    __slots__ = ("nodes", "topics", "_node_by_name", "_topic_by_name", "node_names", "topic_names")
+    The keys of ``services`` are the node names and those of ``publishers``
+    and ``subscribers`` the topic names. A graph is shared by every event
+    decoded from the same context block, so it must never be mutated.
+    """
 
-    def __init__(self, nodes: tuple[NodeInfo, ...] = (), topics: tuple[TopicInfo, ...] = ()):
-        self.nodes = nodes
-        self.topics = topics
-        self._node_by_name = {n.name: n for n in nodes}
-        self._topic_by_name = {t.name: t for t in topics}
-        self.node_names = frozenset(self._node_by_name)
-        self.topic_names = frozenset(self._topic_by_name)
+    __slots__ = ("node_names", "topic_names", "_services", "_publishers", "_subscribers")
 
-    def topic(self, name: str) -> TopicInfo | None:
-        return self._topic_by_name.get(name)
-
-    def node(self, name: str) -> NodeInfo | None:
-        return self._node_by_name.get(name)
-
-    def publishers_of(self, topic: str) -> frozenset[str]:
-        t = self._topic_by_name.get(topic)
-        return t.publishers if t else frozenset()
-
-    def subscribers_of(self, topic: str) -> frozenset[str]:
-        t = self._topic_by_name.get(topic)
-        return t.subscribers if t else frozenset()
+    def __init__(self, services: dict, publishers: dict, subscribers: dict):
+        self._services = services
+        self._publishers = publishers
+        self._subscribers = subscribers
+        self.node_names = frozenset(services)
+        self.topic_names = frozenset(publishers)
 
     def services_of(self, node: str) -> frozenset[str]:
-        n = self._node_by_name.get(node)
-        if n is None:
-            return frozenset()
-        return frozenset(s.name for s in n.services)
+        return self._services.get(node, frozenset())
 
+    def publishers_of(self, topic: str) -> frozenset[str]:
+        return self._publishers.get(topic, frozenset())
 
-EMPTY_GRAPH = GraphContext()
-
-
-@dataclass
-class MessageContext:
-    """A published message plus the graph snapshot it arrived with."""
-
-    topic: str
-    msg_type: str
-    payload: bytes
-    graph: GraphContext = field(default_factory=lambda: EMPTY_GRAPH)
+    def subscribers_of(self, topic: str) -> frozenset[str]:
+        return self._subscribers.get(topic, frozenset())

@@ -1,8 +1,8 @@
 """Implementations of the expression builtins.
 
 Every builtin takes one calling form, ``(E, ctx, *args)``: the engine, the
-rule's context (a ``MessageContext`` for Msg rules, a ``GraphContext`` for
-Graph rules, ``None`` for External rules) and the arguments. Both engines
+rule's context (the ``InboundEvent`` for Msg rules, its ``GraphContext``
+for Graph rules, ``None`` for External rules) and the arguments. Both engines
 build the arguments the same way: the first argument the checker prepared
 in ``Call.resource``, if there is one, then the evaluated rest. The
 resource builtins (``topicmatches``, ``payload``, ``plugin``, ``signal``)
@@ -32,9 +32,13 @@ import os
 import re
 import stat
 import time
+from typing import TYPE_CHECKING
 
 from . import values
-from .context import GraphContext, MessageContext
+
+if TYPE_CHECKING:  # for the annotations alone
+    from .context import GraphContext
+    from .wire import InboundEvent
 
 log = logging.getLogger("rips.predicates")
 
@@ -42,54 +46,54 @@ log = logging.getLogger("rips.predicates")
 # --- Msg predicates (over the current message) ---
 
 
-def topicin(E, ctx: MessageContext, *topics: str) -> bool:
+def topicin(E, ctx: InboundEvent, *topics: str) -> bool:
     return ctx.topic in topics
 
 
-def msgtypein(E, ctx: MessageContext, *types: str) -> bool:
+def msgtypein(E, ctx: InboundEvent, *types: str) -> bool:
     return ctx.msg_type in types
 
 
-def msgsubtype(E, ctx: MessageContext, pkg: str, leaf: str) -> bool:
+def msgsubtype(E, ctx: InboundEvent, pkg: str, leaf: str) -> bool:
     parts = ctx.msg_type.split("/")
     if len(parts) < 2:
         return False
     return parts[0] == pkg and parts[-1] == leaf
 
 
-def publishers(E, ctx: MessageContext, *pubs: str) -> bool:
+def publishers(E, ctx: InboundEvent, *pubs: str) -> bool:
     return ctx.graph.publishers_of(ctx.topic) == frozenset(pubs)
 
 
-def publishersinclude(E, ctx: MessageContext, *pubs: str) -> bool:
+def publishersinclude(E, ctx: InboundEvent, *pubs: str) -> bool:
     return frozenset(pubs) <= ctx.graph.publishers_of(ctx.topic)
 
 
-def publishercount(E, ctx: MessageContext, lo: int, hi: int) -> bool:
+def publishercount(E, ctx: InboundEvent, lo: int, hi: int) -> bool:
     return lo <= len(ctx.graph.publishers_of(ctx.topic)) <= hi
 
 
-def subscribers(E, ctx: MessageContext, *subs: str) -> bool:
+def subscribers(E, ctx: InboundEvent, *subs: str) -> bool:
     return ctx.graph.subscribers_of(ctx.topic) == frozenset(subs)
 
 
-def subscribersinclude(E, ctx: MessageContext, *subs: str) -> bool:
+def subscribersinclude(E, ctx: InboundEvent, *subs: str) -> bool:
     return frozenset(subs) <= ctx.graph.subscribers_of(ctx.topic)
 
 
-def subscribercount(E, ctx: MessageContext, lo: int, hi: int) -> bool:
+def subscribercount(E, ctx: InboundEvent, lo: int, hi: int) -> bool:
     return lo <= len(ctx.graph.subscribers_of(ctx.topic)) <= hi
 
 
-def topicmatches(E, ctx: MessageContext, index: int) -> bool:
+def topicmatches(E, ctx: InboundEvent, index: int) -> bool:
     return E.regexes[index].full_match(ctx.topic)
 
 
-def payload(E, ctx: MessageContext, index: int) -> bool:
+def payload(E, ctx: InboundEvent, index: int) -> bool:
     return E.patterns[index].match(ctx.payload)
 
 
-def plugin(E, ctx: MessageContext, index: int) -> bool:
+def plugin(E, ctx: InboundEvent, index: int) -> bool:
     return E.runner.run_plugin(E.plugins[index], ctx.payload)
 
 

@@ -240,7 +240,7 @@ class Engine:
         if event.kind == "graph":
             rules, ctx = self._graph_rules, event.graph
         else:
-            rules, ctx = self._msg_rules, event.message_context()
+            rules, ctx = self._msg_rules, event
         self._run_rules(rules, ctx)
         return self._take_outcomes()
 

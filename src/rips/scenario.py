@@ -225,24 +225,21 @@ def run_scenario(
     build_engine,
     *,
     polling_s: float | None = None,
-    whitelist: str | None = None,
-    blacklist: str | None = None,
-    start_ns: int = 0,
 ) -> RunReport:
     """Replay a scenario against a fresh engine built by
     ``build_engine(clock, counters)``; returns the run report.
 
-    The white/black lists default to the RIPSWHITELIST/RIPSBLACKLIST
-    environment variables (colon-separated topic names).
+    The white/black lists are the RIPSWHITELIST/RIPSBLACKLIST environment
+    variables (colon-separated topic names).
     """
-    clock = FakeClock(start_ns)
+    clock = FakeClock(0)
     counters = SignalCounters()
     engine = build_engine(clock, counters)
 
     poll_s = resolve_polling(scenario, polling_s)
     tick_s = engine.config.tick_interval
-    wl = _split_topics(whitelist if whitelist is not None else os.environ.get("RIPSWHITELIST"))
-    bl = _split_topics(blacklist if blacklist is not None else os.environ.get("RIPSBLACKLIST"))
+    wl = _split_topics(os.environ.get("RIPSWHITELIST"))
+    bl = _split_topics(os.environ.get("RIPSBLACKLIST"))
 
     end_s = (scenario.timeline[-1].at_s if scenario.timeline else 0.0) + scenario.grace_s
     end_ns = int(end_s * _NS)
@@ -291,17 +288,16 @@ def run_scenario(
     def record(outcomes: list[Outcome], now_ns: int):
         nonlocal monitor_level, monitor_grav, last_alert
         for o in outcomes:
-            observed.append(ObservedOutcome((now_ns - start_ns) / _NS, (last_entry_ns - start_ns) / _NS, o))
+            observed.append(ObservedOutcome(now_ns / _NS, last_entry_ns / _NS, o))
             if o.kind == "levelchange":
                 monitor_level = o.level
                 monitor_grav = o.gravity
             else:
                 last_alert = o.text
 
-    record(engine.start(), start_ns)
+    record(engine.start(), 0)
     try:
-        for at_ns, _prio, _seq, kind, entry in schedule:
-            now = start_ns + at_ns
+        for now, _prio, _seq, kind, entry in schedule:
             clock.set_ns(now)
             if kind == "tick":
                 record(engine.tick(), now)

@@ -134,10 +134,10 @@ def transpile(checked: CheckedProgram, timestamp: str | None = None) -> str:
     w(f"LEVELS = {levels!r}")
     w(f"SCRIPTS_DIR = {checked.scripts_dir!r}")
     res = checked.resources
-    if res.regex_sources:
+    if res.regexes:
         w("REGEXES = [")
-        for src in res.regex_sources:
-            w(f"    _rt.compile_regex({src!r}),")
+        for r in res.regexes:
+            w(f"    _rt.compile_regex({r.pattern!r}),")
         w("]")
     else:
         w("REGEXES = []")

@@ -4,10 +4,13 @@ and framing of a byte stream into documents.
 Inbound events follow the monitor's schema: a mapping with ``event``
 (``graph`` or ``message``), a full ``context`` (nodes and topics), the
 monitor's echo of the current level/gravity/last alert, and for message
-events the ``topic``, ``msgtype`` and base64 ``payload`` keys. A
-publisher/subscriber list consisting of null entries decodes to the empty
-set. Outcomes go out as one YAML document each, with a fixed key order so
-the byte stream is stable.
+events the ``topic``, ``msgtype`` and base64 ``payload`` keys. The context
+decodes to a ``GraphContext`` of the name sets rules read; a node's
+``gids``, a service's ``params`` and a topic's ``parameters`` are read and
+dropped. A publisher/subscriber list consisting of null entries decodes to
+the empty set. The decoded ``InboundEvent`` is itself the context of the
+Msg rules. Outcomes go out as one YAML document each, with a fixed key
+order so the byte stream is stable.
 
 The monitor writes a narrow dialect of YAML, and ``decode_event`` reads it
 with a line recognizer instead of libyaml. A document is in the dialect
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .context import GraphContext, MessageContext, NodeInfo, ServiceInfo, TopicInfo
+from .context import GraphContext
 from .errors import RipsError
 
 log = logging.getLogger("rips.wire")
@@ -90,9 +93,6 @@ class InboundEvent:
     msg_type: str = ""
     payload: bytes = b""
 
-    def message_context(self) -> MessageContext:
-        return MessageContext(self.topic, self.msg_type, self.payload, self.graph)
-
 
 @dataclass(frozen=True)
 class Outcome:
@@ -113,14 +113,6 @@ def _names(raw, what: str) -> frozenset[str]:
     return frozenset(str(x) for x in raw if x is not None)
 
 
-def _strings(raw) -> tuple[str, ...]:
-    if raw is None:
-        return ()
-    if not isinstance(raw, list):
-        return (str(raw),)
-    return tuple(str(x) for x in raw if x is not None)
-
-
 def _entries(raw, what: str) -> list:
     if not raw:
         return []
@@ -134,7 +126,8 @@ def parse_graph_context(mapping) -> GraphContext:
         mapping = {}
     if not isinstance(mapping, dict):
         raise DecodeError("context must be a mapping")
-    nodes = []
+    # A name listed twice takes its sets from its last entry.
+    services = {}
     for raw in _entries(mapping.get("nodes"), "context nodes"):
         if not isinstance(raw, dict) or "node" not in raw:
             log.debug("ignoring malformed node entry: %r", raw)
@@ -142,14 +135,14 @@ def parse_graph_context(mapping) -> GraphContext:
         for key in raw:
             if key not in _KNOWN_NODE_KEYS:
                 log.debug("ignoring unknown node key %r", key)
-        services = []
+        names = []
         for sraw in _entries(raw.get("services"), "node services"):
             if not isinstance(sraw, dict) or "service" not in sraw:
                 log.debug("ignoring malformed service entry: %r", sraw)
                 continue
-            services.append(ServiceInfo(str(sraw["service"]), _strings(sraw.get("params"))))
-        nodes.append(NodeInfo(str(raw["node"]), _strings(raw.get("gids")), tuple(services)))
-    topics = []
+            names.append(str(sraw["service"]))
+        services[str(raw["node"])] = frozenset(names)
+    publishers, subscribers = {}, {}
     for raw in _entries(mapping.get("topics"), "context topics"):
         if not isinstance(raw, dict) or "topic" not in raw:
             log.debug("ignoring malformed topic entry: %r", raw)
@@ -157,19 +150,12 @@ def parse_graph_context(mapping) -> GraphContext:
         for key in raw:
             if key not in _KNOWN_TOPIC_KEYS:
                 log.debug("ignoring unknown topic key %r", key)
-        topics.append(
-            TopicInfo(
-                str(raw["topic"]),
-                _strings(raw.get("parameters")),
-                _names(raw.get("publishers"), "publishers"),
-                _names(raw.get("subscribers"), "subscribers"),
-            )
-        )
-    graph = GraphContext(tuple(nodes), tuple(topics))
-    for t in graph.topics:
-        for name in (t.publishers | t.subscribers) - graph.node_names:
-            log.debug("topic %s references unknown node %r", t.name, name)
-    return graph
+        topic = str(raw["topic"])
+        pubs = publishers[topic] = _names(raw.get("publishers"), "publishers")
+        subs = subscribers[topic] = _names(raw.get("subscribers"), "subscribers")
+        for name in (pubs | subs).difference(services):
+            log.debug("topic %s references unknown node %r", topic, name)
+    return GraphContext(services, publishers, subscribers)
 
 
 # The context block of the last document the recognizer took, and its
@@ -371,8 +357,8 @@ def clear_context_cache() -> None:
     _last_block = _last_graph = None
 
 
-def decode_event(doc) -> InboundEvent:
-    """Decode one YAML document (text or pre-parsed mapping) into an event.
+def decode_event(text: str) -> InboundEvent:
+    """Decode the text of one YAML document into an event.
 
     Any input that cannot be understood raises ``DecodeError`` and nothing
     else, so a hostile document costs the caller one skipped event. A
@@ -381,7 +367,7 @@ def decode_event(doc) -> InboundEvent:
     the one last read (see the module docstring).
     """
     global _last_block, _last_graph
-    if isinstance(doc, str) and (parts := _recognize(doc)) is not None:
+    if (parts := _recognize(text)) is not None:
         rest, block = parts
         if block == _last_block:
             return _event(rest, _last_graph)
@@ -396,9 +382,7 @@ def decode_event(doc) -> InboundEvent:
             event = _event(rest)
             _last_block, _last_graph = block, event.graph
             return event
-    if isinstance(doc, (str, bytes)):
-        doc = _load(doc)
-    return _event(doc)
+    return _event(_load(text))
 
 
 def _load(text):
@@ -466,15 +450,11 @@ def _event(doc, graph: GraphContext | None = None) -> InboundEvent:
 _WIDTH = 1_000_000
 
 
-def _document(mapping: dict) -> str:
-    """One framed YAML document, keys in the mapping's order."""
-    body = yaml.dump(mapping, Dumper=_Dumper, sort_keys=False, default_flow_style=False, width=_WIDTH)
-    return "---\n" + body + "...\n"
-
-
 def encode_event(doc: dict) -> str:
-    """Serialize a monitor-side event mapping as one framed YAML document."""
-    return _document(doc)
+    """Serialize a monitor-side event mapping as one framed YAML document,
+    keys in the mapping's order."""
+    body = yaml.dump(doc, Dumper=_Dumper, sort_keys=False, default_flow_style=False, width=_WIDTH)
+    return "---\n" + body + "...\n"
 
 
 # The pure-Python emitter's scalar analysis, which encode_outcome asks, with
@@ -515,12 +495,12 @@ def _float_scalar(value) -> str | None:
 
 
 def encode_outcome(o: Outcome) -> str:
-    """One framed outcome document with the bytes ``_document`` would write,
+    """One framed outcome document with the bytes ``encode_event`` would write,
     from a fixed template unless a value needs the dumper's quoting."""
     kind, level, text = _str_scalar(o.kind), _str_scalar(o.level), _str_scalar(o.text)
     gravity = _float_scalar(o.gravity)
     if None in (kind, level, gravity, text) or type(o.timestamp_ns) is not int:
-        return _document(
+        return encode_event(
             {
                 "event": o.kind,
                 "level": o.level,

@@ -307,7 +307,7 @@ def test_invalid_regex_rejected():
 
 def test_regex_from_const_is_accepted_and_compiled():
     checked = check_source('consts: P string = "/pose.*";\nrules Msg: topicmatches(P) ? True();')
-    assert checked.resources.regex_sources == ["/pose.*"]
+    assert [r.pattern for r in checked.resources.regexes] == ["/pose.*"]
     assert checked.resources.regexes[0].full_match("/pose2d")
 
 

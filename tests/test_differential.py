@@ -30,7 +30,7 @@ from rips.signatures import ACTIONS, ALL_BUILTINS, EXPRESSION_BUILTINS
 from rips.syntax import Binary, Call, Unary
 from rips.transpiler import load_generated, transpile
 from rips.typesys import ValueType
-from rips.wire import decode_event
+from rips.wire import decode_event, encode_event
 
 from conftest import DATA_DIR
 
@@ -166,7 +166,7 @@ def test_plugin_under_both_engines(tmp_path, monkeypatch, builtin):
          "payload": base64.b64encode(payload).decode(), "context": {"nodes": [], "topics": []}}
         for payload in (b"hi", b"", b"\x00\x01\x02", b"\x90" + SHELLCODE)
     ]
-    events = [decode_event(doc) for doc in docs]
+    events = [decode_event(encode_event(doc)) for doc in docs]
     interp, gen = _engines(checked, EngineConfig())
     interp.replay(events)
     gen.replay(events)

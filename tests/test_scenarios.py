@@ -69,3 +69,35 @@ def test_startup_script_failure_alert_is_recorded(scripts_factory):
         report = run_scenario(scenario, build)
         assert report.passed, report.format()
         assert report.outcomes[0].time_s == 0.0
+
+
+def test_topic_lists_filter_messages(monkeypatch):
+    """RIPSWHITELIST and RIPSBLACKLIST (colon-separated topics): a message
+    on a topic outside the whitelist, or on a blacklisted one, reaches the
+    engine as no event and yields no outcome."""
+    monkeypatch.setenv("RIPSWHITELIST", "/kept:/blocked")
+    monkeypatch.setenv("RIPSBLACKLIST", "/blocked")
+    checked = check_source(
+        'rules Msg: topicin("/kept") ? alert("on /kept");\n'
+        '  topicin("/outside") ? alert("on /outside");\n'
+        '  topicin("/blocked") ? alert("on /blocked");\n',
+        "lists.rul",
+    )
+    scenario = parse_scenario({
+        "timeline": [{"at": 0.1, "message": {"topic": topic}} for topic in ("/outside", "/blocked", "/kept")],
+        "expect": [{"alert": "on /kept"}],
+        "on_change_only": True,
+    })
+    for build in _both_engines(checked):
+        documents = []
+
+        def counting(clock, counters, build=build):
+            engine = build(clock, counters)
+            handle = engine.handle_document
+            engine.handle_document = lambda text: documents.append(text) or handle(text)
+            return engine
+
+        report = run_scenario(scenario, counting)
+        assert report.passed, report.format()
+        assert [obs.outcome.text for obs in report.outcomes] == ["on /kept"]
+        assert len(documents) == 1 and "topic: /kept" in documents[0]

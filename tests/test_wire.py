@@ -44,16 +44,101 @@ def test_monitor_graph_event_decodes_fully():
     assert ev.last_alert == ""
     g = ev.graph
     assert sorted(g.node_names) == ["recorder", "rips"]
-    recorder = g.node("recorder")
-    rips = g.node("rips")
-    assert len(recorder.gids) == 5 and len(recorder.services) == 6
-    assert len(rips.gids) == 5 and len(rips.services) == 6
-    assert len(g.topics) == 4
+    assert len(g.topic_names) == 4
     assert g.subscribers_of("/rosout") == frozenset()
     assert g.publishers_of("/rosout") == {"recorder", "rips"}
     assert g.publishers_of("/videocorridor") == frozenset()
     assert g.subscribers_of("/videocorridor") == {"recorder", "rips"}
-    assert g.topic("/parameter_events").parameters == ("rcl_interfaces/msg/ParameterEvent",)
+
+
+def _oracle_graph(text: str) -> tuple[dict, dict]:
+    """The graph of a document straight from ``yaml.safe_load``: node ->
+    services and topic -> (publishers, subscribers), the last entry of a
+    name winning."""
+    context = yaml.safe_load(text).get("context") or {}
+    nodes, topics = {}, {}
+
+    def names(raw):
+        return {str(x) for x in raw if x is not None} if isinstance(raw, list) else set()
+
+    for entry in context.get("nodes") or []:
+        if isinstance(entry, dict) and "node" in entry:
+            nodes[str(entry["node"])] = {str(s["service"]) for s in entry.get("services") or []
+                                         if isinstance(s, dict) and "service" in s}
+    for entry in context.get("topics") or []:
+        if isinstance(entry, dict) and "topic" in entry:
+            topics[str(entry["topic"])] = (names(entry.get("publishers")), names(entry.get("subscribers")))
+    return nodes, topics
+
+
+# A node and a topic listed twice, null and missing publishers and services,
+# a topic that names an unknown node, and malformed entries; in the dialect
+# and in flow style, which takes the full parse.
+_ODD_GRAPH = """\
+event: graph
+context:
+  nodes:
+  - node: a
+    gids:
+    - 01.02
+    services:
+    - service: s1
+      params:
+      - p
+  - node: b
+    services: ~
+  - node: a
+    services:
+    - service: s2
+    - service: s3
+    - not a service
+  - node: c
+  - gids:
+    - 03.04
+  - just a string
+  topics:
+  - topic: /t
+    parameters:
+    - std_msgs/msg/String
+    publishers:
+    - a
+    subscribers:
+    - b
+    - ~
+  - topic: /u
+    publishers: ~
+    subscribers:
+    - ghost
+  - topic: /t
+    publishers:
+    - b
+  - topic: /v
+  - publishers:
+    - a
+"""
+_ODD_GRAPH_FLOW = ("event: message\ntopic: /t\ncontext: {nodes: [{node: x, services: [{service: s}]}, {node: x},"
+                   " {node: y, services: ~}, 7], topics: [{topic: /t, publishers: [x, ~], subscribers: [z]},"
+                   " {topic: /t, subscribers: [x]}, {topic: /w, publishers: ~}, [1]]}\n")
+
+
+def test_graph_answers_equal_an_oracle_from_safe_load():
+    """node_names, topic_names and the per-name sets, for every name and
+    an absent one, are what the document lists."""
+    docs = [load_fixture(), _ODD_GRAPH, _ODD_GRAPH_FLOW]
+    for seed in range(4):
+        docs += random_corpus(seed, 40)
+    for text in docs:
+        nodes, topics = _oracle_graph(text)
+        for _ in range(2):  # cold, then from the cache
+            g = decode_event(text).graph
+            assert g.node_names == set(nodes)
+            assert g.topic_names == set(topics)
+            for name, services in nodes.items():
+                assert g.services_of(name) == services
+            for name, (pubs, subs) in topics.items():
+                assert g.publishers_of(name) == pubs
+                assert g.subscribers_of(name) == subs
+            assert g.services_of("/absent") == g.publishers_of("/absent") == g.subscribers_of("/absent") == set()
 
 
 def test_null_entries_decode_to_empty_sets():
@@ -73,8 +158,6 @@ def test_message_event_with_payload():
     assert ev.topic == "/commands"
     assert ev.msg_type == "std_msgs/msg/String"
     assert ev.payload == b"hey"
-    ctx = ev.message_context()
-    assert ctx.topic == "/commands" and ctx.payload == b"hey"
 
 
 def test_message_event_empty_payload():
@@ -159,9 +242,9 @@ def test_graph_fixture_reencodes_equal():
     second = decode_event(encode_event(doc))
     assert second.graph.node_names == first.graph.node_names
     assert second.graph.topic_names == first.graph.topic_names
-    for t in first.graph.topics:
-        assert second.graph.publishers_of(t.name) == t.publishers
-        assert second.graph.subscribers_of(t.name) == t.subscribers
+    for name in first.graph.topic_names:
+        assert second.graph.publishers_of(name) == first.graph.publishers_of(name)
+        assert second.graph.subscribers_of(name) == first.graph.subscribers_of(name)
 
 
 # --- framing ---
@@ -255,9 +338,9 @@ _DOCS = st.builds(
 )
 
 
-def _decodes_or_rejects(doc) -> None:
+def _decodes_or_rejects(decode, doc) -> None:
     try:
-        decode_event(doc)
+        decode(doc)
     except DecodeError:
         pass
 
@@ -265,14 +348,14 @@ def _decodes_or_rejects(doc) -> None:
 @settings(max_examples=150, deadline=None)
 @given(st.text())
 def test_arbitrary_text_raises_only_decode_error(text):
-    _decodes_or_rejects(text)
+    _decodes_or_rejects(decode_event, text)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_DOCS)
 def test_mappings_over_known_keys_raise_only_decode_error(doc):
-    _decodes_or_rejects(doc)
-    _decodes_or_rejects(yaml.safe_dump(doc))
+    _decodes_or_rejects(wire._event, doc)
+    _decodes_or_rejects(decode_event, yaml.safe_dump(doc))
 
 
 @pytest.mark.parametrize("text", [
@@ -292,13 +375,46 @@ def test_ill_typed_fields_rejected(text):
 
 
 def _decoded(text, decode=decode_event) -> str:
-    """Everything an event carries, graph contents included, or "DecodeError"."""
+    """Everything an event carries, the graph as its sorted names and each
+    name's sets, or "DecodeError"."""
     try:
         ev = decode(text)
     except DecodeError:
         return "DecodeError"
+    g = ev.graph
+    graph = ([(n, sorted(g.services_of(n))) for n in sorted(g.node_names)],
+             [(t, sorted(g.publishers_of(t)), sorted(g.subscribers_of(t))) for t in sorted(g.topic_names)])
     return repr((ev.kind, ev.current_level, ev.current_grav, ev.last_alert, ev.topic, ev.msg_type,
-                 ev.payload, ev.graph.nodes, ev.graph.topics))
+                 ev.payload, graph))
+
+
+def _canonical(value):
+    """``value`` in a form whose equality ignores key order, tells apart
+    equal values of different types (1, 1.0, True) and holds NaN equal to
+    itself."""
+    if isinstance(value, dict):
+        return frozenset((_canonical(k), _canonical(v)) for k, v in value.items())
+    if isinstance(value, list):
+        return ("list", tuple(map(_canonical, value)))
+    if isinstance(value, float) and math.isnan(value):
+        return ("float", "nan")
+    return (type(value).__name__, value)
+
+
+def _recognizer_agrees(text: str) -> bool:
+    """Whether the recognizer takes the document; when it does, its mapping
+    must be the full parse's, which compares every scalar of the context
+    block, gids and params included, that the graph drops."""
+    parts = wire._recognize(text)
+    if parts is None:
+        return False
+    rest, block = parts
+    try:
+        context = wire._block_value(block)
+    except wire._Declined:
+        return False
+    assert _canonical({**rest, "context": context}) == _canonical(wire._load(text))
+    return True
 
 
 def _full_parse(text):
@@ -497,12 +613,14 @@ def test_cached_decode_equals_full_decode(base, mutation, seed):
     either order, where the variants share the context block unless the
     mutation changed it. The same holds for a document whose block is the
     cached block and one more line, and after a cached block that ended
-    without its final newline, in the middle of a line."""
+    without its final newline, in the middle of a line. Where the recognizer
+    takes a document, its mapping is the full parse's."""
     docs = [_mutate(base, mutation, seed, v) for v in (0, 1)]
     for doc, other in (docs, docs[::-1]):
         wire.clear_context_cache()
         cold = _decoded(doc)
         assert cold == _decoded(doc, _full_parse)
+        _recognizer_agrees(doc)
         for warm in ((base, other), (other, base)):
             wire.clear_context_cache()
             for text in warm:
@@ -513,6 +631,7 @@ def test_cached_decode_equals_full_decode(base, mutation, seed):
         wire.clear_context_cache()
         cold, cold_parts = _decoded(doc), wire._recognize(doc)
         assert cold == _decoded(doc, _full_parse)
+        _recognizer_agrees(doc)
         _decoded(warm)
         assert wire._recognize(doc) == cold_parts
         assert _decoded(doc) == cold
@@ -580,7 +699,7 @@ def test_depth_bound_is_one_for_the_recognizer_and_the_full_parse(monkeypatch, f
     if not flow:
         _refuse_full_parse(monkeypatch)
     wire.clear_context_cache()
-    assert decode_event(nested(MAX_DEPTH)).graph.nodes == ()
+    assert decode_event(nested(MAX_DEPTH)).graph.node_names == frozenset()
 
 
 def test_aliases_are_rejected():
@@ -590,7 +709,7 @@ def test_aliases_are_rejected():
     with pytest.raises(DecodeError, match="alias"):
         decode_event("event: graph\ncontext:\n  nodes:\n  - &n\n    node: a\n  - *n\n")
     nodes = "".join(f"  - &n{i}\n    node: a{i}\n" for i in range(3))
-    assert len(decode_event("event: graph\ncontext:\n  nodes:\n" + nodes).graph.nodes) == 3
+    assert len(decode_event("event: graph\ncontext:\n  nodes:\n" + nodes).graph.node_names) == 3
 
 
 def test_repeated_contexts_skip_the_graph_build(monkeypatch):
@@ -613,7 +732,7 @@ def test_cache_holds_one_context(monkeypatch):
     for text in texts:
         decode_event(text)
     assert wire._last_block == "context:\n  nodes:\n  - node: n2999\n"
-    assert [n.name for n in wire._last_graph.nodes] == ["n2999"]
+    assert wire._last_graph.node_names == {"n2999"}
     calls = []
     build = wire.parse_graph_context
     monkeypatch.setattr(wire, "parse_graph_context", lambda m: calls.append(1) or build(m))
