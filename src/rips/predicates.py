@@ -37,8 +37,7 @@ from typing import TYPE_CHECKING
 from . import values
 
 if TYPE_CHECKING:  # for the annotations alone
-    from .context import GraphContext
-    from .wire import InboundEvent
+    from .wire import GraphContext, InboundEvent
 
 log = logging.getLogger("rips.predicates")
 

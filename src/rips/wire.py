@@ -62,7 +62,6 @@ from dataclasses import dataclass
 
 import yaml
 
-from .context import GraphContext
 from .errors import RipsError
 
 log = logging.getLogger("rips.wire")
@@ -80,6 +79,34 @@ class DecodeError(RipsError):
 _KNOWN_EVENT_KEYS = {"currentlevel", "currentgrav", "lastalert", "event", "context", "topic", "msgtype", "payload"}
 _KNOWN_NODE_KEYS = {"node", "gids", "services"}
 _KNOWN_TOPIC_KEYS = {"topic", "parameters", "publishers", "subscribers"}
+
+
+class GraphContext:
+    """The node and topic names, and per name the services of a node and the
+    publishers and subscribers of a topic; an absent name has the empty set.
+
+    The keys of ``services`` are the node names and those of ``publishers``
+    and ``subscribers`` the topic names. A graph is shared by every event
+    decoded from the same context block, so it must never be mutated.
+    """
+
+    __slots__ = ("node_names", "topic_names", "_services", "_publishers", "_subscribers")
+
+    def __init__(self, services: dict, publishers: dict, subscribers: dict):
+        self._services = services
+        self._publishers = publishers
+        self._subscribers = subscribers
+        self.node_names = frozenset(services)
+        self.topic_names = frozenset(publishers)
+
+    def services_of(self, node: str) -> frozenset[str]:
+        return self._services.get(node, frozenset())
+
+    def publishers_of(self, topic: str) -> frozenset[str]:
+        return self._publishers.get(topic, frozenset())
+
+    def subscribers_of(self, topic: str) -> frozenset[str]:
+        return self._subscribers.get(topic, frozenset())
 
 
 @dataclass

@@ -576,9 +576,12 @@ def _refuse_full_parse(monkeypatch):
 
 def test_bases_decode_without_yaml_load(monkeypatch):
     """The fixture and every random_corpus document are in the dialect, cold
-    and with the cache warm."""
-    _refuse_full_parse(monkeypatch)
+    and with the cache warm, and the recognizer reads each as the full parse
+    does."""
     docs = _BASES + random_corpus(3, 200) + DocumentStream().feed("".join(random_corpus(4, 200)).encode("utf-8"))
+    wire.clear_context_cache()
+    assert all(_recognizer_agrees(doc) for doc in docs)
+    _refuse_full_parse(monkeypatch)
     for warm in (False, True):
         for doc in docs:
             if not warm:
@@ -599,6 +602,7 @@ def test_dialect_layouts_decode_without_yaml_load(monkeypatch, seed):
     rest = [line for line in head + tail if not line.startswith("lastalert") and line not in ("---", "...")]
     doc = "\n".join(["---", *rest, *block, f"lastalert: {alert}", "..."]) + "\n"
     expected = _decoded(doc, _full_parse)
+    assert _recognizer_agrees(doc)
     _refuse_full_parse(monkeypatch)
     wire.clear_context_cache()
     assert _decoded(doc) == expected != "DecodeError"
@@ -697,6 +701,7 @@ def test_depth_bound_is_one_for_the_recognizer_and_the_full_parse(monkeypatch, f
     with pytest.raises(DecodeError, match="nested deeper than"):
         decode_event(nested(MAX_DEPTH + 1))
     if not flow:
+        assert _recognizer_agrees(nested(MAX_DEPTH))
         _refuse_full_parse(monkeypatch)
     wire.clear_context_cache()
     assert decode_event(nested(MAX_DEPTH)).graph.node_names == frozenset()
