@@ -5,57 +5,10 @@ The package provides the rules-language frontend (tokenizer, parser, static
 checker), a tree-walking interpreter and a behavior-equivalent Python
 transpiler, the YAML-over-Unix-socket wire protocol, and a monitor
 simulator for replaying attack scenarios.
+
+The package re-exports nothing: import the module that holds a name. A
+generated program then loads only the runtime (``support``, ``predicates``
+and what they import), not the compiler.
 """
 
 __version__ = "0.1.0"
-
-from .checker import CheckedProgram, check_file, check_program, check_scripts, check_source
-from .errors import (
-    Diagnostic,
-    EngineCrash,
-    EvalFault,
-    LexError,
-    ParseError,
-    RipsError,
-    StaticError,
-)
-from .parser import parse_program, parse_source
-from .runtime import (
-    EngineConfig,
-    FakeClock,
-    InterpretedEngine,
-    RecordingRunner,
-    SubprocessRunner,
-    SystemClock,
-)
-from .tokens import Token, TokenKind, tokenize
-from .transpiler import load_generated, transpile
-
-__all__ = [
-    "__version__",
-    "CheckedProgram",
-    "Diagnostic",
-    "EngineConfig",
-    "EngineCrash",
-    "EvalFault",
-    "FakeClock",
-    "InterpretedEngine",
-    "LexError",
-    "ParseError",
-    "RecordingRunner",
-    "RipsError",
-    "StaticError",
-    "SubprocessRunner",
-    "SystemClock",
-    "Token",
-    "TokenKind",
-    "check_file",
-    "check_program",
-    "check_scripts",
-    "check_source",
-    "load_generated",
-    "parse_program",
-    "parse_source",
-    "tokenize",
-    "transpile",
-]

@@ -32,17 +32,20 @@ from .wire import DocumentStream, encode_outcome
 
 log = logging.getLogger("rips.bus")
 
+# The signals a rule's signal() can name.
+SIGNALS = ("SIGUSR1", "SIGUSR2")
+
 
 class SignalCounters:
-    """Delivery counters for SIGUSR1/SIGUSR2: a signal is pending while it
+    """Delivery counters for ``SIGNALS``: a signal is pending while it
     was delivered more often than a signal() evaluation consumed it, so
     repeated signals are not lost. Handlers run on the main thread, as does
     ``consume``, and each writes only its own count, so no lock is needed.
     """
 
     def __init__(self):
-        self.delivered = {"SIGUSR1": 0, "SIGUSR2": 0}
-        self.consumed = {"SIGUSR1": 0, "SIGUSR2": 0}
+        self.delivered = dict.fromkeys(SIGNALS, 0)
+        self.consumed = dict.fromkeys(SIGNALS, 0)
 
     def deliver(self, name: str) -> None:
         self.delivered[name] += 1
@@ -55,9 +58,9 @@ class SignalCounters:
 
 
 def register_signals(counters: SignalCounters) -> None:
-    """Install SIGUSR1/SIGUSR2 handlers that feed the counters."""
-    signal_module.signal(signal_module.SIGUSR1, lambda *_: counters.deliver("SIGUSR1"))
-    signal_module.signal(signal_module.SIGUSR2, lambda *_: counters.deliver("SIGUSR2"))
+    """Install handlers for ``SIGNALS`` that feed the counters."""
+    for name in SIGNALS:
+        signal_module.signal(getattr(signal_module, name), lambda *_, name=name: counters.deliver(name))
 
 
 class SocketServer:

@@ -13,11 +13,12 @@ import os
 from dataclasses import dataclass, field
 
 from . import regexlite
+from .bus import SIGNALS
 from .errors import Diagnostic, EvalFault, StaticError
 from .patterns import PatternFile, PatternFileError, load_pattern_file
 from .parser import parse_source
 from .runtime import plugin_problem, script_problems
-from .signatures import ACTIONS, EXPRESSION_BUILTINS, KNOWN_SIGNALS, BuiltinSig
+from .signatures import ACTIONS, EXPRESSION_BUILTINS, BuiltinSig
 from .syntax import Binary, Call, Literal, Name, Program, Rule, SectionKind, Unary
 from .typesys import (
     ExprType,
@@ -491,9 +492,9 @@ class _Checker:
             call.resource = len(self.resources.plugins)
             self.resources.plugins.append(path)
         elif call.name == "signal":
-            if value not in KNOWN_SIGNALS:
+            if value not in SIGNALS:
                 self.fail(
-                    f"unknown signal name {value!r} (expected one of {', '.join(KNOWN_SIGNALS)})",
+                    f"unknown signal name {value!r} (expected one of {', '.join(SIGNALS)})",
                     arg,
                 )
             call.resource = value

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: run (interpret a rules file against a socket), check (static
-analysis only), compile (emit the generated Python program on stdout),
-simulate (replay a scenario in-process and print the report) and bench
-(replay a corpus through interpreter and generated code, report timings).
+analysis only), compile (emit the generated Python program on stdout) and
+simulate (replay a scenario in-process and print the report). Each
+subcommand imports what only it needs, so `rips run` loads no transpiler
+or simulator.
 Invoking with a rules-file path as the first argument runs it with default
 paths, which is what a hash-bang line in an executable rules file does.
 
@@ -18,14 +19,10 @@ import os
 import sys
 
 from . import __version__
-from .bench import run_benchmark
 from .checker import check_file
 from .errors import EngineCrash, LexError, ParseError, StaticError
-from .randprog import random_corpus
 from .runtime import InterpretedEngine
-from .scenario import load_scenario, run_scenario
-from .support import add_engine_args, config_from_args, serve_from_args
-from .transpiler import transpile
+from .support import add_engine_args, config_from_args, positive_float, serve_from_args
 
 # Where `rips run` looks for transition scripts unless told otherwise.
 SCRIPTS_DIR = "/etc/rips/scripts"
@@ -34,7 +31,7 @@ USAGE_ERROR = 2
 STATIC_ERROR = 1
 CRASH = 3
 
-_SUBCOMMANDS = ("run", "check", "compile", "simulate", "bench")
+_SUBCOMMANDS = ("run", "check", "compile", "simulate")
 
 
 def _print_static_error(exc: Exception, path: str) -> None:
@@ -85,17 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("scenario", help="scenario YAML file")
     p_sim.add_argument("--scripts", dest="scriptsdir", default=None,
                        help="transition-scripts directory (omit to skip scripts)")
-    p_sim.add_argument("--polling", type=float, default=None,
+    p_sim.add_argument("--polling", type=positive_float, default=None,
                        help="graph polling interval in seconds (overrides RIPSPOLLING)")
     add_engine_args(p_sim, serving=False)
 
-    p_bench = sub.add_parser("bench", help="compare interpreter and generated program")
-    p_bench.add_argument("rules")
-    p_bench.add_argument("corpus", nargs="?", default=None,
-                         help="recorded event-document file (omit with --synthetic)")
-    p_bench.add_argument("--synthetic", type=int, default=None, metavar="N",
-                         help="generate an N-event synthetic corpus instead")
-    p_bench.add_argument("--seed", type=int, default=7)
     return parser
 
 
@@ -126,6 +116,8 @@ def main(argv=None) -> int:
         checked = _check(args.rules, args.scriptsdir)
         if checked is None:
             return STATIC_ERROR
+        from .transpiler import transpile
+
         sys.stdout.write(transpile(checked))
         return 0
 
@@ -139,6 +131,8 @@ def main(argv=None) -> int:
         checked = _check(args.rules, args.scriptsdir)
         if checked is None:
             return STATIC_ERROR
+        from .scenario import load_scenario, run_scenario
+
         try:
             scenario = load_scenario(args.scenario)
         except Exception as exc:  # noqa: BLE001 - report and exit
@@ -155,25 +149,6 @@ def main(argv=None) -> int:
             return CRASH
         print(report.format())
         return 0 if report.passed else 1
-
-    if args.command == "bench":
-        checked = _check(args.rules, None)
-        if checked is None:
-            return STATIC_ERROR
-        if args.synthetic is not None:
-            docs = random_corpus(args.seed, args.synthetic)
-        elif args.corpus is not None:
-            from .wire import DocumentStream
-
-            framer = DocumentStream()
-            with open(args.corpus, "rb") as fh:
-                docs = framer.feed(fh.read())
-        else:
-            print("error: bench needs a corpus file or --synthetic N", file=sys.stderr)
-            return USAGE_ERROR
-        report = run_benchmark(checked, docs)
-        print(report.format())
-        return 0
 
     return USAGE_ERROR
 

@@ -14,21 +14,27 @@ deterministic and fast.
 from __future__ import annotations
 
 import base64
+import heapq
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
-from .bus import SignalCounters
+from .bus import SIGNALS, SignalCounters
 from .errors import EngineCrash, RipsError
 from .runtime import FakeClock
-from .signatures import KNOWN_SIGNALS
+from .support import positive_float
 from .wire import Outcome, encode_event
 
 DEFAULT_POLLING_S = 0.5
 DEFAULT_GRACE_S = 1.0
 
 _NS = 1_000_000_000
+
+# What runs at a simulated time, in the order it runs when times are equal:
+# timeline entries, then the External tick, then the periodic graph poll.
+_ENTRY, _TICK, _POLL = range(3)
 
 
 class ScenarioError(RipsError):
@@ -159,7 +165,7 @@ def _parse_entry(raw: dict, index: int) -> TimelineEntry:
         )
     if "signal" in raw:
         sig = str(raw["signal"])
-        if sig not in KNOWN_SIGNALS:
+        if sig not in SIGNALS:
             raise ScenarioError(f"timeline entry {index}: unknown signal {sig!r}")
         return TimelineEntry(at, "signal", signal=sig)
     raise ScenarioError(f"timeline entry {index} needs one of 'graph', 'message' or 'signal'")
@@ -181,11 +187,16 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         else:
             expect.append(Expectation(alert=str(raw["alert"])))
     polling = doc.get("polling")
+    if polling is not None:
+        try:
+            polling = positive_float(polling)
+        except (TypeError, ValueError):
+            raise ScenarioError(f"polling must be a positive number of seconds, not {polling!r}") from None
     return Scenario(
         name=str(doc.get("name") or name),
         timeline=timeline,
         expect=expect,
-        polling_s=float(polling) if polling is not None else None,
+        polling_s=polling,
         grace_s=float(doc.get("grace", DEFAULT_GRACE_S)),
         on_change_only=bool(doc.get("on_change_only", False)),
         expect_none=bool(doc.get("expect_none", False)),
@@ -206,7 +217,8 @@ def _split_topics(value: str | None) -> frozenset[str]:
 
 def resolve_polling(scenario: Scenario, override: float | None = None) -> float:
     """Polling interval precedence: explicit override, scenario, RIPSPOLLING
-    environment variable, then the 0.5 s default."""
+    environment variable, then the 0.5 s default. A RIPSPOLLING that is not
+    a positive number is ignored."""
     if override is not None:
         return override
     if scenario.polling_s is not None:
@@ -214,7 +226,7 @@ def resolve_polling(scenario: Scenario, override: float | None = None) -> float:
     env = os.environ.get("RIPSPOLLING")
     if env:
         try:
-            return float(env)
+            return positive_float(env)
         except ValueError:
             pass
     return DEFAULT_POLLING_S
@@ -246,26 +258,12 @@ def run_scenario(
     poll_ns = max(1, int(poll_s * _NS))
     tick_ns = max(1, int(tick_s * _NS))
 
-    # Build the full emission schedule in simulated time. At equal times,
-    # timeline entries run first, then the External tick, then the periodic
-    # graph poll; insertion order breaks remaining ties.
-    schedule: list[tuple[int, int, int, str, TimelineEntry | None]] = []
-    seq = 0
-    for entry in scenario.timeline:
-        schedule.append((int(entry.at_s * _NS), 0, seq, "entry", entry))
-        seq += 1
-    t = tick_ns
-    while t <= end_ns:
-        schedule.append((t, 1, seq, "tick", None))
-        seq += 1
-        t += tick_ns
-    if not scenario.on_change_only:
-        t = 0
-        while t <= end_ns:
-            schedule.append((t, 2, seq, "poll", None))
-            seq += 1
-            t += poll_ns
-    schedule.sort(key=lambda item: (item[0], item[1], item[2]))
+    # The emission schedule in simulated time: three streams, each sorted,
+    # merged as the run goes, so memory does not grow with simulated time.
+    entries = ((int(entry.at_s * _NS), _ENTRY, entry) for entry in scenario.timeline)
+    ticks = ((t, _TICK, None) for t in range(tick_ns, end_ns + 1, tick_ns))
+    polls = () if scenario.on_change_only else ((t, _POLL, None) for t in range(0, end_ns + 1, poll_ns))
+    schedule = heapq.merge(entries, ticks, polls, key=operator.itemgetter(0, 1))
 
     graph: dict = {"nodes": [], "topics": []}
     monitor_level = engine.machine.current_name
@@ -297,12 +295,12 @@ def run_scenario(
 
     record(engine.start(), 0)
     try:
-        for now, _prio, _seq, kind, entry in schedule:
+        for now, kind, entry in schedule:
             clock.set_ns(now)
-            if kind == "tick":
+            if kind == _TICK:
                 record(engine.tick(), now)
                 continue
-            if kind == "poll":
+            if kind == _POLL:
                 doc = envelope({"event": "graph", "context": graph})
                 record(engine.handle_document(encode_event(doc)), now)
                 continue

@@ -124,5 +124,3 @@ EXPRESSION_BUILTINS: dict[str, BuiltinSig] = {
 }
 
 ALL_BUILTINS: dict[str, BuiltinSig] = {**ACTIONS, **EXPRESSION_BUILTINS}
-
-KNOWN_SIGNALS = ("SIGUSR1", "SIGUSR2")

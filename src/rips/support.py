@@ -13,19 +13,31 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bus import SocketServer, serve
 from .patterns import load_pattern_file
 from .regexlite import compile_pattern as compile_regex
-from .runtime import Engine, EngineConfig, FakeClock, SubprocessRunner, SystemClock, plugin_problem, script_problems
+from .runtime import Engine, EngineConfig, plugin_problem, script_problems
 from .values import concat, fdiv, iadd, idiv, imod, imul, ineg, isub
 
+# The names generated source reads as ``_rt.<name>``.
 __all__ = [
-    "Engine", "EngineConfig", "FakeClock", "SystemClock", "SubprocessRunner",
-    "compile_regex", "load_pattern_file", "compiled_main",
+    "Engine", "compile_regex", "load_pattern_file", "compiled_main",
     "iadd", "isub", "imul", "ineg", "idiv", "imod", "fdiv", "concat",
 ]
+
+
+def positive_float(text) -> float:
+    """An interval in seconds, a finite number above zero; the ``type`` of
+    the interval options. A zero or negative tick or polling interval would
+    make a loop that never waits, and a zero child timeout would kill every
+    child at once."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"not a positive number of seconds: {text!r}")
+    return value
 
 
 def add_engine_args(parser: argparse.ArgumentParser, *, serving: bool = True) -> None:
@@ -34,10 +46,10 @@ def add_engine_args(parser: argparse.ArgumentParser, *, serving: bool = True) ->
     if serving:
         parser.add_argument("-s", "--socket", default=EngineConfig.socket_path,
                             help="unix socket path (default %(default)s)")
-    parser.add_argument("--tick", type=float, default=EngineConfig.tick_interval,
+    parser.add_argument("--tick", type=positive_float, default=EngineConfig.tick_interval,
                         help="External-rule tick interval in seconds (default %(default)s)")
     if serving:
-        parser.add_argument("--exec-timeout", type=float, default=EngineConfig.exec_timeout)
+        parser.add_argument("--exec-timeout", type=positive_float, default=EngineConfig.exec_timeout)
     parser.add_argument("--ids-dir", default=EngineConfig.ids_dir)
     parser.add_argument("--ids-pattern", default=EngineConfig.ids_pattern)
     if serving:

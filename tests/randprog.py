@@ -9,8 +9,8 @@ forms), so any static error or interpreter/transpiler divergence they
 provoke is a real bug. They call every expression builtin except ``payload``
 and ``plugin``, which need files on disk, and every action, ``crash``
 included. Division and modulo keep a small chance of a zero denominator on
-purpose: fault handling must match across engines too. ``random_corpus``
-also feeds ``rips bench --synthetic``.
+purpose: fault handling must match across engines too. The parser and wire
+tests draw on it as well.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 import base64
 import random
 
-from .wire import encode_event
+from rips.bus import SIGNALS
+from rips.wire import encode_event
 
 TOPIC_POOL = ["/t0", "/t1", "/t2", "/cam/raw", "/cmd/vel", "/diag"]
 NODE_POOL = ["alpha", "beta", "gamma", "delta", "rips", "watch"]
@@ -171,7 +172,7 @@ class _ProgramGen:
         else:
             options = [
                 f'idsalert("{r.choice(IDS_NEEDLE_POOL)}")',
-                f'signal("{r.choice(["SIGUSR1", "SIGUSR2"])}")',
+                f'signal("{r.choice(SIGNALS)}")',
             ]
         # Deal the forms from a shuffled deck per section, so one program
         # calls as many different predicates as it has predicate slots.

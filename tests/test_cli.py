@@ -1,6 +1,7 @@
 """Command-line entry points: one engine-options path for `rips run`,
-`rips simulate` and generated programs, `python -m rips`,
-`rips bench --synthetic`, and a generated program refusing to start."""
+`rips simulate` and generated programs, `python -m rips`, intervals that
+are refused before anything runs, and a generated program refusing to
+start."""
 
 from __future__ import annotations
 
@@ -12,14 +13,13 @@ import sys
 import pytest
 
 import rips
-from rips import cli, wire
-from rips.bench import run_benchmark
+from rips import cli
 from rips.checker import check_source
 from rips.runtime import EngineConfig
 from rips.support import add_engine_args, config_from_args
 from rips.transpiler import load_generated, transpile
 
-from conftest import DATA_DIR, make_scripts, write_script
+from conftest import make_scripts, write_script
 
 SERVING_ARGV = ["-s", "/tmp/x.sock", "--tick", "0.5", "--exec-timeout", "3",
                 "--ids-dir", "alerts", "--ids-pattern", "ids*", "--dump-vars"]
@@ -59,36 +59,6 @@ def test_python_dash_m_rips_runs_the_cli():
     assert proc.stdout.strip() == f"rips {rips.__version__}"
 
 
-def test_bench_synthetic_corpus(capsys):
-    assert cli.main(["bench", os.path.join(DATA_DIR, "navigation.rul"), "--synthetic", "12", "--seed", "3"]) == 0
-    rows = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
-    assert ["interpreted", "12"] in rows and ["generated", "12"] in rows
-
-
-def test_bench_skips_and_counts_a_malformed_document(tmp_path, capsys):
-    corpus = tmp_path / "corpus.yaml"
-    corpus.write_text("---\nevent: graph\ncontext: {nodes: 5}\n...\n"
-                      "---\nevent: graph\ncontext:\n  nodes:\n  - node: a\n...\n")
-    assert cli.main(["bench", os.path.join(DATA_DIR, "navigation.rul"), str(corpus)]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0].split()[:3] == ["mode", "events", "skipped"]
-    rows = [line.split()[:3] for line in out.splitlines()]
-    assert ["interpreted", "1", "1"] in rows and ["generated", "1", "1"] in rows
-
-
-def test_bench_modes_start_with_an_empty_context_cache(monkeypatch):
-    """Each mode builds the graph of a repeated context once: the generated
-    run does not decode against the interpreter's warm cache."""
-    calls = []
-    build = wire.parse_graph_context
-    monkeypatch.setattr(wire, "parse_graph_context", lambda m: calls.append(1) or build(m))
-    doc = "event: graph\ncontext:\n  nodes:\n  - node: a\n"
-    checked = check_source('rules Graph: nodecount(1, 1) ? alert("one");', "one.rul")
-    report = run_benchmark(checked, [doc] * 3)
-    assert (report.interpreted.outcomes, report.generated.outcomes) == (3, 3)
-    assert len(calls) == 2
-
-
 @pytest.mark.parametrize("broken", ["script", "plugin"])
 def test_generated_program_refuses_to_start(tmp_path, capsys, broken):
     """The run host lacks what the program was compiled against: the program
@@ -107,4 +77,33 @@ def test_generated_program_refuses_to_start(tmp_path, capsys, broken):
     sock = tmp_path / "rips.sock"
     assert module.main(["-s", str(sock)]) == 1
     assert capsys.readouterr().err.splitlines() == [problem]
+    assert not sock.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "scripts", "rules.rul", "--tick", "0"],
+    ["run", "scripts", "rules.rul", "--tick", "-1"],
+    ["run", "scripts", "rules.rul", "--exec-timeout", "0"],
+    ["run", "scripts", "rules.rul", "--exec-timeout", "-3"],
+    ["simulate", "rules.rul", "scenario.yaml", "--polling", "0"],
+    ["simulate", "rules.rul", "scenario.yaml", "--polling", "-0.5"],
+    ["simulate", "rules.rul", "scenario.yaml", "--tick", "0"],
+], ids=" ".join)
+def test_non_positive_interval_is_a_usage_error(monkeypatch, capsys, argv):
+    """A zero or negative interval would make a loop that never waits: the
+    option is refused before the rules are even read."""
+    monkeypatch.setattr(cli, "_check", lambda *_: pytest.fail("the rules were read"))
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert f"invalid positive_float value: {argv[-1]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("interval", [["--tick", "0"], ["--exec-timeout", "-1"]], ids=" ".join)
+def test_generated_program_refuses_a_non_positive_interval(tmp_path, capsys, interval):
+    module = load_generated(transpile(check_source('rules Graph: nodecount(1, 1) ? alert("one");', "one.rul")),
+                            "interval_generated")
+    sock = tmp_path / "rips.sock"
+    with pytest.raises(SystemExit) as exc:
+        module.main(["-s", str(sock), *interval])
+    assert exc.value.code == cli.USAGE_ERROR
+    assert "invalid positive_float value" in capsys.readouterr().err
     assert not sock.exists()

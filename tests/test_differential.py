@@ -24,7 +24,6 @@ from rips import predicates, values
 from rips.bus import SignalCounters
 from rips.checker import check_source
 from rips.errors import EngineCrash, StaticError
-from rips.randprog import IDS_NEEDLE_POOL, random_corpus, random_program
 from rips.runtime import Engine, EngineConfig, FakeClock, InterpretedEngine, RecordingRunner
 from rips.signatures import ACTIONS, ALL_BUILTINS, EXPRESSION_BUILTINS
 from rips.syntax import Binary, Call, Unary
@@ -33,6 +32,7 @@ from rips.typesys import ValueType
 from rips.wire import decode_event, encode_event
 
 from conftest import DATA_DIR
+from randprog import IDS_NEEDLE_POOL, random_corpus, random_program
 
 SEEDS = range(50)
 N_EVENTS = 40

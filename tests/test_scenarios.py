@@ -12,8 +12,15 @@ import os
 import pytest
 
 from rips.checker import check_file, check_source
-from rips.runtime import InterpretedEngine, RecordingRunner
-from rips.scenario import load_scenario, parse_scenario, run_scenario
+from rips.runtime import EngineConfig, InterpretedEngine, RecordingRunner
+from rips.scenario import (
+    DEFAULT_POLLING_S,
+    ScenarioError,
+    load_scenario,
+    parse_scenario,
+    resolve_polling,
+    run_scenario,
+)
 from rips.transpiler import load_generated, transpile
 
 from conftest import DATA_DIR
@@ -101,3 +108,45 @@ def test_topic_lists_filter_messages(monkeypatch):
         assert report.passed, report.format()
         assert [obs.outcome.text for obs in report.outcomes] == ["on /kept"]
         assert len(documents) == 1 and "topic: /kept" in documents[0]
+
+
+def test_equal_times_run_entries_then_ticks_then_polls():
+    """At one simulated time the timeline entries run first, in file order,
+    then the External tick, then the periodic graph poll."""
+    checked = check_source('rules Msg: topicin("/t") ? alert("m");', "order.rul")
+    scenario = parse_scenario({
+        "timeline": [{"at": 0.5, "message": {"topic": "/u"}}, {"at": 0.5, "message": {"topic": "/t"}}],
+        "polling": 0.5,
+        "grace": 0.5,
+    })
+    calls = []
+
+    def recording(clock, counters):
+        engine = InterpretedEngine(checked, clock=clock, counters=counters, config=EngineConfig(tick_interval=0.5))
+        handle, tick = engine.handle_document, engine.tick
+
+        def handle_document(text):
+            calls.append((clock.now_ns(), next((t for t in ("/t", "/u") if f"topic: {t}\n" in text), "poll")))
+            return handle(text)
+
+        engine.handle_document = handle_document
+        engine.tick = lambda: calls.append((clock.now_ns(), "tick")) or tick()
+        return engine
+
+    run_scenario(scenario, recording)
+    half, one = 500_000_000, 1_000_000_000
+    assert calls == [(0, "poll"), (half, "/u"), (half, "/t"), (half, "tick"), (half, "poll"),
+                     (one, "tick"), (one, "poll")]
+
+
+@pytest.mark.parametrize("polling", [0, -0.5, "soon"])
+def test_scenario_polling_must_be_positive(polling):
+    with pytest.raises(ScenarioError, match="polling must be a positive number of seconds"):
+        parse_scenario({"polling": polling})
+
+
+@pytest.mark.parametrize("env", ["0", "-1", "soon"])
+def test_non_positive_ripspolling_is_ignored(monkeypatch, env):
+    monkeypatch.setenv("RIPSPOLLING", env)
+    assert resolve_polling(parse_scenario({})) == DEFAULT_POLLING_S
+

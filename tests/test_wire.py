@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import rips
 from rips import wire
 from rips.checker import check_source
-from rips.randprog import random_corpus
 from rips.runtime import FakeClock, InterpretedEngine, RecordingRunner
 from rips.transpiler import load_generated, transpile
 from rips.wire import (
@@ -29,6 +28,7 @@ from rips.wire import (
 )
 
 from conftest import DATA_DIR
+from randprog import random_corpus
 
 
 def load_fixture():
