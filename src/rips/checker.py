@@ -1,6 +1,10 @@
-"""Static checking: symbol resolution, the two-part type discipline,
+"""Static checking: symbol resolution, value types, rule sections,
 constant folding, usage analysis, resource validation and transition-script
 checks.
+
+Every expression has one value type (``values.ValueType``), with no
+implicit casting. A builtin whose signature names a rule section may be
+called only from a rule of that section; ``check_call`` enforces it.
 
 The checker is strict: anything that can be caught statically is an error,
 and all diagnostics found in one pass are reported together, in source
@@ -20,14 +24,7 @@ from .parser import parse_source
 from .runtime import plugin_problem, script_problems
 from .signatures import ACTIONS, EXPRESSION_BUILTINS, BuiltinSig
 from .syntax import Binary, Call, Literal, Name, Program, Rule, SectionKind, Unary
-from .typesys import (
-    ExprType,
-    SECTION_EXPR_TYPE,
-    TypeTuple,
-    ValueType,
-    VALUE_TYPE_BY_NAME,
-    meet_expr,
-)
+from .values import VALUE_TYPE_BY_NAME, ValueType
 from . import values
 
 _RESERVED = ("CurrLevel", "Time", "Uptime", "CurrRule")
@@ -37,9 +34,8 @@ _RESERVED = ("CurrLevel", "Time", "Uptime", "CurrRule")
 class Symbol:
     name: str
     kind: str  # level | const | var | predefined | rule_const
-    type: TypeTuple
+    type: ValueType
     value: object = None  # folded constant / level ordinal / var initial value
-    mutable: bool = False
     pos: tuple[int, int] = (0, 0)
     level_init: bool = False  # var initialized with a level name
     read: bool = False
@@ -114,9 +110,9 @@ class _Checker:
         self.base_dir = base_dir
         self.diags: list[Diagnostic] = []
         self.table: dict[str, Symbol] = {
-            "CurrLevel": Symbol("CurrLevel", "predefined", TypeTuple(ValueType.INT, ExprType.UNIVERSAL)),
-            "Time": Symbol("Time", "predefined", TypeTuple(ValueType.INT, ExprType.UNIVERSAL)),
-            "Uptime": Symbol("Uptime", "predefined", TypeTuple(ValueType.INT, ExprType.UNIVERSAL)),
+            "CurrLevel": Symbol("CurrLevel", "predefined", ValueType.INT),
+            "Time": Symbol("Time", "predefined", ValueType.INT),
+            "Uptime": Symbol("Uptime", "predefined", ValueType.INT),
         }
         self.resources = Resources()
         self.var_initial: dict[str, object] = {}
@@ -151,14 +147,12 @@ class _Checker:
                 # Register a placeholder so one bad declaration does not
                 # cascade into unknown-identifier noise downstream.
                 if kind != "level" and decl.name not in self.table and decl.name not in _RESERVED:
-                    vt = VALUE_TYPE_BY_NAME[decl.type_name]
                     default = {"int": 0, "float": 0.0, "bool": False, "string": ""}[decl.type_name]
                     self.table[decl.name] = Symbol(
                         decl.name,
                         kind,
-                        TypeTuple(vt, ExprType.UNIVERSAL),
+                        VALUE_TYPE_BY_NAME[decl.type_name],
                         value=default,
-                        mutable=(kind == "var"),
                         pos=(decl.line, decl.column),
                         read=True,
                         written=True,
@@ -219,22 +213,17 @@ class _Checker:
 
     def declare_level(self, decl) -> None:
         self.declare_name_free(decl.name, decl)
-        self.table[decl.name] = Symbol(
-            decl.name,
-            "level",
-            TypeTuple(ValueType.INT, ExprType.UNIVERSAL),
-            value=decl.ordinal,
-            pos=(decl.line, decl.column),
-        )
+        self.table[decl.name] = Symbol(decl.name, "level", ValueType.INT, value=decl.ordinal,
+                                       pos=(decl.line, decl.column))
 
     def declare_typed(self, kind: str, decl) -> None:
         self.declare_name_free(decl.name, decl)
         declared_vt = VALUE_TYPE_BY_NAME[decl.type_name]
-        ty = self.check_expr(decl.init, None)
-        if ty.value_type is not declared_vt:
+        vt = self.check_expr(decl.init, None)
+        if vt is not declared_vt:
             self.fail(
                 f"{decl.name!r} is declared {decl.type_name} but its initializer"
-                f" has type {ty.value_type.value} (no implicit casting)",
+                f" has type {vt.value} (no implicit casting)",
                 decl.init,
             )
         try:
@@ -252,33 +241,20 @@ class _Checker:
             and decl.init.binding is not None
             and decl.init.binding.kind == "level"
         )
-        self.table[decl.name] = Symbol(
-            decl.name,
-            kind,
-            TypeTuple(declared_vt, ExprType.UNIVERSAL),
-            value=value,
-            mutable=(kind == "var"),
-            pos=(decl.line, decl.column),
-            level_init=level_init,
-        )
+        self.table[decl.name] = Symbol(decl.name, kind, declared_vt, value=value,
+                                       pos=(decl.line, decl.column), level_init=level_init)
         if kind == "var":
             self.var_initial[decl.name] = value
 
     # --- rules ---
 
-    def check_rule(self, rule: Rule, kind: SectionKind) -> None:
-        section = SECTION_EXPR_TYPE[kind.value]
-        self.curr_rule = Symbol(
-            "CurrRule",
-            "rule_const",
-            TypeTuple(ValueType.STRING, ExprType.UNIVERSAL),
-            value=rule.rule_id,
-        )
+    def check_rule(self, rule: Rule, section: SectionKind) -> None:
+        self.curr_rule = Symbol("CurrRule", "rule_const", ValueType.STRING, value=rule.rule_id)
         try:
-            ty = self.check_expr(rule.trigger, section)
-            if ty.value_type is not ValueType.BOOL:
+            vt = self.check_expr(rule.trigger, section)
+            if vt is not ValueType.BOOL:
                 self.fail(
-                    f"rule trigger must be bool, got {ty.value_type.value}",
+                    f"rule trigger must be bool, got {vt.value}",
                     rule.trigger,
                 )
             for item in rule.chain:
@@ -286,7 +262,7 @@ class _Checker:
         finally:
             self.curr_rule = None
 
-    def check_action(self, call: Call, section: ExprType) -> None:
+    def check_action(self, call: Call, section: SectionKind) -> None:
         sig = ACTIONS.get(call.name)
         if sig is None:
             if call.name in EXPRESSION_BUILTINS:
@@ -295,7 +271,7 @@ class _Checker:
         call.sig = sig
         self.check_arguments(call, sig, section)
 
-    def check_arguments(self, call: Call, sig: BuiltinSig, section: ExprType | None) -> None:
+    def check_arguments(self, call: Call, sig: BuiltinSig, section: SectionKind | None) -> None:
         """Check a builtin call's argument count, then the type of each
         argument, its constant arguments and its level arguments. The
         variable that ``set`` names is no expression, so ``check_set``
@@ -311,12 +287,12 @@ class _Checker:
         if call.name == "trigger":
             self.trigger_calls.append(call)
         for i, arg in enumerate(call.args):
-            ty = self.check_expr(arg, section)
+            vt = self.check_expr(arg, section)
             want = sig.param_at(i)
-            if want is not ValueType.UNIVERSAL and ty.value_type is not want:
+            if want is not ValueType.UNIVERSAL and vt is not want:
                 self.fail(
                     f"argument {i + 1} of {call.name} must be {want.value},"
-                    f" got {ty.value_type.value}",
+                    f" got {vt.value}",
                     arg,
                 )
         for i in sig.const_args:
@@ -324,24 +300,23 @@ class _Checker:
         for i in sig.level_args:
             self.check_level_form(call.args[i], call.name)
 
-    def check_set(self, call: Call, section: ExprType) -> None:
+    def check_set(self, call: Call, section: SectionKind) -> None:
         target = call.args[0]
         if not isinstance(target, Name):
             self.fail("the first argument of set must be a variable name", target)
         sym = self.lookup(target)
         target.binding = sym
-        target.ty = sym.type
         if sym.kind == "predefined":
             self.fail(f"predefined variable {sym.name!r} cannot be set", target)
         if sym.kind != "var":
             self.fail(f"{sym.name!r} is a {sym.kind}, not a variable", target)
         sym.written = True
         call.resource = sym.name
-        value_ty = self.check_expr(call.args[1], section)
-        if value_ty.value_type is not sym.type.value_type:
+        vt = self.check_expr(call.args[1], section)
+        if vt is not sym.type:
             self.fail(
-                f"cannot set {sym.name!r} ({sym.type.value_type.value}) to a"
-                f" {value_ty.value_type.value} value (no implicit casting)",
+                f"cannot set {sym.name!r} ({sym.type.value}) to a"
+                f" {vt.value} value (no implicit casting)",
                 call.args[1],
             )
 
@@ -381,41 +356,37 @@ class _Checker:
             self.fail(f"unknown identifier {node.name!r}", node)
         return sym
 
-    def check_expr(self, e, section: ExprType | None) -> TypeTuple:
-        """Type a node, annotate it, and return its type tuple.
+    def check_expr(self, e, section: SectionKind | None) -> ValueType:
+        """Check a node, bind its names and operators, and return its value
+        type.
 
-        ``section`` is the rule section's expression type, or None when
-        checking an initializer (where only universal expressions make
-        sense).
+        ``section`` is the section of the enclosing rule, or None when
+        checking an initializer, where no section-bound builtin may be
+        called.
         """
         if isinstance(e, Literal):
             if e.kind == "string":
                 e.value = values.clamp_str(e.value)
             elif e.kind == "int" and not values.I64_MIN <= e.value <= values.I64_MAX:
                 self.note(f"int literal {e.value} is outside the 64-bit range", e)
-            e.ty = TypeTuple(VALUE_TYPE_BY_NAME[e.kind], ExprType.UNIVERSAL)
-            return e.ty
+            return VALUE_TYPE_BY_NAME[e.kind]
 
         if isinstance(e, Name):
             sym = self.lookup(e)
             e.binding = sym
             sym.read = True
-            e.ty = sym.type
-            return e.ty
+            return sym.type
 
         if isinstance(e, Unary):
-            ty = self.check_expr(e.operand, section)
-            e.impl = values.UNARY.get((e.op, ty.value_type))
+            vt = self.check_expr(e.operand, section)
+            e.impl = values.UNARY.get((e.op, vt))
             if e.impl is None:
-                self.fail(_UNARY_NEEDS[e.op].format(e.op, ty.value_type.value), e)
-            e.ty = ty
-            return e.ty
+                self.fail(_UNARY_NEEDS[e.op].format(e.op, vt.value), e)
+            return vt
 
         if isinstance(e, Binary):
-            lt = self.check_expr(e.left, section)
-            rt = self.check_expr(e.right, section)
-            et = meet_expr(lt.expr_type, rt.expr_type)
-            lv, rv = lt.value_type, rt.value_type
+            lv = self.check_expr(e.left, section)
+            rv = self.check_expr(e.right, section)
             op = e.op
             if lv is not rv:
                 self.fail(
@@ -430,33 +401,31 @@ class _Checker:
                 ok = e.impl is not None
             if not ok:
                 self.fail(_BINARY_NEEDS[op].format(op, lv.value), e)
-            e.ty = TypeTuple(ValueType.BOOL if op in _COMPARISONS else lv, et)
-            return e.ty
+            return ValueType.BOOL if op in _COMPARISONS else lv
 
         if isinstance(e, Call):
             return self.check_call(e, section)
 
         raise AssertionError(f"unexpected node {e!r}")
 
-    def check_call(self, call: Call, section: ExprType | None) -> TypeTuple:
+    def check_call(self, call: Call, section: SectionKind | None) -> ValueType:
         sig = EXPRESSION_BUILTINS.get(call.name)
         if sig is None:
             if call.name in ACTIONS:
                 self.fail(f"{call.name!r} is an action and cannot be used in an expression", call)
             self.fail(f"unknown builtin {call.name!r}", call)
         call.sig = sig
-        if sig.expr_type is not ExprType.UNIVERSAL:
+        if sig.section is not None:
             if section is None:
                 self.fail(f"{call.name} cannot be used outside rules", call)
-            if sig.expr_type is not section:
+            if sig.section is not section:
                 self.fail(
-                    f"{call.name} has expression type {sig.expr_type.value} and cannot"
+                    f"{call.name} has expression type {sig.section.value} and cannot"
                     f" be used in a {section.value} rule",
                     call,
                 )
         self.check_arguments(call, sig, section)
-        call.ty = TypeTuple(sig.result, sig.expr_type)
-        return call.ty
+        return sig.result
 
     def prepare_constant_arg(self, call: Call, index: int) -> None:
         arg = call.args[index]

@@ -36,8 +36,6 @@ _TYPE_NAMES = {"string", "int", "bool", "float"}
 
 UNARY_OPS = {"!", "-", "+", "~"}
 
-CONNECTORS = (",", "=>", "!>")
-
 
 class _Parser:
     def __init__(self, tokens: list[Token], source_name: str):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import heapq
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -136,10 +137,22 @@ class RunReport:
         return "\n".join(lines)
 
 
+def _seconds(value, what: str) -> float:
+    """A scenario time: a finite number of seconds, not negative. A NaN or
+    infinite time has no place in the simulated schedule."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        seconds = math.nan
+    if not 0.0 <= seconds < math.inf:
+        raise ScenarioError(f"{what} must be a finite number of seconds, not negative: {value!r}")
+    return seconds
+
+
 def _parse_entry(raw: dict, index: int) -> TimelineEntry:
     if not isinstance(raw, dict) or "at" not in raw:
         raise ScenarioError(f"timeline entry {index} needs an 'at' time")
-    at = float(raw["at"])
+    at = _seconds(raw["at"], f"'at' of timeline entry {index}")
     if "graph" in raw:
         graph = raw["graph"] or {}
         if not isinstance(graph, dict):
@@ -197,7 +210,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         timeline=timeline,
         expect=expect,
         polling_s=polling,
-        grace_s=float(doc.get("grace", DEFAULT_GRACE_S)),
+        grace_s=_seconds(doc.get("grace", DEFAULT_GRACE_S), "grace"),
         on_change_only=bool(doc.get("on_change_only", False)),
         expect_none=bool(doc.get("expect_none", False)),
     )

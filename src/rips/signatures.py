@@ -1,12 +1,15 @@
 """Signature table for every builtin action, predicate and helper.
 
-Each builtin appears exactly once. Actions run only in chains and are
-universally typed; predicates and helpers appear only in expressions, and a
-predicate's expression type pins it to one rule section. Every builtin
-carries its implementation as ``impl``, and both engines dispatch through
-that field: an action's is the ``Engine`` method ``act_<name lowercased>``,
-called ``impl(engine, *args)``; an expression builtin's is the function of
-the same name in ``predicates``, called ``impl(engine, ctx, *args)``.
+Each builtin appears exactly once, in one of the two tables the checker
+looks names up in: ``ACTIONS``, which run only in chains, and
+``EXPRESSION_BUILTINS``, the predicates and helpers, which appear only in
+expressions. A builtin's ``section`` is the rule section that may call it,
+or None when every section may; the checker compares it with the section of
+the calling rule. Every builtin carries its implementation as ``impl``, and
+both engines dispatch through that field: an action's is the ``Engine``
+method ``act_<name lowercased>``, called ``impl(engine, *args)``; an
+expression builtin's is the function of the same name in ``predicates``,
+called ``impl(engine, ctx, *args)``.
 """
 
 from __future__ import annotations
@@ -15,19 +18,20 @@ from dataclasses import dataclass, field, replace
 
 from . import predicates
 from .runtime import Engine
-from .typesys import ExprType, ValueType
+from .syntax import SectionKind
+from .values import ValueType
 
 S = ValueType.STRING
 I = ValueType.INT
 B = ValueType.BOOL
 U = ValueType.UNIVERSAL
+GRAPH, MSG, EXTERNAL = SectionKind.GRAPH, SectionKind.MSG, SectionKind.EXTERNAL
 
 
 @dataclass(frozen=True)
 class BuiltinSig:
     name: str
-    kind: str  # "action" | "predicate" | "helper"
-    expr_type: ExprType
+    section: SectionKind | None  # None: callable from every section
     params: tuple[ValueType, ...]
     vararg: ValueType | None = None  # type of the variadic tail, if any
     result: ValueType = B
@@ -50,77 +54,56 @@ class BuiltinSig:
         return self.vararg
 
 
-def _table(sigs: list[BuiltinSig]) -> dict[str, BuiltinSig]:
+def _table(sigs: list[BuiltinSig], impl_of) -> dict[str, BuiltinSig]:
+    """Name each signature and bind its ``impl`` to ``impl_of(name)``."""
     out: dict[str, BuiltinSig] = {}
     for sig in sigs:
         assert sig.name not in out, sig.name
-        if sig.kind == "action":
-            impl = getattr(Engine, "act_" + sig.name.lower())
-        else:
-            impl = getattr(predicates, sig.name)
-        out[sig.name] = replace(sig, impl=impl)
+        out[sig.name] = replace(sig, impl=impl_of(sig.name))
     return out
 
 
 ACTIONS = _table([
-    BuiltinSig("set", "action", ExprType.UNIVERSAL, (U, U)),
-    BuiltinSig("crash", "action", ExprType.UNIVERSAL, (S,)),
-    BuiltinSig("alert", "action", ExprType.UNIVERSAL, (S,)),
-    BuiltinSig("exec", "action", ExprType.UNIVERSAL, (S,), vararg=S),
-    BuiltinSig("True", "action", ExprType.UNIVERSAL, (), vararg=U),
-    BuiltinSig("False", "action", ExprType.UNIVERSAL, (), vararg=U),
-    BuiltinSig("trigger", "action", ExprType.UNIVERSAL, (I,), level_args=(0,)),
-])
+    BuiltinSig("set", None, (U, U)),
+    BuiltinSig("crash", None, (S,)),
+    BuiltinSig("alert", None, (S,)),
+    BuiltinSig("exec", None, (S,), vararg=S),
+    BuiltinSig("True", None, (), vararg=U),
+    BuiltinSig("False", None, (), vararg=U),
+    BuiltinSig("trigger", None, (I,), level_args=(0,)),
+], lambda name: getattr(Engine, "act_" + name.lower()))
 
-MSG_PREDICATES = _table([
-    BuiltinSig("msgsubtype", "predicate", ExprType.MSG, (S, S)),
-    BuiltinSig("msgtypein", "predicate", ExprType.MSG, (), vararg=S),
-    BuiltinSig("payload", "predicate", ExprType.MSG, (S,), const_args=(0,)),
-    BuiltinSig("plugin", "predicate", ExprType.MSG, (S,), const_args=(0,)),
-    BuiltinSig("publishercount", "predicate", ExprType.MSG, (I, I)),
-    BuiltinSig("publishers", "predicate", ExprType.MSG, (), vararg=S),
-    BuiltinSig("publishersinclude", "predicate", ExprType.MSG, (), vararg=S),
-    BuiltinSig("subscribercount", "predicate", ExprType.MSG, (I, I)),
-    BuiltinSig("subscribers", "predicate", ExprType.MSG, (), vararg=S),
-    BuiltinSig("subscribersinclude", "predicate", ExprType.MSG, (), vararg=S),
-    BuiltinSig("topicin", "predicate", ExprType.MSG, (), vararg=S),
-    BuiltinSig("topicmatches", "predicate", ExprType.MSG, (S,), const_args=(0,)),
-])
-
-GRAPH_PREDICATES = _table([
-    BuiltinSig("nodes", "predicate", ExprType.GRAPH, (), vararg=S),
-    BuiltinSig("nodesinclude", "predicate", ExprType.GRAPH, (), vararg=S),
-    BuiltinSig("nodecount", "predicate", ExprType.GRAPH, (I, I)),
-    BuiltinSig("service", "predicate", ExprType.GRAPH, (S, S)),
-    BuiltinSig("servicecount", "predicate", ExprType.GRAPH, (S, I, I)),
-    BuiltinSig("services", "predicate", ExprType.GRAPH, (S,), vararg=S),
-    BuiltinSig("servicesinclude", "predicate", ExprType.GRAPH, (S,), vararg=S),
-    BuiltinSig("topiccount", "predicate", ExprType.GRAPH, (I, I)),
-    BuiltinSig("topics", "predicate", ExprType.GRAPH, (), vararg=S),
-    BuiltinSig("topicsinclude", "predicate", ExprType.GRAPH, (), vararg=S),
-    BuiltinSig("topicpublishercount", "predicate", ExprType.GRAPH, (S, I, I)),
-    BuiltinSig("topicpublishers", "predicate", ExprType.GRAPH, (S,), vararg=S),
-    BuiltinSig("topicpublishersinclude", "predicate", ExprType.GRAPH, (S,), vararg=S),
-    BuiltinSig("topicsubscribercount", "predicate", ExprType.GRAPH, (S, I, I)),
-    BuiltinSig("topicsubscribers", "predicate", ExprType.GRAPH, (S,), vararg=S),
-    BuiltinSig("topicsubscribersinclude", "predicate", ExprType.GRAPH, (S,), vararg=S),
-])
-
-EXTERNAL_PREDICATES = _table([
-    BuiltinSig("idsalert", "predicate", ExprType.EXTERNAL, (S,)),
-    BuiltinSig("signal", "predicate", ExprType.EXTERNAL, (S,), const_args=(0,)),
-])
-
-UNIVERSAL_HELPERS = _table([
-    BuiltinSig("levelname", "helper", ExprType.UNIVERSAL, (I,), result=S, level_args=(0,)),
-    BuiltinSig("string", "helper", ExprType.UNIVERSAL, (U,), result=S),
-])
-
-EXPRESSION_BUILTINS: dict[str, BuiltinSig] = {
-    **MSG_PREDICATES,
-    **GRAPH_PREDICATES,
-    **EXTERNAL_PREDICATES,
-    **UNIVERSAL_HELPERS,
-}
-
-ALL_BUILTINS: dict[str, BuiltinSig] = {**ACTIONS, **EXPRESSION_BUILTINS}
+EXPRESSION_BUILTINS = _table([
+    BuiltinSig("msgsubtype", MSG, (S, S)),
+    BuiltinSig("msgtypein", MSG, (), vararg=S),
+    BuiltinSig("payload", MSG, (S,), const_args=(0,)),
+    BuiltinSig("plugin", MSG, (S,), const_args=(0,)),
+    BuiltinSig("publishercount", MSG, (I, I)),
+    BuiltinSig("publishers", MSG, (), vararg=S),
+    BuiltinSig("publishersinclude", MSG, (), vararg=S),
+    BuiltinSig("subscribercount", MSG, (I, I)),
+    BuiltinSig("subscribers", MSG, (), vararg=S),
+    BuiltinSig("subscribersinclude", MSG, (), vararg=S),
+    BuiltinSig("topicin", MSG, (), vararg=S),
+    BuiltinSig("topicmatches", MSG, (S,), const_args=(0,)),
+    BuiltinSig("nodes", GRAPH, (), vararg=S),
+    BuiltinSig("nodesinclude", GRAPH, (), vararg=S),
+    BuiltinSig("nodecount", GRAPH, (I, I)),
+    BuiltinSig("service", GRAPH, (S, S)),
+    BuiltinSig("servicecount", GRAPH, (S, I, I)),
+    BuiltinSig("services", GRAPH, (S,), vararg=S),
+    BuiltinSig("servicesinclude", GRAPH, (S,), vararg=S),
+    BuiltinSig("topiccount", GRAPH, (I, I)),
+    BuiltinSig("topics", GRAPH, (), vararg=S),
+    BuiltinSig("topicsinclude", GRAPH, (), vararg=S),
+    BuiltinSig("topicpublishercount", GRAPH, (S, I, I)),
+    BuiltinSig("topicpublishers", GRAPH, (S,), vararg=S),
+    BuiltinSig("topicpublishersinclude", GRAPH, (S,), vararg=S),
+    BuiltinSig("topicsubscribercount", GRAPH, (S, I, I)),
+    BuiltinSig("topicsubscribers", GRAPH, (S,), vararg=S),
+    BuiltinSig("topicsubscribersinclude", GRAPH, (S,), vararg=S),
+    BuiltinSig("idsalert", EXTERNAL, (S,)),
+    BuiltinSig("signal", EXTERNAL, (S,), const_args=(0,)),
+    BuiltinSig("levelname", None, (I,), result=S, level_args=(0,)),
+    BuiltinSig("string", None, (U,), result=S),
+], lambda name: getattr(predicates, name))

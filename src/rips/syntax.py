@@ -12,6 +12,10 @@ from typing import Optional, Union
 
 
 class SectionKind(Enum):
+    """The section a rule sits in, which decides the events it sees; a
+    builtin's ``BuiltinSig.section`` names the one section that may call
+    it."""
+
     GRAPH = "Graph"
     MSG = "Msg"
     EXTERNAL = "External"
@@ -21,8 +25,6 @@ class SectionKind(Enum):
 class Node:
     line: int = field(compare=False, repr=False, kw_only=True, default=0)
     column: int = field(compare=False, repr=False, kw_only=True, default=0)
-    # Filled in by the checker: (value type, expression type) of this node.
-    ty: object = field(compare=False, repr=False, kw_only=True, default=None)
 
 
 @dataclass(eq=True)

@@ -121,7 +121,7 @@ def transpile(checked: CheckedProgram, timestamp: str | None = None) -> str:
     w = out.append
     w("#!/usr/bin/env python3")
     w(f"# Generated rule program; do not edit.")
-    w(f"# source: {checked.source_name}")
+    w(f"# source: {repr(checked.source_name)[1:-1]}")
     w(f"# engine-version: {__version__}")
     w(f"# generated-at: {timestamp}")
     w("")

@@ -1,4 +1,8 @@
-"""Runtime value semantics shared by the interpreter and generated code.
+"""Value types and the value semantics shared by the checker, the
+interpreter and generated code.
+
+``ValueType`` is the static type of a value; the checker gives every
+expression one, and the operator tables below are keyed on it.
 
 Integers behave as wrapping two's-complement 64-bit values, division and
 modulo truncate toward zero (the remainder takes the dividend's sign), and
@@ -15,9 +19,22 @@ from __future__ import annotations
 
 import math
 import operator
+from enum import Enum
 
 from .errors import EvalFault
-from .typesys import ValueType
+
+
+class ValueType(Enum):
+    STRING = "string"
+    INT = "int"
+    BOOL = "bool"
+    FLOAT = "float"
+    # A builtin parameter that accepts a value of any type.
+    UNIVERSAL = "Universal"
+
+
+# The declared type names of consts, vars and literals.
+VALUE_TYPE_BY_NAME = {vt.value: vt for vt in ValueType if vt is not ValueType.UNIVERSAL}
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1

@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import pytest
 
@@ -6,9 +7,10 @@ from rips import signatures
 from rips.checker import check_file, check_scripts, check_source
 from rips.errors import StaticError
 from rips.parser import parse_source
-from rips.typesys import ExprType, ValueType
+from rips.syntax import SectionKind
+from rips.values import ValueType
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, write_script
 
 
 def diag_messages(exc_info):
@@ -32,11 +34,7 @@ def test_simple_arithmetic_types_and_folding():
     checked = check_source("consts: X int = 3 + 4;")
     sym = checked.symbols["X"]
     assert sym.value == 7
-    assert sym.type.value_type is ValueType.INT
-    assert sym.type.expr_type is ExprType.UNIVERSAL
-    init = checked.program.consts[0].init
-    assert init.ty.value_type is ValueType.INT
-    assert init.ty.expr_type is ExprType.UNIVERSAL
+    assert sym.type is ValueType.INT
 
 
 def test_const_folding_examples():
@@ -185,7 +183,7 @@ def test_set_first_arg_must_be_name():
 
 def test_predefined_are_ints():
     checked = check_source("rules Graph: Time > 0 && Uptime >= 0 && CurrLevel == CurrLevel ? True();")
-    assert checked.symbols["Time"].type.value_type is ValueType.INT
+    assert checked.symbols["Time"].type is ValueType.INT
 
 
 def test_reserved_names_cannot_be_declared():
@@ -411,42 +409,91 @@ def test_checker_determinism():
 # --- the signature tables themselves ---
 
 
+MSG_BUILTINS = {
+    "msgsubtype", "msgtypein", "payload", "plugin",
+    "publishercount", "publishers", "publishersinclude",
+    "subscribercount", "subscribers", "subscribersinclude",
+    "topicin", "topicmatches",
+}
+GRAPH_BUILTINS = {
+    "nodes", "nodesinclude", "nodecount",
+    "service", "servicecount", "services", "servicesinclude",
+    "topiccount", "topics", "topicsinclude",
+    "topicpublishercount", "topicpublishers", "topicpublishersinclude",
+    "topicsubscribercount", "topicsubscribers", "topicsubscribersinclude",
+}
+EXTERNAL_BUILTINS = {"idsalert", "signal"}
+UNIVERSAL_BUILTINS = {"levelname", "string"}
+
+
+def _in_section(section):
+    return {name for name, sig in signatures.EXPRESSION_BUILTINS.items() if sig.section is section}
+
+
 def test_every_builtin_in_exactly_one_table():
-    tables = {
-        "actions": signatures.ACTIONS,
-        "msg": signatures.MSG_PREDICATES,
-        "graph": signatures.GRAPH_PREDICATES,
-        "external": signatures.EXTERNAL_PREDICATES,
-        "universal": signatures.UNIVERSAL_HELPERS,
-    }
-    seen = {}
-    for table_name, table in tables.items():
-        for name in table:
-            assert name not in seen, f"{name} in both {seen.get(name)} and {table_name}"
-            seen[name] = table_name
+    assert not set(signatures.ACTIONS) & set(signatures.EXPRESSION_BUILTINS)
     assert set(signatures.ACTIONS) == {"set", "crash", "alert", "exec", "True", "False", "trigger"}
-    assert set(signatures.MSG_PREDICATES) == {
-        "msgsubtype", "msgtypein", "payload", "plugin",
-        "publishercount", "publishers", "publishersinclude",
-        "subscribercount", "subscribers", "subscribersinclude",
-        "topicin", "topicmatches",
-    }
-    assert set(signatures.GRAPH_PREDICATES) == {
-        "nodes", "nodesinclude", "nodecount",
-        "service", "servicecount", "services", "servicesinclude",
-        "topiccount", "topics", "topicsinclude",
-        "topicpublishercount", "topicpublishers", "topicpublishersinclude",
-        "topicsubscribercount", "topicsubscribers", "topicsubscribersinclude",
-    }
-    assert set(signatures.EXTERNAL_PREDICATES) == {"idsalert", "signal"}
-    assert set(signatures.UNIVERSAL_HELPERS) == {"levelname", "string"}
+    assert all(sig.section is None for sig in signatures.ACTIONS.values())
+    assert _in_section(SectionKind.MSG) == MSG_BUILTINS
+    assert _in_section(SectionKind.GRAPH) == GRAPH_BUILTINS
+    assert _in_section(SectionKind.EXTERNAL) == EXTERNAL_BUILTINS
+    assert _in_section(None) == UNIVERSAL_BUILTINS
 
 
 def test_variadic_flags_match_tables():
     assert signatures.ACTIONS["exec"].vararg is not None
     assert signatures.ACTIONS["True"].vararg is not None
     assert signatures.ACTIONS["alert"].vararg is None
-    assert signatures.MSG_PREDICATES["topicin"].vararg is not None
-    assert signatures.MSG_PREDICATES["topicmatches"].vararg is None
-    assert signatures.GRAPH_PREDICATES["services"].vararg is not None
-    assert signatures.GRAPH_PREDICATES["nodecount"].vararg is None
+    assert signatures.EXPRESSION_BUILTINS["topicin"].vararg is not None
+    assert signatures.EXPRESSION_BUILTINS["topicmatches"].vararg is None
+    assert signatures.EXPRESSION_BUILTINS["services"].vararg is not None
+    assert signatures.EXPRESSION_BUILTINS["nodecount"].vararg is None
+
+
+# --- the section check, for every expression builtin ---
+
+_SECTION_BUILTINS = {"Msg": MSG_BUILTINS, "Graph": GRAPH_BUILTINS, "External": EXTERNAL_BUILTINS}
+_SAMPLE_ARGUMENT = {"string": '"x"', "int": "1", "Universal": "1"}
+# Builtins whose arguments the checker needs to be a valid resource or level.
+_WRITTEN_CALL = {
+    "payload": 'payload("yaraexp3.yar")',
+    "plugin": 'plugin("p.sh")',
+    "topicmatches": 'topicmatches("/a.*")',
+    "signal": 'signal("SIGUSR1")',
+    "levelname": "levelname(A)",
+}
+
+
+def _well_formed_call(name: str) -> str:
+    """A call of builtin ``name`` that the checker accepts in a rule of its
+    own section, given level ``A``, the pattern file and the plugin."""
+    if name in _WRITTEN_CALL:
+        return _WRITTEN_CALL[name]
+    sig = signatures.EXPRESSION_BUILTINS[name]
+    params = [*sig.params, *([sig.vararg] if sig.vararg is not None else [])]
+    return f"{name}({', '.join(_SAMPLE_ARGUMENT[p.value] for p in params)})"
+
+
+@pytest.mark.parametrize("name", sorted(signatures.EXPRESSION_BUILTINS))
+def test_section_check_for_every_expression_builtin(name, tmp_path):
+    shutil.copy(os.path.join(DATA_DIR, "yaraexp3.yar"), tmp_path)
+    write_script(tmp_path / "p.sh")
+    call = _well_formed_call(name)
+    result = signatures.EXPRESSION_BUILTINS[name].result.value
+    trigger = call if result == "bool" else f'{call} != ""'
+    own = [section for section, names in _SECTION_BUILTINS.items() if name in names]
+
+    def rule_in(section):
+        return f"levels: A;\nrules {section}: {trigger} ? True();"
+
+    for section in _SECTION_BUILTINS:
+        if own and section != own[0]:
+            expect_error(rule_in(section), f"{name} has expression type {own[0]} and cannot"
+                         f" be used in a {section} rule", base_dir=str(tmp_path))
+        else:
+            check_source(rule_in(section), base_dir=str(tmp_path))
+    with pytest.raises(StaticError) as exc:
+        check_source(f"levels: A;\nconsts: X {result} = {call};", base_dir=str(tmp_path))
+    outside = [m for m in diag_messages(exc) if "cannot be used outside rules" in m]
+    assert outside == ([f"{name} cannot be used outside rules"] if own else [])
+    assert name in UNIVERSAL_BUILTINS or len(own) == 1

@@ -107,3 +107,11 @@ def test_generated_program_refuses_a_non_positive_interval(tmp_path, capsys, int
     assert exc.value.code == cli.USAGE_ERROR
     assert "invalid positive_float value" in capsys.readouterr().err
     assert not sock.exists()
+
+
+def test_a_rules_file_name_cannot_inject_code_into_the_generated_program():
+    name = "x\nINJECTED = 1\n#.rul"
+    source = transpile(check_source('rules Graph: nodecount(1, 1) ? alert("one");', name))
+    module = load_generated(source, "named_generated")
+    assert not hasattr(module, "INJECTED")
+    assert "\n# source: x\\nINJECTED = 1\\n#.rul\n" in source

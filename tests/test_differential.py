@@ -25,10 +25,10 @@ from rips.bus import SignalCounters
 from rips.checker import check_source
 from rips.errors import EngineCrash, StaticError
 from rips.runtime import Engine, EngineConfig, FakeClock, InterpretedEngine, RecordingRunner
-from rips.signatures import ACTIONS, ALL_BUILTINS, EXPRESSION_BUILTINS
+from rips.signatures import ACTIONS, EXPRESSION_BUILTINS
 from rips.syntax import Binary, Call, Unary
 from rips.transpiler import load_generated, transpile
-from rips.typesys import ValueType
+from rips.values import ValueType
 from rips.wire import decode_event, encode_event
 
 from conftest import DATA_DIR
@@ -219,10 +219,11 @@ def test_both_engines_dispatch_through_the_signature_table():
         "alert", "trigger", "set", "exec", "True", "False", "crash"}
     generated = transpile(checked)
     for call in interp_calls:
-        assert call.sig.impl is ALL_BUILTINS[call.name].impl
-        if call.sig.kind == "action":
+        if call.name in ACTIONS:
+            assert call.sig.impl is ACTIONS[call.name].impl
             assert f"r = E.{call.sig.impl.__name__}(" in generated
         else:
+            assert call.sig.impl is EXPRESSION_BUILTINS[call.name].impl
             assert f"_P.{call.name}(E, ctx" in generated
 
 
@@ -248,7 +249,7 @@ def test_engines_do_not_dispatch_on_builtin_names(module):
     """No string ladder: neither engine compares a name with a builtin's
     name, action or expression. (``RecordingRunner`` labels its records
     "plugin" and "exec", child-process kinds, which is not a comparison.)"""
-    assert not _compared_constants(_module_tree(module)) & set(ALL_BUILTINS)
+    assert not _compared_constants(_module_tree(module)) & {*ACTIONS, *EXPRESSION_BUILTINS}
 
 
 @pytest.mark.parametrize("module, function", [("runtime.py", "evaluate"), ("checker.py", "fold")])

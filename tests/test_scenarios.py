@@ -10,7 +10,9 @@ from __future__ import annotations
 import os
 
 import pytest
+import yaml
 
+from rips import cli
 from rips.checker import check_file, check_source
 from rips.runtime import EngineConfig, InterpretedEngine, RecordingRunner
 from rips.scenario import (
@@ -143,6 +145,28 @@ def test_equal_times_run_entries_then_ticks_then_polls():
 def test_scenario_polling_must_be_positive(polling):
     with pytest.raises(ScenarioError, match="polling must be a positive number of seconds"):
         parse_scenario({"polling": polling})
+
+
+@pytest.mark.parametrize("at", [".nan", ".inf", "-.inf", "-1", "soon"])
+def test_timeline_time_must_be_finite_and_not_negative(at):
+    """A NaN or infinite time used to pass parsing and then crash the run
+    in ``int()``; it is now refused when the scenario is parsed."""
+    doc = yaml.safe_load(f"timeline: [{{at: {at}, signal: SIGUSR1}}]")
+    with pytest.raises(ScenarioError, match="'at' of timeline entry 0 must be a finite number of seconds"):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("grace", [".nan", ".inf", "-0.5"])
+def test_grace_must_be_finite_and_not_negative(grace):
+    with pytest.raises(ScenarioError, match="grace must be a finite number of seconds"):
+        parse_scenario(yaml.safe_load(f"grace: {grace}"))
+
+
+def test_simulate_reports_a_nan_time_without_a_traceback(tmp_path, capsys):
+    (tmp_path / "nan.yaml").write_text("timeline:\n  - at: .nan\n    signal: SIGUSR1\n")
+    rules = os.path.join(DATA_DIR, "soft_levels.rul")
+    assert cli.main(["simulate", rules, str(tmp_path / "nan.yaml")]) == cli.STATIC_ERROR
+    assert "'at' of timeline entry 0 must be a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("env", ["0", "-1", "soon"])

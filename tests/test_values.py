@@ -4,6 +4,7 @@ import pytest
 
 from rips import values
 from rips.errors import EvalFault
+from rips.values import ValueType
 
 
 def test_int_overflow_wraps_two_complement():
@@ -78,8 +79,6 @@ def test_float_to_string_round_trips():
 
 
 def test_operator_table_dispatch():
-    from rips.typesys import ValueType
-
     assert values.BINARY["+", ValueType.STRING]("a", "b") == "ab"
     assert values.BINARY["+", ValueType.INT](2**63 - 1, 1) == -(2**63)
     assert values.BINARY["+", ValueType.FLOAT](0.5, 0.25) == 0.75
