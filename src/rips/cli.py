@@ -131,7 +131,7 @@ def main(argv=None) -> int:
         checked = _check(args.rules, args.scriptsdir)
         if checked is None:
             return STATIC_ERROR
-        from .scenario import load_scenario, run_scenario
+        from .scenario import ScenarioError, load_scenario, run_scenario
 
         try:
             scenario = load_scenario(args.scenario)
@@ -147,6 +147,9 @@ def main(argv=None) -> int:
             report = run_scenario(scenario, build_engine, polling_s=args.polling)
         except EngineCrash:
             return CRASH
+        except ScenarioError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return STATIC_ERROR
         print(report.format())
         return 0 if report.passed else 1
 

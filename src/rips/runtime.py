@@ -2,7 +2,7 @@
 tree-walking interpreter.
 
 One ``Engine`` class runs both engines. It takes its rules as tables of
-``(rule_id, fn)`` and runs each as ``fn(engine, env, ctx)``: a generated
+``(rule_id, fn)`` and runs each as ``fn(engine, ctx)``: a generated
 program hands over the functions it defines, and ``InterpretedEngine``
 builds functions that walk the checked AST. Every builtin call, action or
 expression, goes through its ``BuiltinSig.impl``, with the same arguments in
@@ -12,9 +12,10 @@ if there is one, then the evaluated rest. Every operator goes through the
 operator table in ``values``; only ``&&`` and ``||``, which short-circuit,
 are walked here.
 
-One logical loop owns the environment; rules never run concurrently. Each
-rule evaluation refreshes Time/Uptime/CurrLevel first. A fault inside one
-rule (say, division by zero) skips that rule, queues a diagnostic alert and
+One logical loop owns the engine's state; rules never run concurrently.
+Each rule evaluation first reads the clock into ``time_ns``, from which
+``Uptime`` derives; ``CurrLevel`` is read live. A fault inside one rule
+(say, division by zero) skips that rule, queues a diagnostic alert and
 keeps the engine alive: an attacker-influenced message must not kill the
 engine.
 """
@@ -27,12 +28,11 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import values
 from .bus import SignalCounters
 from .errors import EngineCrash, EvalFault
-from .machine import Level, LevelMachine
 from .predicates import IdsAlertScanner
 from .syntax import Binary, Call, Literal, Name, Rule, Unary
 from .wire import DecodeError, InboundEvent, Outcome, decode_event
@@ -146,21 +146,19 @@ class RecordingRunner:
         return self._record(("plugin", path, payload))
 
 
-@dataclass
-class RuntimeEnv:
-    variables: dict[str, object] = field(default_factory=dict)
-    time_ns: int = 0
-    start_ns: int = 0
-
-
 class Engine:
     """The rule engine.
 
     ``levels`` are ``(name, soft)`` pairs in declaration order; with a
     ``scripts_dir`` every transition runs ``<scripts_dir>/<level>.from`` and
     ``.to``. The three rule tables hold ``(rule_id, fn)`` pairs, run as
-    ``fn(engine, env, ctx)``. ``regexes``, ``patterns`` and ``plugins`` are
-    the precompiled resources that ``Call.resource`` indexes.
+    ``fn(engine, ctx)``. ``regexes``, ``patterns`` and ``plugins`` are the
+    precompiled resources that ``Call.resource`` indexes.
+
+    The run's state: ``current``, the ordinal of the current level, which
+    only rises except that a soft level may step down one; ``variables``;
+    and ``time_ns`` and ``start_ns``, the clock at the running rule and at
+    ``start``.
 
     Every outcome goes to ``sink`` (if any) and into one flat buffer; each
     entry point (``start``, ``handle_event``, ``tick``) returns and empties
@@ -190,9 +188,12 @@ class Engine:
         self.runner = runner if runner is not None else SubprocessRunner(self.config.exec_timeout)
         self.counters = counters or SignalCounters()
         self.sink = sink
-        self.machine = LevelMachine([Level(name, soft, i) for i, (name, soft) in enumerate(levels)])
+        self.levels = list(levels)
+        self.current = 0
         self.scripts_dir = scripts_dir
-        self.env = RuntimeEnv(variables=dict(var_init))
+        self.variables = dict(var_init)
+        self.time_ns = 0
+        self.start_ns = 0
         self.ids = IdsAlertScanner(self.config.ids_dir, self.config.ids_pattern)
         self.regexes = list(regexes)
         self.patterns = list(patterns)
@@ -211,11 +212,9 @@ class Engine:
         if self._started:
             return []
         self._started = True
-        now = self.clock.now_ns()
-        self.env.start_ns = now
-        self.env.time_ns = now
-        if self.machine.levels:
-            name = self.machine.levels[0].name
+        self.start_ns = self.time_ns = self.clock.now_ns()
+        if self.levels:
+            name = self.levels[0][0]
             if not self._run_script(name, "to", from_name="", to_name=name):
                 self._script_failure_alert(f"{name}.to")
         return self._take_outcomes()
@@ -251,16 +250,15 @@ class Engine:
         return self._take_outcomes()
 
     def dump_variables(self) -> dict[str, object]:
-        return dict(self.env.variables)
+        return dict(self.variables)
 
     # --- core loop pieces ---
 
     def _run_rules(self, rules, ctx) -> None:
-        env = self.env
         for rule_id, fn in rules:
-            env.time_ns = self.clock.now_ns()
+            self.time_ns = self.clock.now_ns()
             try:
-                fn(self, env, ctx)
+                fn(self, ctx)
             except EvalFault as fault:
                 self.act_alert(f"rule {rule_id}: {fault}")
 
@@ -268,7 +266,10 @@ class Engine:
         outcomes, self._outcomes = self._outcomes, []
         return outcomes
 
-    def _deliver(self, outcome: Outcome) -> bool:
+    def _deliver(self, kind: str, ordinal: int, text: str) -> bool:
+        """Emit an outcome of ``kind`` at level ``ordinal``, stamped with
+        the running rule's time; returns what the sink made of it."""
+        outcome = Outcome(kind, self.levelname(ordinal), ordinal, self.gravity(ordinal), text, self.time_ns)
         self._outcomes.append(outcome)
         if self.sink is None:
             return True
@@ -288,45 +289,29 @@ class Engine:
     # --- actions: the impl of each action's BuiltinSig, act_<name lowercased> ---
 
     def act_set(self, name: str, value) -> bool:
-        self.env.variables[name] = value
+        self.variables[name] = value
         return True
 
     def act_alert(self, text: str) -> bool:
-        m = self.machine
-        return self._deliver(
-            Outcome(
-                kind="alert",
-                level=m.current_name,
-                ordinal=m.current,
-                gravity=m.gravity(),
-                text=text,
-                timestamp_ns=self.env.time_ns,
-            )
-        )
+        return self._deliver("alert", self.current, text)
 
     def act_trigger(self, target) -> bool:
-        m = self.machine
-        kind = m.classify(target)
-        if kind == "invalid" or kind == "denied":
+        """Move to level ``target``: False if it is out of range, or lower
+        than the current level and not one step below a soft one; True,
+        running no script, if it is the current level."""
+        old = self.current
+        if not 0 <= target < len(self.levels):
             return False
-        if kind == "noop":
+        if target == old:
             return True
-        old = m.current
-        old_name = m.name_of(old)
-        new_name = m.name_of(target)
+        if target < old and not (self.levels[old][1] and target == old - 1):
+            return False
+        old_name = self.levelname(old)
+        new_name = self.levelname(target)
         ok_from = self._run_script(old_name, "from", from_name=old_name, to_name=new_name)
         ok_to = self._run_script(new_name, "to", from_name=old_name, to_name=new_name)
-        m.commit(target)
-        self._deliver(
-            Outcome(
-                kind="levelchange",
-                level=new_name,
-                ordinal=target,
-                gravity=m.gravity(target),
-                text="",
-                timestamp_ns=self.env.time_ns,
-            )
-        )
+        self.current = target
+        self._deliver("levelchange", target, "")
         if not ok_from:
             self._script_failure_alert(f"{old_name}.from")
         if not ok_to:
@@ -353,7 +338,15 @@ class Engine:
         return False
 
     def levelname(self, ordinal) -> str:
-        return self.machine.name_of(ordinal)
+        """The name of level ``ordinal``; "" if there is no such level."""
+        if 0 <= ordinal < len(self.levels):
+            return self.levels[ordinal][0]
+        return ""
+
+    def gravity(self, ordinal) -> float:
+        """Level ``ordinal`` on a 0..1 scale, the last level being 1."""
+        n = len(self.levels)
+        return ordinal / (n - 1) if n > 1 else 0.0
 
 
 def InterpretedEngine(checked, **kwargs) -> Engine:
@@ -374,7 +367,7 @@ def InterpretedEngine(checked, **kwargs) -> Engine:
     )
 
 
-def run_rule(rule: Rule, E: Engine, env: RuntimeEnv, ctx) -> None:
+def run_rule(rule: Rule, E: Engine, ctx) -> None:
     """Interpret one rule: its trigger, then its chain of actions."""
     if evaluate(E, rule.trigger, ctx) is not True:
         return
@@ -406,13 +399,13 @@ def evaluate(E: Engine, e, ctx):
         sym = e.binding
         kind = sym.kind
         if kind == "var":
-            return E.env.variables[sym.name]
+            return E.variables[sym.name]
         if kind == "predefined":
             if sym.name == "CurrLevel":
-                return E.machine.current
+                return E.current
             if sym.name == "Time":
-                return E.env.time_ns
-            return E.env.time_ns - E.env.start_ns
+                return E.time_ns
+            return E.time_ns - E.start_ns
         return sym.value
     if cls is Binary:
         if e.impl is not None:

@@ -33,6 +33,12 @@ DEFAULT_GRACE_S = 1.0
 
 _NS = 1_000_000_000
 
+# The most ticks and polls one run may schedule. A step costs about 50 us
+# (soft_levels.rul, navigation.rul and monitor_demo.rul, with no timeline
+# entries due, on a 2-vCPU x86-64 host), so this keeps a run under about
+# a minute; a scenario that reaches further is refused, not simulated.
+MAX_STEPS = 1_000_000
+
 # What runs at a simulated time, in the order it runs when times are equal:
 # timeline entries, then the External tick, then the periodic graph poll.
 _ENTRY, _TICK, _POLL = range(3)
@@ -252,7 +258,9 @@ def run_scenario(
     polling_s: float | None = None,
 ) -> RunReport:
     """Replay a scenario against a fresh engine built by
-    ``build_engine(clock, counters)``; returns the run report.
+    ``build_engine(clock, counters)``; returns the run report. Raises
+    ``ScenarioError`` before the run if it would take more than
+    ``MAX_STEPS`` ticks and polls.
 
     The white/black lists are the RIPSWHITELIST/RIPSBLACKLIST environment
     variables (colon-separated topic names).
@@ -270,6 +278,10 @@ def run_scenario(
     end_ns = int(end_s * _NS)
     poll_ns = max(1, int(poll_s * _NS))
     tick_ns = max(1, int(tick_s * _NS))
+    steps = end_ns // tick_ns + (0 if scenario.on_change_only else end_ns // poll_ns + 1)
+    if steps > MAX_STEPS:
+        raise ScenarioError(f"scenario runs to {end_s:g} s in {steps} ticks and polls; "
+                            f"at most {MAX_STEPS} are allowed")
 
     # The emission schedule in simulated time: three streams, each sorted,
     # merged as the run goes, so memory does not grow with simulated time.
@@ -279,8 +291,8 @@ def run_scenario(
     schedule = heapq.merge(entries, ticks, polls, key=operator.itemgetter(0, 1))
 
     graph: dict = {"nodes": [], "topics": []}
-    monitor_level = engine.machine.current_name
-    monitor_grav = engine.machine.gravity()
+    monitor_level = engine.levelname(engine.current)
+    monitor_grav = engine.gravity(engine.current)
     last_alert = ""
     observed: list[ObservedOutcome] = []
     aborted = False

@@ -1,4 +1,4 @@
-"""AST for rules programs, plus a formatter that regenerates source text.
+"""AST for rules programs.
 
 Positions (line/column) and checker annotations are excluded from equality,
 so two structurally identical programs compare equal regardless of layout.
@@ -124,7 +124,7 @@ class Program:
 
 
 # Binary operator precedence, higher binds tighter. All left-associative.
-# The parser climbs it and the formatter parenthesizes by it.
+# The parser climbs it.
 BINARY_PRECEDENCE = {
     "||": 1,
     "&&": 2,
@@ -136,89 +136,3 @@ BINARY_PRECEDENCE = {
     "+": 8, "-": 8,
     "*": 9, "/": 9, "%": 9,
 }
-
-
-# --- formatting back to source ---------------------------------------------
-
-_UNARY_PREC = 10
-
-
-def _escape_string(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\x{ord(ch):02x}")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
-
-
-def format_expr(e: Expr, parent_prec: int = 0) -> str:
-    if isinstance(e, Literal):
-        if e.kind == "string":
-            return _escape_string(e.value)
-        if e.kind == "bool":
-            return "true" if e.value else "false"
-        if e.kind == "float":
-            return repr(e.value)
-        return str(e.value)
-    if isinstance(e, Name):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.name}({', '.join(format_expr(a) for a in e.args)})"
-    if isinstance(e, Unary):
-        inner = format_expr(e.operand, _UNARY_PREC)
-        return f"{e.op}{inner}"
-    if isinstance(e, Binary):
-        prec = BINARY_PRECEDENCE[e.op]
-        left = format_expr(e.left, prec)
-        # All binary operators associate left; force parens on an equal-
-        # precedence right child so the reparse rebuilds the same tree.
-        right = format_expr(e.right, prec + 1)
-        text = f"{left} {e.op} {right}"
-        if prec < parent_prec:
-            return f"({text})"
-        return text
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def format_program(p: Program) -> str:
-    lines: list[str] = []
-    if p.levels:
-        lines.append("levels:")
-        for lv in p.levels:
-            lines.append(f"    {lv.name} soft;" if lv.soft else f"    {lv.name};")
-        lines.append("")
-    if p.consts:
-        lines.append("consts:")
-        for c in p.consts:
-            lines.append(f"    {c.name} {c.type_name} = {format_expr(c.init)};")
-        lines.append("")
-    if p.vars:
-        lines.append("vars:")
-        for v in p.vars:
-            lines.append(f"    {v.name} {v.type_name} = {format_expr(v.init)};")
-        lines.append("")
-    for section in p.rule_sections:
-        lines.append(f"rules {section.kind.value}:")
-        for rule in section.rules:
-            parts = [f"    {format_expr(rule.trigger)} ?"]
-            body = []
-            for item in rule.chain:
-                body.append(format_expr(item.action))
-                if item.connector == ",":
-                    body.append(", ")
-                elif item.connector is not None:
-                    body.append(f" {item.connector} ")
-            parts.append("        " + "".join(body) + ";")
-            lines.extend(parts)
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"

@@ -1,7 +1,7 @@
 """Source-to-source translation of a checked program into a standalone
 Python program.
 
-Each rule becomes one function ``(E, env, ctx)`` with its trigger expression
+Each rule becomes one function ``(E, ctx)`` with its trigger expression
 inlined and the action chain lowered to connector-conditional calls; the
 program hands these functions to the same ``Engine`` the interpreter uses.
 Every builtin call names its ``BuiltinSig.impl``, the function object the
@@ -48,13 +48,13 @@ class _Gen:
         if isinstance(e, Name):
             sym = e.binding
             if sym.kind == "var":
-                return f"env.variables[{sym.name!r}]"
+                return f"E.variables[{sym.name!r}]"
             if sym.kind == "predefined":
                 if sym.name == "CurrLevel":
-                    return "E.machine.current"
+                    return "E.current"
                 if sym.name == "Time":
-                    return "env.time_ns"
-                return "(env.time_ns - env.start_ns)"
+                    return "E.time_ns"
+                return "(E.time_ns - E.start_ns)"
             # const / level / rule-local const: folded value inlined
             return _constant(sym.value)
         if isinstance(e, Unary):
@@ -90,7 +90,7 @@ class _Gen:
     # --- chains ---
 
     def rule_fn(self, fn_name: str, rule: Rule) -> list[str]:
-        lines = [f"def {fn_name}(E, env, ctx):"]
+        lines = [f"def {fn_name}(E, ctx):"]
         lines.append(f"    if not ({self.expr(rule.trigger)}):")
         lines.append("        return")
         indent = "    "

@@ -117,6 +117,7 @@ def test_engines_agree_on_random_programs(seed, ids_dir):
     assert _same(gen.steps, interp.steps)
     assert _same(gen.delivered, interp.delivered)
     assert _same(gen.engine.dump_variables(), interp.engine.dump_variables())
+    assert gen.engine.current == interp.engine.current
     assert gen.runner.calls == interp.runner.calls
     assert gen.counters.consumed == interp.counters.consumed
 

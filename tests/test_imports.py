@@ -13,7 +13,7 @@ from rips import cli
 from conftest import DATA_DIR, make_scripts
 
 RUNTIME = {f"rips.{name}" for name in (
-    "errors", "values", "machine", "syntax", "wire", "bus",
+    "errors", "values", "syntax", "wire", "bus",
     "predicates", "regexlite", "patterns", "runtime", "support")} | {"rips"}
 COMPILER = {f"rips.{name}" for name in ("checker", "parser", "tokens", "signatures", "transpiler", "scenario", "cli")}
 

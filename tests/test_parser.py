@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from rips.errors import ParseError
 from rips.parser import parse_source
-from rips.syntax import Binary, Call, Literal, Name, SectionKind, Unary, format_program
+from rips.syntax import Binary, Call, Literal, Name, SectionKind, Unary
 
 from conftest import DATA_DIR
-from randprog import random_program
+from randprog import format_program, random_program
 
 
 def load(name):

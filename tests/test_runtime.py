@@ -8,7 +8,6 @@ import pytest
 from rips.bus import SignalCounters
 from rips.checker import check_source
 from rips.errors import EngineCrash
-from rips.machine import Level, LevelMachine
 from rips.runtime import EngineConfig, FakeClock, InterpretedEngine, RecordingRunner, evaluate
 from rips.wire import decode_event, encode_event
 
@@ -38,40 +37,6 @@ def build(source, *, scripts_dir=None, base_dir=".", runner=None, clock=None, co
     return engine
 
 
-# --- level machine ---
-
-
-def test_machine_classification_soft_levels():
-    m = LevelMachine([Level("A", False, 0), Level("B", False, 1), Level("C", True, 2), Level("D", False, 3)])
-    # From A: any upward jump allowed, nothing below.
-    assert m.classify(1) == "up" and m.classify(3) == "up"
-    assert m.classify(0) == "noop"
-    assert m.classify(-1) == "invalid" and m.classify(4) == "invalid"
-    m.commit(2)  # C, soft
-    assert m.classify(1) == "down"      # one step below
-    assert m.classify(0) == "denied"    # two steps below
-    assert m.classify(3) == "up"
-    m.commit(3)  # D, hard
-    for target in (0, 1, 2):
-        assert m.classify(target) == "denied"
-
-
-def test_machine_gravity_normalized():
-    m = LevelMachine([Level("A", False, 0), Level("B", False, 1), Level("C", False, 2)])
-    assert m.gravity(0) == 0.0
-    assert m.gravity(1) == 0.5
-    assert m.gravity(2) == 1.0
-    single = LevelMachine([Level("X", False, 0)])
-    assert single.gravity(0) == 0.0
-
-
-def test_machine_level_names():
-    m = LevelMachine([Level("A", False, 0), Level("B", False, 1)])
-    assert m.name_of(0) == "A"
-    assert m.name_of(99) == ""
-    assert m.name_of(-1) == ""
-
-
 # --- trigger semantics through the engine ---
 
 SOFT_PROGRAM = "levels: A; B; C soft; D;\nvars: lv int = A;\nrules Graph: true ? set(lv, lv) , trigger(lv);"
@@ -80,15 +45,38 @@ SOFT_PROGRAM = "levels: A; B; C soft; D;\nvars: lv int = A;\nrules Graph: true ?
 def engine_at_level(level_ordinal, runner=None):
     eng = build(SOFT_PROGRAM, runner=runner)
     eng.start()
-    eng.machine.commit(level_ordinal)
+    eng.current = level_ordinal
     return eng
+
+
+def test_engine_transition_rule_soft_levels():
+    """Levels A, B, C soft, D: any rise is allowed, and only the soft C may
+    step down, and only one level."""
+    allowed = {
+        0: {0, 1, 2, 3},
+        1: {1, 2, 3},
+        2: {1, 2, 3},  # C -> B: one step below a soft level
+        3: {3},  # D is not soft
+    }
+    for start, targets in allowed.items():
+        for target in range(-1, 5):
+            eng = engine_at_level(start)
+            assert eng.act_trigger(target) is (target in targets), (start, target)
+            assert eng.current == (target if target in targets else start)
+
+
+def test_engine_gravity_normalized():
+    eng = build("levels: A; B; C;\nrules Graph: true ? True();")
+    assert [eng.gravity(i) for i in range(3)] == [0.0, 0.5, 1.0]
+    single = build("levels: X;\nrules Graph: true ? True();")
+    assert single.gravity(0) == 0.0
 
 
 def test_trigger_out_of_range_returns_false():
     eng = engine_at_level(0)
     assert eng.act_trigger(99) is False
     assert eng.act_trigger(-1) is False
-    assert eng.machine.current == 0
+    assert eng.current == 0
 
 
 def test_trigger_same_level_is_noop_true():
@@ -97,7 +85,7 @@ def test_trigger_same_level_is_noop_true():
     before = list(runner.calls)
     assert eng.act_trigger(2) is True
     assert runner.calls == before  # no scripts run
-    assert eng.machine.current == 2
+    assert eng.current == 2
 
 
 def test_trigger_soft_deescalation_runs_scripts_in_order(scripts_factory, tmp_path):
@@ -106,21 +94,21 @@ def test_trigger_soft_deescalation_runs_scripts_in_order(scripts_factory, tmp_pa
     eng = build(SOFT_PROGRAM, scripts_dir=scripts_dir, runner=None)
     eng.runner = __import__("rips.runtime", fromlist=["SubprocessRunner"]).SubprocessRunner(10.0)
     eng.start()
-    eng.machine.commit(2)  # C
+    eng.current = 2  # C
     log.write_text("")  # ignore the startup A.to
     assert eng.act_trigger(1) is True  # C -> B allowed: C is soft
     lines = log.read_text().strip().splitlines()
     assert lines == ["C.from C->B", "B.to C->B"]
-    assert eng.machine.current == 1
+    assert eng.current == 1
 
 
 def test_trigger_hard_deescalation_denied():
     eng = engine_at_level(2)
     assert eng.act_trigger(0) is False  # two below the soft level
-    assert eng.machine.current == 2
+    assert eng.current == 2
     eng2 = engine_at_level(3)
     assert eng2.act_trigger(2) is False  # D is not soft
-    assert eng2.machine.current == 3
+    assert eng2.current == 3
 
 
 def test_startup_runs_only_first_level_to_script(scripts_factory, tmp_path):
@@ -139,11 +127,10 @@ def test_script_failure_commits_transition_and_alerts(scripts_factory, tmp_path)
     scripts_dir = scripts_factory(["A", "B", "C", "D"], failing=("B.to",))
     eng = build(SOFT_PROGRAM, scripts_dir=scripts_dir, runner=SubprocessRunner(10.0))
     eng.start()
-    outcomes = eng._run_rules([("x", None)], None) if False else None
     collected = []
     eng.sink = collected.append
     assert eng.act_trigger(1) is True  # transition commits despite failure
-    assert eng.machine.current == 1
+    assert eng.current == 1
     kinds = [(o.kind, o.text) for o in collected]
     assert kinds[0][0] == "levelchange"
     assert any(o.kind == "alert" and "B.to" in o.text for o in collected)
@@ -238,9 +225,9 @@ def test_set_updates_variable():
     eng = build(src)
     eng.start()
     eng.handle_event(make_event("graph"))
-    assert eng.env.variables["nmsg"] == 1
+    assert eng.variables["nmsg"] == 1
     eng.handle_event(make_event("graph"))
-    assert eng.env.variables["nmsg"] == 2
+    assert eng.variables["nmsg"] == 2
 
 
 def test_set_identity_noop():
@@ -248,7 +235,7 @@ def test_set_identity_noop():
     eng = build(src)
     eng.start()
     eng.handle_event(make_event("graph"))
-    assert eng.env.variables["x"] == 7
+    assert eng.variables["x"] == 7
 
 
 def test_alert_queues_in_chain_order():
@@ -361,7 +348,7 @@ def test_division_by_zero_skips_rule_with_diagnostic():
     assert "division by zero" in outcomes[0].text
     assert "test.rul:Graph:0" in outcomes[0].text
     # The loop continued: the second rule still ran.
-    assert eng.env.variables["n"] == 1
+    assert eng.variables["n"] == 1
 
 
 def test_fault_in_action_argument_stops_rule_only():
@@ -374,8 +361,8 @@ def test_fault_in_action_argument_stops_rule_only():
     eng = build(src)
     eng.start()
     outcomes = eng.handle_event(make_event("graph"))
-    assert eng.env.variables["n"] == 1  # first action committed, third never ran
-    assert eng.env.variables["m"] == 1  # next rule unaffected
+    assert eng.variables["n"] == 1  # first action committed, third never ran
+    assert eng.variables["m"] == 1  # next rule unaffected
     assert any("modulo by zero" not in o.text and "division by zero" in o.text for o in outcomes)
 
 
@@ -414,9 +401,9 @@ def test_section_dispatch_graph_vs_msg():
     eng = build(src)
     eng.start()
     eng.handle_event(make_event("graph"))
-    assert (eng.env.variables["g"], eng.env.variables["m"]) == (11, 0)
+    assert (eng.variables["g"], eng.variables["m"]) == (11, 0)
     eng.handle_event(make_event("message", topic="/t", msg_type="x/msg/Y"))
-    assert (eng.env.variables["g"], eng.env.variables["m"]) == (11, 1)
+    assert (eng.variables["g"], eng.variables["m"]) == (11, 1)
 
 
 @pytest.mark.parametrize("bad", ["ill-typed", "decoder-failure"])
@@ -463,14 +450,14 @@ def test_time_and_uptime_semantics():
     eng.start()
     clock.advance(300)
     eng.handle_event(make_event("graph"))
-    assert eng.env.variables["t"] == 5_300
-    assert eng.env.variables["u"] == 300
+    assert eng.variables["t"] == 5_300
+    assert eng.variables["u"] == 300
     clock.advance(200)
     eng.handle_event(make_event("graph"))
-    assert eng.env.variables["t"] == 5_500
-    assert eng.env.variables["u"] == 500
+    assert eng.variables["t"] == 5_500
+    assert eng.variables["u"] == 500
     # Time - Uptime is the constant start instant.
-    assert eng.env.variables["t"] - eng.env.variables["u"] == 5_000
+    assert eng.variables["t"] - eng.variables["u"] == 5_000
 
 
 def test_uptime_monotone_under_system_clock():
@@ -482,8 +469,8 @@ def test_uptime_monotone_under_system_clock():
     last = -1
     for _ in range(5):
         eng.handle_event(make_event("graph"))
-        assert eng.env.variables["u"] >= last
-        last = eng.env.variables["u"]
+        assert eng.variables["u"] >= last
+        last = eng.variables["u"]
 
 
 def test_levelname_runtime_behavior():
@@ -522,12 +509,12 @@ def test_eval_purity_snapshot():
     eng.start()
     rule = checked.graph_rules[0]
     ev = make_event("graph", topics=[{"topic": "/t", "publishers": ["p"], "subscribers": []}])
-    before_vars = copy.deepcopy(eng.env.variables)
-    before_level = eng.machine.current
+    before_vars = copy.deepcopy(eng.variables)
+    before_level = eng.current
     for _ in range(3):
         assert evaluate(eng, rule.trigger, ev.graph) is True
-    assert eng.env.variables == before_vars
-    assert eng.machine.current == before_level
+    assert eng.variables == before_vars
+    assert eng.current == before_level
 
 
 def test_state_machine_safety_under_random_triggers():
@@ -536,13 +523,12 @@ def test_state_machine_safety_under_random_triggers():
     rng = random.Random(42)
     eng = build(SOFT_PROGRAM)
     eng.start()
-    m = eng.machine
-    soft = {lv.ordinal: lv.soft for lv in m.levels}
+    soft = [s for _, s in eng.levels]
     for _ in range(500):
-        cur = m.current
+        cur = eng.current
         target = rng.randint(-2, 5)
         changed = eng.act_trigger(target)
-        new = m.current
+        new = eng.current
         if new != cur:
             assert changed
             assert new > cur or (soft[cur] and new == cur - 1)

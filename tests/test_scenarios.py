@@ -8,10 +8,13 @@ Child processes go to a ``RecordingRunner``: the fixtures' rules exec
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 
+import rips
 from rips import cli
 from rips.checker import check_file, check_source
 from rips.runtime import EngineConfig, InterpretedEngine, RecordingRunner
@@ -167,6 +170,34 @@ def test_simulate_reports_a_nan_time_without_a_traceback(tmp_path, capsys):
     rules = os.path.join(DATA_DIR, "soft_levels.rul")
     assert cli.main(["simulate", rules, str(tmp_path / "nan.yaml")]) == cli.STATIC_ERROR
     assert "'at' of timeline entry 0 must be a finite number" in capsys.readouterr().err
+
+
+def test_simulate_refuses_a_far_scenario_time(tmp_path):
+    """A finite but far ``at`` used to run every tick and poll up to it: at
+    1e9 s, about 1.2e10 steps, days of CPU. It runs in a child, so a
+    hang fails the test at its timeout rather than stalling the suite."""
+    (tmp_path / "far.yaml").write_text("timeline:\n  - at: 1.0e+9\n    signal: SIGUSR1\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rips.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "rips", "simulate", os.path.join(DATA_DIR, "soft_levels.rul"),
+                           str(tmp_path / "far.yaml")], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.STATIC_ERROR
+    assert proc.stderr.startswith("error: scenario runs to 1e+09 s in ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("on_change_only", [False, True])
+def test_step_limit_counts_ticks_and_polls(monkeypatch, on_change_only):
+    """Ticks every 0.1 s and polls every 0.5 s up to 1 s: 10 ticks, and 3
+    polls (at 0, 0.5 and 1 s) unless graphs go out on change only."""
+    checked = check_source('rules External: true ? True();', "steps.rul")
+    doc = {"timeline": [{"at": 0.5, "signal": "SIGUSR1"}], "grace": 0.5, "on_change_only": on_change_only}
+    steps = 10 if on_change_only else 13
+    build = lambda clock, counters: InterpretedEngine(checked, clock=clock, counters=counters)
+    monkeypatch.setattr("rips.scenario.MAX_STEPS", steps)
+    assert run_scenario(parse_scenario(doc), build).passed
+    monkeypatch.setattr("rips.scenario.MAX_STEPS", steps - 1)
+    with pytest.raises(ScenarioError, match=f"in {steps} ticks and polls; at most {steps - 1} are allowed"):
+        run_scenario(parse_scenario(doc), build)
 
 
 @pytest.mark.parametrize("env", ["0", "-1", "soon"])
