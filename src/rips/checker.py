@@ -14,12 +14,12 @@ order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import regexlite
 from .bus import SIGNALS
 from .errors import Diagnostic, EvalFault, StaticError
-from .patterns import PatternFile, PatternFileError, load_pattern_file
+from .patterns import PatternFileError, load_pattern_file
 from .parser import parse_source
 from .runtime import plugin_problem, script_problems
 from .signatures import ACTIONS, EXPRESSION_BUILTINS, BuiltinSig
@@ -43,21 +43,11 @@ class Symbol:
 
 
 @dataclass
-class Resources:
-    """Constant arguments validated and prepared at compile time."""
-
-    regexes: list[regexlite.CompiledPattern] = field(default_factory=list)
-    pattern_paths: list[str] = field(default_factory=list)
-    patterns: list[PatternFile] = field(default_factory=list)
-    plugins: list[str] = field(default_factory=list)
-
-
-@dataclass
 class CheckedProgram:
     program: Program
     symbols: dict[str, Symbol]
     var_initial: dict[str, object]
-    resources: Resources
+    plugins: list[str]  # the resolved path of each plugin call
     scripts_dir: str | None
     graph_rules: list[Rule]
     msg_rules: list[Rule]
@@ -114,7 +104,7 @@ class _Checker:
             "Time": Symbol("Time", "predefined", ValueType.INT),
             "Uptime": Symbol("Uptime", "predefined", ValueType.INT),
         }
-        self.resources = Resources()
+        self.plugins: list[str] = []
         self.var_initial: dict[str, object] = {}
         self.trigger_calls: list[Call] = []
         self.curr_rule: Symbol | None = None
@@ -198,7 +188,7 @@ class _Checker:
             program=self.program,
             symbols=self.table,
             var_initial=self.var_initial,
-            resources=self.resources,
+            plugins=self.plugins,
             scripts_dir=self.scripts_dir,
             graph_rules=graph_rules,
             msg_rules=msg_rules,
@@ -437,29 +427,23 @@ class _Checker:
             self.fail(f"in constant expression: {exc}", arg)
         if call.name == "topicmatches":
             try:
-                compiled = regexlite.compile_pattern(value)
+                call.resource = regexlite.compile_pattern(value)
             except regexlite.PatternError as exc:
                 self.fail(f"invalid regular expression: {exc}", arg)
-            call.resource = len(self.resources.regexes)
-            self.resources.regexes.append(compiled)
         elif call.name == "payload":
-            path = value if os.path.isabs(value) else os.path.join(self.base_dir, value)
             try:
-                pattern_file = load_pattern_file(path)
-            except OSError as exc:
+                call.resource = load_pattern_file(os.path.join(self.base_dir, value))
+            except (OSError, UnicodeDecodeError) as exc:
                 self.fail(f"cannot read pattern file {value!r}: {exc}", arg)
             except PatternFileError as exc:
                 self.fail(f"bad pattern file {value!r}: {exc}", arg)
-            call.resource = len(self.resources.patterns)
-            self.resources.pattern_paths.append(path)
-            self.resources.patterns.append(pattern_file)
         elif call.name == "plugin":
-            path = value if os.path.isabs(value) else os.path.join(self.base_dir, value)
+            path = os.path.join(self.base_dir, value)
             problem = plugin_problem(path, value)
             if problem:
                 self.fail(problem, arg)
-            call.resource = len(self.resources.plugins)
-            self.resources.plugins.append(path)
+            call.resource = path
+            self.plugins.append(path)
         elif call.name == "signal":
             if value not in SIGNALS:
                 self.fail(

@@ -21,7 +21,7 @@ import sys
 from . import __version__
 from .checker import check_file
 from .errors import EngineCrash, LexError, ParseError, StaticError
-from .runtime import InterpretedEngine
+from .runtime import InterpretedEngine, SubprocessRunner
 from .support import add_engine_args, config_from_args, positive_float, serve_from_args
 
 # Where `rips run` looks for transition scripts unless told otherwise.
@@ -54,6 +54,17 @@ def _check(path: str, scripts_dir: str | None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
+    except UnicodeDecodeError as exc:
+        print(f"error: {path} is not UTF-8: {exc}", file=sys.stderr)
+        return None
+
+
+class _SimulationRunner(SubprocessRunner):
+    """Runs transition scripts and plugins, whose exit status is a
+    predicate's value; an exec action succeeds without starting a process."""
+
+    def run_exec(self, path: str, args: tuple[str, ...]) -> bool:
+        return True
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,7 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("-c", "--scripts", required=True, dest="scriptsdir",
                            help="transition-scripts directory embedded in the program")
 
-    p_sim = sub.add_parser("simulate", help="replay a scenario in-process and report")
+    p_sim = sub.add_parser("simulate", help="replay a scenario in-process and report",
+                           description="Replay a scenario in-process and report. Exec actions are"
+                           " not run; transition scripts (with --scripts) and plugins are.")
     p_sim.add_argument("rules")
     p_sim.add_argument("scenario", help="scenario YAML file")
     p_sim.add_argument("--scripts", dest="scriptsdir", default=None,
@@ -141,7 +154,8 @@ def main(argv=None) -> int:
         config = config_from_args(args)
 
         def build_engine(clock, counters):
-            return InterpretedEngine(checked, clock=clock, counters=counters, config=config)
+            return InterpretedEngine(checked, clock=clock, counters=counters, config=config,
+                                     runner=_SimulationRunner(config.exec_timeout))
 
         try:
             report = run_scenario(scenario, build_engine, polling_s=args.polling)

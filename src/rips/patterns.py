@@ -11,7 +11,7 @@ Hex wildcards, jumps, regex strings and modules are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 _ESCAPES = {"n": 0x0A, "t": 0x09, "\\": 0x5C, '"': 0x22}
 
@@ -195,6 +195,8 @@ class PatternRule:
 @dataclass
 class PatternFile:
     rules: list[PatternRule]
+    # The file it was read from, so that a generated program can read it again.
+    path: str = field(default="", compare=False)
 
     def match(self, payload: bytes) -> bool:
         return any(rule.match(payload) for rule in self.rules)
@@ -254,4 +256,4 @@ def parse_pattern_text(source: str) -> PatternFile:
 
 def load_pattern_file(path: str) -> PatternFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_pattern_text(fh.read())
+        return PatternFile(parse_pattern_text(fh.read()).rules, path)

@@ -5,9 +5,9 @@ rule's context (the ``InboundEvent`` for Msg rules, its ``GraphContext``
 for Graph rules, ``None`` for External rules) and the arguments. Both engines
 build the arguments the same way: the first argument the checker prepared
 in ``Call.resource``, if there is one, then the evaluated rest. The
-resource builtins (``topicmatches``, ``payload``, ``plugin``, ``signal``)
-thus receive the index of their precompiled resource, or the signal name,
-in place of their constant argument. Each ``BuiltinSig`` in
+builtins with a constant first argument thus receive it prepared:
+``topicmatches`` its compiled regex, ``payload`` its loaded pattern file,
+``plugin`` its resolved path and ``signal`` the signal name. Each ``BuiltinSig`` in
 ``signatures.EXPRESSION_BUILTINS`` carries its function here as ``impl``;
 the interpreter calls it and generated code names it, so both engines run
 the same code. (Actions are ``Engine`` methods, dispatched the same way.)
@@ -37,6 +37,8 @@ from typing import TYPE_CHECKING
 from . import values
 
 if TYPE_CHECKING:  # for the annotations alone
+    from .patterns import PatternFile
+    from .regexlite import CompiledPattern
     from .wire import GraphContext, InboundEvent
 
 log = logging.getLogger("rips.predicates")
@@ -84,16 +86,16 @@ def subscribercount(E, ctx: InboundEvent, lo: int, hi: int) -> bool:
     return lo <= len(ctx.graph.subscribers_of(ctx.topic)) <= hi
 
 
-def topicmatches(E, ctx: InboundEvent, index: int) -> bool:
-    return E.regexes[index].full_match(ctx.topic)
+def topicmatches(E, ctx: InboundEvent, regex: CompiledPattern) -> bool:
+    return regex.full_match(ctx.topic)
 
 
-def payload(E, ctx: InboundEvent, index: int) -> bool:
-    return E.patterns[index].match(ctx.payload)
+def payload(E, ctx: InboundEvent, pattern_file: PatternFile) -> bool:
+    return pattern_file.match(ctx.payload)
 
 
-def plugin(E, ctx: InboundEvent, index: int) -> bool:
-    return E.runner.run_plugin(E.plugins[index], ctx.payload)
+def plugin(E, ctx: InboundEvent, path: str) -> bool:
+    return E.runner.run_plugin(path, ctx.payload)
 
 
 # --- Graph predicates ---

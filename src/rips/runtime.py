@@ -152,8 +152,7 @@ class Engine:
     ``levels`` are ``(name, soft)`` pairs in declaration order; with a
     ``scripts_dir`` every transition runs ``<scripts_dir>/<level>.from`` and
     ``.to``. The three rule tables hold ``(rule_id, fn)`` pairs, run as
-    ``fn(engine, ctx)``. ``regexes``, ``patterns`` and ``plugins`` are the
-    precompiled resources that ``Call.resource`` indexes.
+    ``fn(engine, ctx)``.
 
     The run's state: ``current``, the ordinal of the current level, which
     only rises except that a soft level may step down one; ``variables``;
@@ -174,9 +173,6 @@ class Engine:
         graph_rules: list,
         msg_rules: list,
         external_rules: list,
-        regexes=(),
-        patterns=(),
-        plugins=(),
         clock=None,
         runner=None,
         counters: SignalCounters | None = None,
@@ -195,9 +191,6 @@ class Engine:
         self.time_ns = 0
         self.start_ns = 0
         self.ids = IdsAlertScanner(self.config.ids_dir, self.config.ids_pattern)
-        self.regexes = list(regexes)
-        self.patterns = list(patterns)
-        self.plugins = list(plugins)
         self._graph_rules = list(graph_rules)
         self._msg_rules = list(msg_rules)
         self._external_rules = list(external_rules)
@@ -352,7 +345,6 @@ class Engine:
 def InterpretedEngine(checked, **kwargs) -> Engine:
     """The engine of a ``CheckedProgram`` whose rule functions walk its AST;
     keywords as for ``Engine``: clock, runner, counters, sink, config."""
-    res = checked.resources
     return Engine(
         levels=[(d.name, d.soft) for d in checked.levels],
         scripts_dir=checked.scripts_dir,
@@ -360,9 +352,6 @@ def InterpretedEngine(checked, **kwargs) -> Engine:
         graph_rules=[(r.rule_id, functools.partial(run_rule, r)) for r in checked.graph_rules],
         msg_rules=[(r.rule_id, functools.partial(run_rule, r)) for r in checked.msg_rules],
         external_rules=[(r.rule_id, functools.partial(run_rule, r)) for r in checked.external_rules],
-        regexes=res.regexes,
-        patterns=res.patterns,
-        plugins=res.plugins,
         **kwargs,
     )
 

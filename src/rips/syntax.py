@@ -65,9 +65,9 @@ class Call(Node):
     args: list["Expr"] = field(default_factory=list)
     # Resolved builtin signature, filled in by the checker.
     sig: object = field(compare=False, repr=False, kw_only=True, default=None)
-    # Prepared first argument, filled in by the checker: the index of a
-    # precompiled regex, pattern file or plugin, a signal name, or the
-    # variable name of a set. Engines pass it in place of that argument.
+    # Prepared first argument, filled in by the checker: a compiled regex,
+    # a loaded pattern file, a plugin path, a signal name, or the variable
+    # name of a set. Engines pass it in place of that argument.
     resource: object = field(compare=False, repr=False, kw_only=True, default=None)
 
 

@@ -7,11 +7,14 @@ program hands these functions to the same ``Engine`` the interpreter uses.
 Every builtin call names its ``BuiltinSig.impl``, the function object the
 interpreter calls, with the same arguments: an expression builtin becomes
 ``_P.<name>(E, ctx, ...)`` of its ``predicates`` function, an action
-``E.act_<name>(...)`` of its engine method. Every operator likewise names
-the ``impl`` the checker bound on its node: a ``values`` function becomes
-``_rt.<name>(...)`` through the ``support`` layer, which also supplies the
-engine; a plain Python operator is written inline, ``!`` as ``not``, and
-``&&`` and ``||``, which have no ``impl``, as ``and`` and ``or``.
+``E.act_<name>(...)`` of its engine method. A prepared first argument
+(``Call.resource``) is written as its literal, except that a compiled regex
+or a pattern file becomes a module constant ``_R<n>``, built at import.
+Every operator likewise names the ``impl`` the checker bound on its node: a
+``values`` function becomes ``_rt.<name>(...)`` through the ``support``
+layer, which also supplies the engine; a plain Python operator is written
+inline, ``!`` as ``not``, and ``&&`` and ``||``, which have no ``impl``, as
+``and`` and ``or``.
 Equivalence with the interpreter is checked by the differential test
 (``tests/test_differential.py``). Generated output is deterministic except
 for the generated-at manifest line.
@@ -24,6 +27,8 @@ import math
 
 from . import __version__, values
 from .checker import CheckedProgram
+from .patterns import PatternFile
+from .regexlite import CompiledPattern
 from .syntax import Binary, Call, Literal, Name, Rule, Unary
 
 
@@ -37,8 +42,8 @@ def _constant(value) -> str:
 
 
 class _Gen:
-    def __init__(self, checked: CheckedProgram):
-        self.checked = checked
+    def __init__(self):
+        self.constants: list[str] = []  # the source that builds each _R<n>
 
     # --- expressions ---
 
@@ -85,7 +90,19 @@ class _Gen:
         """The prepared first argument, if any, then the evaluated rest."""
         if call.resource is None:
             return [self.expr(a) for a in call.args]
-        return [repr(call.resource), *[self.expr(a) for a in call.args[1:]]]
+        return [self.prepared(call.resource), *[self.expr(a) for a in call.args[1:]]]
+
+    def prepared(self, value) -> str:
+        """A prepared argument: a compiled regex or a pattern file as a
+        module constant ``_R<n>`` built at import, anything else as its
+        literal."""
+        if isinstance(value, CompiledPattern):
+            self.constants.append(f"_rt.compile_regex({value.pattern!r})")
+        elif isinstance(value, PatternFile):
+            self.constants.append(f"_rt.load_pattern_file({value.path!r})")
+        else:
+            return repr(value)
+        return f"_R{len(self.constants) - 1}"
 
     # --- chains ---
 
@@ -113,9 +130,19 @@ class _Gen:
 def transpile(checked: CheckedProgram, timestamp: str | None = None) -> str:
     """Emit a standalone Python program equivalent to interpreting
     ``checked``."""
-    gen = _Gen(checked)
     if timestamp is None:
         timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    # The rule functions come first, so that the constants they name are known.
+    gen = _Gen()
+    functions: list[str] = []
+    tables: dict[str, list[tuple[str, str]]] = {}
+    for prefix, attr in (("_g", "graph_rules"), ("_m", "msg_rules"), ("_x", "external_rules")):
+        entries: list[tuple[str, str]] = []
+        for i, rule in enumerate(getattr(checked, attr)):
+            fn_name = f"{prefix}{i}"
+            functions.extend(gen.rule_fn(fn_name, rule))
+            entries.append((rule.rule_id, fn_name))
+        tables[attr] = entries
 
     out: list[str] = []
     w = out.append
@@ -133,35 +160,14 @@ def transpile(checked: CheckedProgram, timestamp: str | None = None) -> str:
     levels = [(d.name, d.soft) for d in checked.levels]
     w(f"LEVELS = {levels!r}")
     w(f"SCRIPTS_DIR = {checked.scripts_dir!r}")
-    res = checked.resources
-    if res.regexes:
-        w("REGEXES = [")
-        for r in res.regexes:
-            w(f"    _rt.compile_regex({r.pattern!r}),")
-        w("]")
-    else:
-        w("REGEXES = []")
-    if res.pattern_paths:
-        w("PATTERNS = [")
-        for path in res.pattern_paths:
-            w(f"    _rt.load_pattern_file({path!r}),")
-        w("]")
-    else:
-        w("PATTERNS = []")
-    w(f"PLUGINS = {res.plugins!r}")
+    for i, source in enumerate(gen.constants):
+        w(f"_R{i} = {source}")
+    w(f"PLUGINS = {checked.plugins!r}")
     var_init = ", ".join(f"{name!r}: {_constant(value)}" for name, value in checked.var_initial.items())
     w(f"VAR_INIT = {{{var_init}}}")
     w("")
     w("")
-
-    tables: dict[str, list[tuple[str, str]]] = {}
-    for prefix, attr in (("_g", "graph_rules"), ("_m", "msg_rules"), ("_x", "external_rules")):
-        entries: list[tuple[str, str]] = []
-        for i, rule in enumerate(getattr(checked, attr)):
-            fn_name = f"{prefix}{i}"
-            out.extend(gen.rule_fn(fn_name, rule))
-            entries.append((rule.rule_id, fn_name))
-        tables[attr] = entries
+    out.extend(functions)
 
     for label, attr in (("GRAPH_RULES", "graph_rules"), ("MSG_RULES", "msg_rules"), ("EXTERNAL_RULES", "external_rules")):
         entries = tables[attr]
@@ -183,9 +189,6 @@ def transpile(checked: CheckedProgram, timestamp: str | None = None) -> str:
     w("        graph_rules=GRAPH_RULES,")
     w("        msg_rules=MSG_RULES,")
     w("        external_rules=EXTERNAL_RULES,")
-    w("        regexes=REGEXES,")
-    w("        patterns=PATTERNS,")
-    w("        plugins=PLUGINS,")
     w("        **engine_kwargs,")
     w("    )")
     w("")

@@ -4,13 +4,15 @@ and framing of a byte stream into documents.
 Inbound events follow the monitor's schema: a mapping with ``event``
 (``graph`` or ``message``), a full ``context`` (nodes and topics), the
 monitor's echo of the current level/gravity/last alert, and for message
-events the ``topic``, ``msgtype`` and base64 ``payload`` keys. The context
-decodes to a ``GraphContext`` of the name sets rules read; a node's
-``gids``, a service's ``params`` and a topic's ``parameters`` are read and
-dropped. A publisher/subscriber list consisting of null entries decodes to
-the empty set. The decoded ``InboundEvent`` is itself the context of the
-Msg rules. Outcomes go out as one YAML document each, with a fixed key
-order so the byte stream is stable.
+events the ``topic``, ``msgtype`` and base64 ``payload`` keys. No rule
+reads the echo, so it is parsed but not decoded: a ``currentgrav`` that is
+not a number does not cost the event. The context decodes to a
+``GraphContext`` of the name sets rules read; a node's ``gids``, a
+service's ``params`` and a topic's ``parameters`` are read and dropped. A
+publisher/subscriber list consisting of null entries decodes to the empty
+set. The decoded ``InboundEvent`` is itself the context of the Msg rules.
+Outcomes go out as one YAML document each, with a fixed key order so the
+byte stream is stable.
 
 The monitor writes a narrow dialect of YAML, and ``decode_event`` reads it
 with a line recognizer instead of libyaml. A document is in the dialect
@@ -113,9 +115,6 @@ class GraphContext:
 class InboundEvent:
     kind: str  # "graph" | "message"
     graph: GraphContext
-    current_level: str = ""
-    current_grav: float = 0.0
-    last_alert: str = ""
     topic: str = ""
     msg_type: str = ""
     payload: bytes = b""
@@ -450,17 +449,7 @@ def _event(doc, graph: GraphContext | None = None) -> InboundEvent:
         if "context" not in doc:
             raise DecodeError("event document lacks the 'context' key")
         graph = parse_graph_context(doc["context"])
-    try:
-        current_grav = float(doc.get("currentgrav") or 0.0)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DecodeError(f"currentgrav is not a number: {exc}") from exc
-    ev = InboundEvent(
-        kind=kind,
-        graph=graph,
-        current_level=str(doc.get("currentlevel") or ""),
-        current_grav=current_grav,
-        last_alert=str(doc.get("lastalert") or ""),
-    )
+    ev = InboundEvent(kind, graph)
     if kind == "message":
         ev.topic = str(doc.get("topic") or "")
         ev.msg_type = str(doc.get("msgtype") or "")

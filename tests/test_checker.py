@@ -305,8 +305,9 @@ def test_invalid_regex_rejected():
 
 def test_regex_from_const_is_accepted_and_compiled():
     checked = check_source('consts: P string = "/pose.*";\nrules Msg: topicmatches(P) ? True();')
-    assert [r.pattern for r in checked.resources.regexes] == ["/pose.*"]
-    assert checked.resources.regexes[0].full_match("/pose2d")
+    regex = checked.msg_rules[0].trigger.resource
+    assert regex.pattern == "/pose.*"
+    assert regex.full_match("/pose2d")
 
 
 def test_signal_names_validated():
@@ -330,6 +331,13 @@ def test_bad_pattern_file_rejected(tmp_path):
     bad = tmp_path / "bad.yar"
     bad.write_text("rule x { strings: $a = }")
     expect_error('rules Msg: payload("bad.yar") ? True();', "bad pattern file", base_dir=str(tmp_path))
+
+
+def test_pattern_file_that_is_not_utf8_rejected(tmp_path):
+    (tmp_path / "bad.yar").write_bytes(b'rule x { strings: $a = "\xff" condition: $a }\n')
+    exc = expect_error('rules Msg: payload("bad.yar") ? True();', "cannot read pattern file 'bad.yar':",
+                       base_dir=str(tmp_path))
+    assert [(d.line, d.column) for d in exc.diagnostics] == [(1, 20)]
 
 
 def test_missing_plugin_rejected(tmp_path):

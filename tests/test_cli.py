@@ -115,3 +115,15 @@ def test_a_rules_file_name_cannot_inject_code_into_the_generated_program():
     module = load_generated(source, "named_generated")
     assert not hasattr(module, "INJECTED")
     assert "\n# source: x\\nINJECTED = 1\\n#.rul\n" in source
+
+
+@pytest.mark.parametrize("command", [["check"], ["compile", "-c", "scripts"]], ids=["check", "compile"])
+def test_a_rules_file_that_is_not_utf8_is_an_error(tmp_path, command):
+    rules = tmp_path / "bad.rul"
+    rules.write_bytes(b'rules Graph: true ? alert("\xff");\n')
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rips.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "rips", command[0], str(rules), *command[1:]], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.STATIC_ERROR
+    assert proc.stderr.startswith(f"error: {rules} is not UTF-8: ")
+    assert "Traceback" not in proc.stderr

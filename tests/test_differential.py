@@ -181,6 +181,31 @@ def test_plugin_under_both_engines(tmp_path, monkeypatch, builtin):
         assert texts == ["rejected"] * 3 + ["accepted"]
 
 
+def test_each_prepared_argument_reaches_its_own_call(tmp_path):
+    """Two pattern files and two regexes in one program: each call sees its
+    own, under both engines, message for message."""
+    shutil.copy(os.path.join(DATA_DIR, "yaraexp3.yar"), tmp_path)
+    (tmp_path / "greeting.yar").write_text('rule greeting { strings: $a = "hi" condition: $a }\n')
+    checked = check_source(
+        'rules Msg:\n'
+        '    payload("yaraexp3.yar") ? alert("shellcode");\n'
+        '    payload("greeting.yar") ? alert("greeting");\n'
+        '    topicmatches("/cam.*") ? alert("camera topic");\n'
+        '    topicmatches("/nav.*") ? alert("navigation topic");\n',
+        "prepared.rul", base_dir=str(tmp_path))
+    module = load_generated(transpile(checked), "prepared_generated")
+    messages = [("/cam", b"hi"), ("/nav/goal", b"\x90" + SHELLCODE), ("/other", b"x"), ("/camera", SHELLCODE + b"hi")]
+    events = [decode_event(encode_event({"event": "message", "topic": topic, "msgtype": "std_msgs/msg/String",
+                                         "payload": base64.b64encode(payload).decode(), "context": {}}))
+              for topic, payload in messages]
+    interp = InterpretedEngine(checked, clock=FakeClock(0), runner=RecordingRunner())
+    gen = module.build_engine(clock=FakeClock(0), runner=RecordingRunner())
+    outcomes = [[engine.handle_event(event) for event in events] for engine in (interp, gen)]
+    assert outcomes[0] == outcomes[1]
+    assert [[o.text for o in step] for step in outcomes[0]] == [
+        ["greeting", "camera topic"], ["shellcode", "navigation topic"], [], ["shellcode", "greeting", "camera topic"]]
+
+
 def test_both_engines_dispatch_through_the_signature_table():
     source = (
         'levels: A; B;\n'

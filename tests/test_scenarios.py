@@ -28,7 +28,7 @@ from rips.scenario import (
 )
 from rips.transpiler import load_generated, transpile
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, make_scripts, write_script
 
 FIXTURES = [
     ("camera.rul", "camera_breach.yaml"),
@@ -170,6 +170,26 @@ def test_simulate_reports_a_nan_time_without_a_traceback(tmp_path, capsys):
     rules = os.path.join(DATA_DIR, "soft_levels.rul")
     assert cli.main(["simulate", rules, str(tmp_path / "nan.yaml")]) == cli.STATIC_ERROR
     assert "'at' of timeline entry 0 must be a finite number" in capsys.readouterr().err
+
+
+def test_simulate_does_not_run_exec_actions(tmp_path, capsys):
+    """An exec action succeeds in a simulation without starting a process;
+    the transition scripts still run."""
+    marker = tmp_path / "exec-ran"
+    write_script(tmp_path / "touch.sh", f'touch "{marker}"\n')
+    log = tmp_path / "scripts.log"
+    scripts = make_scripts(tmp_path / "scripts", ["A", "B"], log_file=log)
+    (tmp_path / "exec.rul").write_text(
+        "levels: A; B;\n"
+        f'rules Graph: CurrLevel == A ? exec("{tmp_path / "touch.sh"}") => trigger(B), alert("exec ok");\n')
+    (tmp_path / "exec.yaml").write_text(
+        "timeline:\n  - at: 0.0\n    graph: {nodes: [{node: a}], topics: []}\n"
+        "expect:\n  - level: B\n  - alert: exec ok\n")
+    argv = ["simulate", str(tmp_path / "exec.rul"), str(tmp_path / "exec.yaml"), "--scripts", scripts]
+    assert cli.main(argv) == 0
+    assert "result: PASS" in capsys.readouterr().out.splitlines()
+    assert not marker.exists()
+    assert log.read_text().splitlines() == ["A.to ->A", "A.from A->B", "B.to A->B"]
 
 
 def test_simulate_refuses_a_far_scenario_time(tmp_path):

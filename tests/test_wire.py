@@ -39,9 +39,6 @@ def load_fixture():
 def test_monitor_graph_event_decodes_fully():
     ev = decode_event(load_fixture())
     assert ev.kind == "graph"
-    assert ev.current_level == "__DEFAULT__"
-    assert ev.current_grav == 0.0
-    assert ev.last_alert == ""
     g = ev.graph
     assert sorted(g.node_names) == ["recorder", "rips"]
     assert len(g.topic_names) == 4
@@ -359,8 +356,6 @@ def test_mappings_over_known_keys_raise_only_decode_error(doc):
 
 
 @pytest.mark.parametrize("text", [
-    "event: graph\ncontext: {}\ncurrentgrav: abc\n",
-    "event: graph\ncontext: {}\ncurrentgrav: [1]\n",
     "event: graph\ncontext: {nodes: 5}\n",
     "event: graph\ncontext: {topics: 3}\n",
     "event: graph\ncontext: {nodes: [{node: a, services: 7}]}\n",
@@ -369,6 +364,23 @@ def test_mappings_over_known_keys_raise_only_decode_error(doc):
 def test_ill_typed_fields_rejected(text):
     with pytest.raises(DecodeError):
         decode_event(text)
+
+
+@pytest.mark.parametrize("flow", [False, True], ids=["recognizer", "full-parse"])
+def test_an_echo_no_rule_reads_does_not_cost_the_event(flow):
+    """The monitor's echo is not decoded, so a ``currentgrav`` that is not a
+    number leaves the Graph rules to run, in the dialect and, with a
+    flow-style line, through the full parse."""
+    doc = "---\nevent: graph\ncurrentlevel: A\ncurrentgrav: abc\nlastalert: 1.5\ncontext:\n  nodes:\n  - node: n1\n"
+    if flow:
+        doc += "topics: []\n"
+    doc += "...\n"
+    (text,) = DocumentStream().feed(doc.encode("utf-8"))
+    assert (wire._recognize(text) is None) == flow
+    wire.clear_context_cache()
+    engine = InterpretedEngine(check_source('rules Graph: nodecount(1, 1) ? alert("one node");'),
+                               clock=FakeClock(0), runner=RecordingRunner())
+    assert [o.text for o in engine.handle_document(text)] == ["one node"]
 
 
 # --- the dialect recognizer and the context cache ---
@@ -384,8 +396,7 @@ def _decoded(text, decode=decode_event) -> str:
     g = ev.graph
     graph = ([(n, sorted(g.services_of(n))) for n in sorted(g.node_names)],
              [(t, sorted(g.publishers_of(t)), sorted(g.subscribers_of(t))) for t in sorted(g.topic_names)])
-    return repr((ev.kind, ev.current_level, ev.current_grav, ev.last_alert, ev.topic, ev.msg_type,
-                 ev.payload, graph))
+    return repr((ev.kind, ev.topic, ev.msg_type, ev.payload, graph))
 
 
 def _canonical(value):
