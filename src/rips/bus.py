@@ -1,20 +1,23 @@
-"""Wire endpoint: the Unix-domain socket server, signal counters and the
-serving loop that drives an engine.
+"""The engine loop, ``drive``, and its socket source: ``SocketServer``,
+which ``serve`` drives, and the signal counters.
 
-One loop on one thread does all of it. It waits in one ``selectors`` call
-on the listener and the monitor connection until input arrives or the next
-External tick is due, accepts one monitor at a time (extra connection
-attempts are closed immediately), frames what arrived into YAML documents,
-hands each to ``Engine.handle_document``, runs a due tick after each event
-and writes outcome documents back. Backpressure on input is the kernel's
-socket buffer: the loop reads no faster than it handles.
+``drive`` runs on one thread. It asks its source for the documents that
+arrive before the next External tick is due, hands each to
+``Engine.handle_document``, and runs a due tick after each document or
+after a wait that brought none. ``SocketServer`` is one source, the
+scenario simulator the other. It waits in one ``selectors`` call on the
+listener and the monitor connection, accepts one monitor at a time (extra
+connection attempts are closed immediately) and frames what arrived into
+YAML documents. Backpressure on input is the kernel's socket buffer: the
+loop reads no faster than it handles.
 
-Outcomes are written without blocking, and the kernel's send buffer is the
-only outbound queue. A monitor that stops reading thus cannot stop the
-loop: when its socket does not take the whole of an outcome, the monitor is
-dropped with one warning, and the loop goes on ticking and accepts the next
-monitor. What the socket took before stays readable by the monitor after
-the engine closes it, on a drop and on exit alike.
+Outcomes leave through the engine's sink, which ``serve`` points at the
+socket, without blocking; the kernel's send buffer is the only outbound
+queue. A monitor that stops reading thus cannot stop the loop: when its
+socket does not take the whole of an outcome, the monitor is dropped with
+one warning, and the loop goes on ticking and accepts the next monitor.
+What the socket took before stays readable by the monitor after the
+engine closes it, on a drop and on exit alike.
 """
 
 from __future__ import annotations
@@ -124,12 +127,12 @@ class SocketServer:
         self._disconnect()
         return False
 
-    def receive(self, timeout: float) -> list[str]:
-        """Wait up to ``timeout`` seconds for the listener or the monitor;
-        return the documents completed by what the monitor sent, often
-        none."""
+    def receive(self, wait_ns: int) -> list[str]:
+        """Wait up to ``wait_ns`` nanoseconds for the listener or the
+        monitor; return the documents completed by what the monitor sent,
+        often none."""
         docs: list[str] = []
-        for key, _ in self._selector.select(timeout):
+        for key, _ in self._selector.select(wait_ns / 1e9):
             if key.fileobj is self._listener:
                 self._accept()
             else:
@@ -169,8 +172,32 @@ class SocketServer:
         self._conn = None
 
 
+def drive(engine, source) -> None:
+    """Run ``engine`` on the documents of ``source`` until the source ends.
+
+    ``source.receive(wait_ns)`` waits at most ``wait_ns`` nanoseconds of the
+    engine's clock, until the next tick is due, and returns the documents
+    that arrived, or None to end the loop. A due tick runs after each
+    document, or after a wait that returned none; the next one is due one
+    interval after it ran. An ``EngineCrash`` or ``KeyboardInterrupt``
+    propagates.
+    """
+    clock = engine.clock
+    engine.start()
+    tick_ns = max(1, int(engine.config.tick_interval * 1e9))
+    next_tick = clock.now_ns() + tick_ns
+    while (docs := source.receive(max(0, next_tick - clock.now_ns()))) is not None:
+        for doc in docs or [None]:
+            if doc is not None:
+                engine.handle_document(doc)
+            now = clock.now_ns()
+            if now >= next_tick:
+                engine.tick()
+                next_tick = now + tick_ns
+
+
 def serve(engine, server: SocketServer) -> int:
-    """Run the engine loop over a socket until interrupted or crashed.
+    """Drive the engine from a socket until interrupted or crashed.
 
     Returns the intended process exit status (0 on SIGINT, 1 if the socket
     cannot be opened, 3 on a crash action).
@@ -182,24 +209,13 @@ def serve(engine, server: SocketServer) -> int:
     except OSError as exc:
         log.error("cannot listen on %s: %s", server.path, exc)
         return 1
-    engine.start()
-    tick_ns = int(engine.config.tick_interval * 1e9)
-    next_tick = engine.clock.now_ns() + tick_ns
     try:
-        while True:
-            docs = server.receive(max(0.0, (next_tick - engine.clock.now_ns()) / 1e9))
-            # A due tick runs after each event, or after a wait with none.
-            for doc in docs or [None]:
-                if doc is not None:
-                    engine.handle_document(doc)
-                now = engine.clock.now_ns()
-                if now >= next_tick:
-                    engine.tick()
-                    next_tick = now + tick_ns
+        drive(engine, server)
     except EngineCrash as crash:
         log.critical("engine crashed: %s", crash.text)
         return 3
     except KeyboardInterrupt:
-        return 0
+        pass
     finally:
         server.stop()
+    return 0

@@ -21,7 +21,7 @@ from .bus import SIGNALS
 from .errors import Diagnostic, EvalFault, StaticError
 from .patterns import PatternFileError, load_pattern_file
 from .parser import parse_source
-from .runtime import plugin_problem, script_problems
+from .runtime import plugin_problem, run_host_problems
 from .signatures import ACTIONS, EXPRESSION_BUILTINS, BuiltinSig
 from .syntax import Binary, Call, Literal, Name, Program, Rule, SectionKind, Unary
 from .values import VALUE_TYPE_BY_NAME, ValueType
@@ -47,7 +47,7 @@ class CheckedProgram:
     program: Program
     symbols: dict[str, Symbol]
     var_initial: dict[str, object]
-    plugins: list[str]  # the resolved path of each plugin call
+    plugins: list[str]  # the resolved path of each plugin called, once each
     scripts_dir: str | None
     graph_rules: list[Rule]
     msg_rules: list[Rule]
@@ -443,7 +443,8 @@ class _Checker:
             if problem:
                 self.fail(problem, arg)
             call.resource = path
-            self.plugins.append(path)
+            if path not in self.plugins:
+                self.plugins.append(path)
         elif call.name == "signal":
             if value not in SIGNALS:
                 self.fail(
@@ -513,7 +514,7 @@ def check_scripts(levels, scripts_dir: str) -> list[Diagnostic]:
     return [
         Diagnostic(problem, level.line, level.column)
         for level in levels
-        for problem in script_problems(scripts_dir, level.name)
+        for problem in run_host_problems(scripts_dir, [level.name])
     ]
 
 

@@ -20,7 +20,7 @@ import sys
 
 from . import __version__
 from .checker import check_file
-from .errors import EngineCrash, LexError, ParseError, StaticError
+from .errors import LexError, ParseError, StaticError
 from .runtime import InterpretedEngine, SubprocessRunner
 from .support import add_engine_args, config_from_args, positive_float, serve_from_args
 
@@ -29,7 +29,6 @@ SCRIPTS_DIR = "/etc/rips/scripts"
 
 USAGE_ERROR = 2
 STATIC_ERROR = 1
-CRASH = 3
 
 _SUBCOMMANDS = ("run", "check", "compile", "simulate")
 
@@ -159,8 +158,6 @@ def main(argv=None) -> int:
 
         try:
             report = run_scenario(scenario, build_engine, polling_s=args.polling)
-        except EngineCrash:
-            return CRASH
         except ScenarioError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return STATIC_ERROR

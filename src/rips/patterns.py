@@ -195,8 +195,8 @@ class PatternRule:
 @dataclass
 class PatternFile:
     rules: list[PatternRule]
-    # The file it was read from, so that a generated program can read it again.
-    path: str = field(default="", compare=False)
+    # The text it was parsed from, which a generated program embeds.
+    source: str = field(default="", compare=False)
 
     def match(self, payload: bytes) -> bool:
         return any(rule.match(payload) for rule in self.rules)
@@ -251,9 +251,9 @@ def parse_pattern_text(source: str) -> PatternFile:
 
     if not rules:
         raise PatternFileError("pattern file declares no rules", 1)
-    return PatternFile(rules)
+    return PatternFile(rules, source)
 
 
 def load_pattern_file(path: str) -> PatternFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return PatternFile(parse_pattern_text(fh.read()).rules, path)
+        return parse_pattern_text(fh.read())

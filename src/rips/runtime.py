@@ -97,6 +97,17 @@ def plugin_problem(path: str, written: str) -> str | None:
     return f"plugin {written!r} is missing or not executable"
 
 
+def run_host_problems(scripts_dir: str | None, level_names, plugins=()) -> list[str]:
+    """What keeps a program from running on this host: the problems of the
+    transition scripts of ``level_names`` in ``scripts_dir`` (none without
+    one), then those of the resolved ``plugins`` paths."""
+    problems: list[str] = []
+    if scripts_dir is not None:
+        for name in level_names:
+            problems += script_problems(scripts_dir, name)
+    return problems + list(filter(None, (plugin_problem(path, path) for path in plugins)))
+
+
 class SubprocessRunner:
     """Runs transition scripts, exec actions and plugins as child processes."""
 
@@ -159,9 +170,13 @@ class Engine:
     and ``time_ns`` and ``start_ns``, the clock at the running rule and at
     ``start``.
 
-    Every outcome goes to ``sink`` (if any) and into one flat buffer; each
-    entry point (``start``, ``handle_event``, ``tick``) returns and empties
-    that buffer.
+    Outcomes leave through ``sink`` (if any), which ``bus.drive``'s callers
+    set: the socket in ``serve``, the report in the simulator. Each one also
+    goes into one flat buffer that each entry point (``start``,
+    ``handle_event``, ``tick``) returns and empties. Those returned lists
+    stay only for perfbench's ``reference_outcomes`` and for tests that
+    step an engine by hand, until a benchmark change moves perfbench onto
+    ``drive``.
     """
 
     def __init__(

@@ -3,26 +3,27 @@ YAML wire format and checks expected outcomes.
 
 A scenario is a YAML file with a timeline of graph changes, published
 messages and Unix signals at relative times, plus ordered expectations
-(level names or alert-text substrings). The simulator mimics the monitor:
-it emits a graph event every polling interval and immediately on a change
-(periodic emission can be disabled), filters message topics through the
-white/black lists, and tracks the engine's level and last alert to fill the
-event envelope. Time is simulated through an injected clock, so runs are
-deterministic and fast.
+(level names or alert-text substrings). The simulator is a ``bus.drive``
+source that mimics the monitor: it emits a graph event every polling
+interval and immediately on a change (periodic emission can be disabled),
+filters message topics through the white/black lists, and tracks the
+level and last alert from the engine's sink to fill the event envelope.
+Its ``FakeClock`` moves only when the source moves it, so runs are
+deterministic and fast, and ``drive`` ticks as it does on a socket: at
+one time, timeline entries (in file order) come before the graph poll,
+and a tick that falls due then runs after the first of them.
 """
 
 from __future__ import annotations
 
 import base64
-import heapq
 import math
-import operator
 import os
 from dataclasses import dataclass
 
 import yaml
 
-from .bus import SIGNALS, SignalCounters
+from .bus import SIGNALS, SignalCounters, drive
 from .errors import EngineCrash, RipsError
 from .runtime import FakeClock
 from .support import positive_float
@@ -38,11 +39,6 @@ _NS = 1_000_000_000
 # entries due, on a 2-vCPU x86-64 host), so this keeps a run under about
 # a minute; a scenario that reaches further is refused, not simulated.
 MAX_STEPS = 1_000_000
-
-# What runs at a simulated time, in the order it runs when times are equal:
-# timeline entries, then the External tick, then the periodic graph poll.
-_ENTRY, _TICK, _POLL = range(3)
-
 
 class ScenarioError(RipsError):
     pass
@@ -251,6 +247,62 @@ def resolve_polling(scenario: Scenario, override: float | None = None) -> float:
     return DEFAULT_POLLING_S
 
 
+class _SimulatedMonitor:
+    """The monitor's side of a scenario, a ``drive`` source on the engine's
+    ``FakeClock``: each ``receive`` moves the clock to the next timeline
+    entry or graph poll within the wait and returns its document, or none,
+    or, once the wait reaches past ``end_ns``, None. ``record`` is the
+    engine's sink."""
+
+    def __init__(self, scenario: Scenario, engine, poll_ns: int, end_ns: int):
+        self.timeline = iter(scenario.timeline)
+        self.entry = next(self.timeline, None)
+        self.clock, self.counters, self.poll_ns, self.end_ns = engine.clock, engine.counters, poll_ns, end_ns
+        self.next_poll_ns = math.inf if scenario.on_change_only else 0
+        self.wl = _split_topics(os.environ.get("RIPSWHITELIST"))
+        self.bl = _split_topics(os.environ.get("RIPSBLACKLIST"))
+        self.graph: dict = {"nodes": [], "topics": []}
+        self.level, self.grav, self.last_alert = engine.levelname(engine.current), engine.gravity(engine.current), ""
+        self.last_entry_ns = 0
+        self.observed: list[ObservedOutcome] = []
+
+    def record(self, o: Outcome) -> bool:
+        self.observed.append(ObservedOutcome(self.clock.now_ns() / _NS, self.last_entry_ns / _NS, o))
+        if o.kind == "levelchange":
+            self.level, self.grav = o.level, o.gravity
+        else:
+            self.last_alert = o.text
+        return True
+
+    def event(self, **extra) -> list[str]:
+        return [encode_event({"currentlevel": self.level, "currentgrav": self.grav, "lastalert": self.last_alert,
+                              "event": "graph", "context": self.graph, **extra})]
+
+    def receive(self, wait_ns: int) -> list[str] | None:
+        deadline = self.clock.now_ns() + wait_ns
+        entry_ns = int(self.entry.at_s * _NS) if self.entry else math.inf
+        at = min(entry_ns, self.next_poll_ns)
+        if at > min(deadline, self.end_ns):
+            self.clock.set_ns(deadline)
+            return None if deadline > self.end_ns else []
+        self.clock.set_ns(at)
+        if at < entry_ns:
+            self.next_poll_ns += self.poll_ns
+            return self.event()
+        entry, self.entry = self.entry, next(self.timeline, None)
+        self.last_entry_ns = at
+        if entry.kind == "signal":
+            self.counters.deliver(entry.signal)
+            return []
+        if entry.kind == "graph":
+            self.graph = entry.graph
+            return self.event()
+        if (self.wl and entry.topic not in self.wl) or entry.topic in self.bl:
+            return []
+        return self.event(event="message", topic=entry.topic, msgtype=entry.msg_type,
+                          payload=base64.b64encode(entry.payload).decode("ascii"))
+
+
 def run_scenario(
     scenario: Scenario,
     build_engine,
@@ -265,96 +317,28 @@ def run_scenario(
     The white/black lists are the RIPSWHITELIST/RIPSBLACKLIST environment
     variables (colon-separated topic names).
     """
-    clock = FakeClock(0)
-    counters = SignalCounters()
-    engine = build_engine(clock, counters)
-
-    poll_s = resolve_polling(scenario, polling_s)
-    tick_s = engine.config.tick_interval
-    wl = _split_topics(os.environ.get("RIPSWHITELIST"))
-    bl = _split_topics(os.environ.get("RIPSBLACKLIST"))
+    engine = build_engine(FakeClock(0), SignalCounters())
 
     end_s = (scenario.timeline[-1].at_s if scenario.timeline else 0.0) + scenario.grace_s
     end_ns = int(end_s * _NS)
-    poll_ns = max(1, int(poll_s * _NS))
-    tick_ns = max(1, int(tick_s * _NS))
+    poll_ns = max(1, int(resolve_polling(scenario, polling_s) * _NS))
+    tick_ns = max(1, int(engine.config.tick_interval * _NS))
     steps = end_ns // tick_ns + (0 if scenario.on_change_only else end_ns // poll_ns + 1)
     if steps > MAX_STEPS:
         raise ScenarioError(f"scenario runs to {end_s:g} s in {steps} ticks and polls; "
                             f"at most {MAX_STEPS} are allowed")
 
-    # The emission schedule in simulated time: three streams, each sorted,
-    # merged as the run goes, so memory does not grow with simulated time.
-    entries = ((int(entry.at_s * _NS), _ENTRY, entry) for entry in scenario.timeline)
-    ticks = ((t, _TICK, None) for t in range(tick_ns, end_ns + 1, tick_ns))
-    polls = () if scenario.on_change_only else ((t, _POLL, None) for t in range(0, end_ns + 1, poll_ns))
-    schedule = heapq.merge(entries, ticks, polls, key=operator.itemgetter(0, 1))
-
-    graph: dict = {"nodes": [], "topics": []}
-    monitor_level = engine.levelname(engine.current)
-    monitor_grav = engine.gravity(engine.current)
-    last_alert = ""
-    observed: list[ObservedOutcome] = []
+    monitor = _SimulatedMonitor(scenario, engine, poll_ns, end_ns)
+    engine.sink = monitor.record
     aborted = False
     crash_text = ""
-    last_entry_ns = 0
-
-    def envelope(extra: dict) -> dict:
-        doc = {
-            "currentlevel": monitor_level,
-            "currentgrav": monitor_grav,
-            "lastalert": last_alert,
-        }
-        doc.update(extra)
-        return doc
-
-    def record(outcomes: list[Outcome], now_ns: int):
-        nonlocal monitor_level, monitor_grav, last_alert
-        for o in outcomes:
-            observed.append(ObservedOutcome(now_ns / _NS, last_entry_ns / _NS, o))
-            if o.kind == "levelchange":
-                monitor_level = o.level
-                monitor_grav = o.gravity
-            else:
-                last_alert = o.text
-
-    record(engine.start(), 0)
     try:
-        for now, kind, entry in schedule:
-            clock.set_ns(now)
-            if kind == _TICK:
-                record(engine.tick(), now)
-                continue
-            if kind == _POLL:
-                doc = envelope({"event": "graph", "context": graph})
-                record(engine.handle_document(encode_event(doc)), now)
-                continue
-            last_entry_ns = now
-            if entry.kind == "signal":
-                counters.deliver(entry.signal)
-            elif entry.kind == "graph":
-                graph = entry.graph
-                doc = envelope({"event": "graph", "context": graph})
-                record(engine.handle_document(encode_event(doc)), now)
-            else:  # message
-                if wl and entry.topic not in wl:
-                    continue
-                if entry.topic in bl:
-                    continue
-                doc = envelope(
-                    {
-                        "event": "message",
-                        "context": graph,
-                        "topic": entry.topic,
-                        "msgtype": entry.msg_type,
-                        "payload": base64.b64encode(entry.payload).decode("ascii"),
-                    }
-                )
-                record(engine.handle_document(encode_event(doc)), now)
+        drive(engine, monitor)
     except EngineCrash as crash:
         aborted = True
         crash_text = crash.text
 
+    observed = monitor.observed
     results: list[ExpectationResult] = []
     cursor = 0
     for exp in scenario.expect:

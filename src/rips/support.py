@@ -17,14 +17,14 @@ import math
 import sys
 
 from .bus import SocketServer, serve
-from .patterns import load_pattern_file
+from .patterns import parse_pattern_text
 from .regexlite import compile_pattern as compile_regex
-from .runtime import Engine, EngineConfig, plugin_problem, script_problems
+from .runtime import Engine, EngineConfig, run_host_problems
 from .values import concat, fdiv, iadd, idiv, imod, imul, ineg, isub
 
 # The names generated source reads as ``_rt.<name>``.
 __all__ = [
-    "Engine", "compile_regex", "load_pattern_file", "compiled_main",
+    "Engine", "compile_regex", "parse_pattern_text", "compiled_main",
     "iadd", "isub", "imul", "ineg", "idiv", "imod", "fdiv", "concat",
 ]
 
@@ -77,23 +77,13 @@ def serve_from_args(build_engine, args: argparse.Namespace) -> int:
     return status
 
 
-def validate_startup(level_names, scripts_dir: str | None, plugins) -> list[str]:
-    """Re-validate embedded script and plugin paths on the run host."""
-    problems: list[str] = []
-    if scripts_dir is not None:
-        for name in level_names:
-            problems += script_problems(scripts_dir, name)
-    problems += filter(None, (plugin_problem(path, path) for path in plugins))
-    return problems
-
-
 def compiled_main(build_engine, argv=None, *, levels=(), scripts_dir=None, plugins=()) -> int:
     """Entry point shared by all generated programs."""
     parser = argparse.ArgumentParser(description="generated rule program")
     add_engine_args(parser)
     args = parser.parse_args(argv)
 
-    problems = validate_startup([name for name, _ in levels], scripts_dir, plugins)
+    problems = run_host_problems(scripts_dir, [name for name, _ in levels], plugins)
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)

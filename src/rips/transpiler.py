@@ -9,7 +9,8 @@ interpreter calls, with the same arguments: an expression builtin becomes
 ``_P.<name>(E, ctx, ...)`` of its ``predicates`` function, an action
 ``E.act_<name>(...)`` of its engine method. A prepared first argument
 (``Call.resource``) is written as its literal, except that a compiled regex
-or a pattern file becomes a module constant ``_R<n>``, built at import.
+or a pattern file becomes a module constant ``_R<n>``, built at import from
+the regex or the pattern text that the checker read.
 Every operator likewise names the ``impl`` the checker bound on its node: a
 ``values`` function becomes ``_rt.<name>(...)`` through the ``support``
 layer, which also supplies the engine; a plain Python operator is written
@@ -94,12 +95,12 @@ class _Gen:
 
     def prepared(self, value) -> str:
         """A prepared argument: a compiled regex or a pattern file as a
-        module constant ``_R<n>`` built at import, anything else as its
-        literal."""
+        module constant ``_R<n>`` built at import from its text, anything
+        else as its literal."""
         if isinstance(value, CompiledPattern):
             self.constants.append(f"_rt.compile_regex({value.pattern!r})")
         elif isinstance(value, PatternFile):
-            self.constants.append(f"_rt.load_pattern_file({value.path!r})")
+            self.constants.append(f"_rt.parse_pattern_text({value.source!r})")
         else:
             return repr(value)
         return f"_R{len(self.constants) - 1}"

@@ -1,5 +1,6 @@
-"""The socket server and the serving loop: `rips run` over a real Unix
-socket, and only a stale socket at the socket path is replaced."""
+"""The engine loop and the socket server: ``drive`` on a scripted source and
+a fake clock, `rips run` over a real Unix socket, and only a stale socket
+at the socket path is replaced."""
 
 from __future__ import annotations
 
@@ -16,7 +17,10 @@ import time
 import pytest
 
 import rips
-from rips.bus import SignalCounters, SocketServer, register_signals
+from rips.bus import SignalCounters, SocketServer, drive, register_signals
+from rips.checker import check_source
+from rips.errors import EngineCrash
+from rips.runtime import EngineConfig, FakeClock, InterpretedEngine
 from rips.wire import DocumentStream, decode_outcome, encode_event
 
 from conftest import make_scripts
@@ -37,6 +41,94 @@ ILL_TYPED = b"---\nevent: graph\ncontext: {nodes: 5}\ncurrentgrav: abc\n...\n"
 CRASH = encode_event({"event": "message", "context": {}, "topic": "/crash", "msgtype": "std_msgs/msg/String",
                       "payload": base64.b64encode(b"x").decode()}).encode()
 TIMEOUT = 20.0
+
+
+MS = 1_000_000
+
+
+class ScriptedSource:
+    """A ``drive`` source on a ``FakeClock``: each ``receive`` records the
+    time and the wait it was given, then takes the next step. A step
+    ``(after_ns, docs)`` returns ``docs`` ``after_ns`` into the wait, and
+    ``(None, [])`` lets the whole wait pass with none; past the last step
+    ``receive`` returns None."""
+
+    def __init__(self, clock, steps):
+        self.clock = clock
+        self.steps = list(steps)
+        self.waits: list[tuple[int, int]] = []
+
+    def receive(self, wait_ns):
+        self.waits.append((self.clock.now_ns(), wait_ns))
+        if not self.steps:
+            return None
+        after_ns, docs = self.steps.pop(0)
+        self.clock.advance(wait_ns if after_ns is None else after_ns)
+        return docs
+
+
+def _recording_engine(calls, handle_ns=0):
+    """An engine of ``RULES`` on a fake clock with a 100 ms tick that logs
+    ``(time, what)`` for each document and tick; handling a document takes
+    ``handle_ns`` of the clock."""
+    clock = FakeClock(0)
+    engine = InterpretedEngine(check_source(RULES, "drive.rul"), clock=clock,
+                               config=EngineConfig(tick_interval=0.1))
+    handle, tick = engine.handle_document, engine.tick
+
+    def handle_document(text):
+        calls.append((clock.now_ns(), "crash" if "/crash" in text else "doc"))
+        clock.advance(handle_ns)
+        return handle(text)
+
+    engine.handle_document = handle_document
+    engine.tick = lambda: calls.append((clock.now_ns(), "tick")) or tick()
+    return engine
+
+
+def test_drive_runs_a_tick_that_falls_due_mid_batch_after_the_document_that_passes_it():
+    calls = []
+    engine = _recording_engine(calls, handle_ns=60 * MS)
+    source = ScriptedSource(engine.clock, [(0, [GOOD.decode()] * 3)])
+    drive(engine, source)
+    assert calls == [(0, "doc"), (60 * MS, "doc"), (120 * MS, "tick"), (120 * MS, "doc")]
+    assert source.waits == [(0, 100 * MS), (180 * MS, 40 * MS)]
+
+
+def test_drive_lands_an_idle_wait_on_the_tick_and_sets_the_next_one_interval_after_it():
+    """The first wait ends exactly on the tick at 100 ms. The next tick
+    falls due at 200 ms; a document at 230 ms passes it, so that tick runs
+    at 230 ms and the one after is due at 330 ms."""
+    calls = []
+    engine = _recording_engine(calls)
+    source = ScriptedSource(engine.clock, [(None, []), (50 * MS, [GOOD.decode()]), (80 * MS, [GOOD.decode()]),
+                                           (None, [])])
+    drive(engine, source)
+    assert calls == [(100 * MS, "tick"), (150 * MS, "doc"), (230 * MS, "doc"), (230 * MS, "tick"),
+                     (330 * MS, "tick")]
+    assert source.waits == [(0, 100 * MS), (100 * MS, 100 * MS), (150 * MS, 50 * MS), (230 * MS, 100 * MS),
+                            (330 * MS, 100 * MS)]
+
+
+def test_drive_ends_when_the_source_returns_none():
+    """The engine is started before the first wait, and its outcomes leave
+    through its sink."""
+    calls, outcomes = [], []
+    engine = _recording_engine(calls)
+    engine.sink = outcomes.append
+    drive(engine, ScriptedSource(engine.clock, [(10 * MS, [GOOD.decode()])]))
+    assert calls == [(10 * MS, "doc")]
+    assert [(o.kind, o.level, o.text) for o in outcomes] == [("levelchange", "HIGH", ""), ("alert", "HIGH", "graph")]
+
+
+def test_drive_lets_an_engine_crash_propagate():
+    calls = []
+    engine = _recording_engine(calls)
+    source = ScriptedSource(engine.clock, [(0, [CRASH.decode(), GOOD.decode()]), (None, [])])
+    with pytest.raises(EngineCrash, match="fatal"):
+        drive(engine, source)
+    assert calls == [(0, "crash")]
+    assert len(source.waits) == 1
 
 
 class Monitor:
@@ -178,7 +270,7 @@ def test_an_outcome_the_socket_does_not_take_drops_the_monitor(tmp_path, caplog)
         server.start()
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
             client.connect(server.path)
-            server.receive(TIMEOUT)
+            server.receive(int(TIMEOUT * 1e9))
             taken = bytearray()
             with caplog.at_level(logging.WARNING, logger="rips.bus"):
                 for i in range(100_000):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import subprocess
 import sys
 
@@ -19,7 +20,7 @@ from rips.runtime import EngineConfig
 from rips.support import add_engine_args, config_from_args
 from rips.transpiler import load_generated, transpile
 
-from conftest import make_scripts, write_script
+from conftest import DATA_DIR, make_scripts, write_script
 
 SERVING_ARGV = ["-s", "/tmp/x.sock", "--tick", "0.5", "--exec-timeout", "3",
                 "--ids-dir", "alerts", "--ids-pattern", "ids*", "--dump-vars"]
@@ -78,6 +79,36 @@ def test_generated_program_refuses_to_start(tmp_path, capsys, broken):
     assert module.main(["-s", str(sock)]) == 1
     assert capsys.readouterr().err.splitlines() == [problem]
     assert not sock.exists()
+
+
+def test_a_doubled_plugin_is_reported_once(tmp_path, capsys):
+    """Two calls of one plugin compile to one path, so a run host that
+    cannot run it gets one line."""
+    write_script(tmp_path / "p.sh")
+    checked = check_source('rules Msg: plugin("p.sh") ? alert("one");\n  plugin("p.sh") ? alert("two");',
+                           "twice.rul", base_dir=str(tmp_path))
+    module = load_generated(transpile(checked), "twice_generated")
+    (tmp_path / "p.sh").chmod(0o644)
+    assert module.main(["-s", str(tmp_path / "rips.sock")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: plugin {str(tmp_path / 'p.sh')!r} is missing or not executable"]
+
+
+def test_a_generated_program_does_not_reread_its_pattern_file(tmp_path):
+    """The pattern text is compiled into the program: with the ``.yar``
+    file gone, the program still starts."""
+    for name in ("payload.rul", "yaraexp3.yar"):
+        shutil.copy(os.path.join(DATA_DIR, name), tmp_path / name)
+    scripts = make_scripts(tmp_path / "scripts", ["__DEFAULT__", "HALT"])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rips.__file__)))
+    compiled = subprocess.run([sys.executable, "-m", "rips", "compile", str(tmp_path / "payload.rul"), "-c", scripts],
+                              env=env, capture_output=True, text=True, timeout=60, check=True)
+    (tmp_path / "payload_rules.py").write_text(compiled.stdout)
+    (tmp_path / "yaraexp3.yar").unlink()
+    proc = subprocess.run([sys.executable, str(tmp_path / "payload_rules.py"), "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

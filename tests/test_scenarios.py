@@ -115,9 +115,11 @@ def test_topic_lists_filter_messages(monkeypatch):
         assert len(documents) == 1 and "topic: /kept" in documents[0]
 
 
-def test_equal_times_run_entries_then_ticks_then_polls():
+def test_equal_times_run_in_drive_order():
     """At one simulated time the timeline entries run first, in file order,
-    then the External tick, then the periodic graph poll."""
+    then the periodic graph poll; a tick that falls due then runs after the
+    first document, as ``bus.drive`` runs it on a socket. The tick at 1 s
+    falls due with the poll at 1 s, and runs after it."""
     checked = check_source('rules Msg: topicin("/t") ? alert("m");', "order.rul")
     scenario = parse_scenario({
         "timeline": [{"at": 0.5, "message": {"topic": "/u"}}, {"at": 0.5, "message": {"topic": "/t"}}],
@@ -140,8 +142,26 @@ def test_equal_times_run_entries_then_ticks_then_polls():
 
     run_scenario(scenario, recording)
     half, one = 500_000_000, 1_000_000_000
-    assert calls == [(0, "poll"), (half, "/u"), (half, "/t"), (half, "tick"), (half, "poll"),
-                     (one, "tick"), (one, "poll")]
+    assert calls == [(0, "poll"), (half, "/u"), (half, "tick"), (half, "/t"), (half, "poll"),
+                     (one, "poll"), (one, "tick")]
+
+
+def test_a_crash_keeps_the_outcomes_before_it():
+    """A crash action ends the run; the outcomes of the event that crashed,
+    its alert among them, are in the report, as a monitor on the socket
+    receives them."""
+    checked = check_source('levels: A; B;\nrules Graph: CurrLevel == A ? trigger(B) => crash("fatal");', "crash.rul")
+    scenario = parse_scenario({
+        "timeline": [{"at": 0.2, "graph": {"nodes": [{"node": "n1"}]}}],
+        "expect": [{"level": "B"}],
+        "on_change_only": True,
+    })
+    for build in _both_engines(checked):
+        report = run_scenario(scenario, build)
+        assert (report.aborted, report.crash_text, report.passed) == (True, "fatal", False)
+        assert [(obs.time_s, obs.outcome.kind, obs.outcome.text) for obs in report.outcomes] == [
+            (0.2, "levelchange", ""), (0.2, "alert", "fatal")]
+        assert report.results[0].matched
 
 
 @pytest.mark.parametrize("polling", [0, -0.5, "soon"])
