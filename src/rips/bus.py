@@ -200,7 +200,8 @@ def serve(engine, server: SocketServer) -> int:
     """Drive the engine from a socket until interrupted or crashed.
 
     Returns the intended process exit status (0 on SIGINT, 1 if the socket
-    cannot be opened, 3 on a crash action).
+    cannot be opened, 3 on a crash action, which has written its text to
+    stderr).
     """
     register_signals(engine.counters)
     engine.sink = lambda outcome: server.send(encode_outcome(outcome).encode("utf-8"))
@@ -211,8 +212,7 @@ def serve(engine, server: SocketServer) -> int:
         return 1
     try:
         drive(engine, server)
-    except EngineCrash as crash:
-        log.critical("engine crashed: %s", crash.text)
+    except EngineCrash:
         return 3
     except KeyboardInterrupt:
         pass

@@ -20,7 +20,7 @@ import sys
 
 from . import __version__
 from .checker import check_file
-from .errors import LexError, ParseError, StaticError
+from .errors import StaticError
 from .runtime import InterpretedEngine, SubprocessRunner
 from .support import add_engine_args, config_from_args, positive_float, serve_from_args
 
@@ -33,22 +33,12 @@ STATIC_ERROR = 1
 _SUBCOMMANDS = ("run", "check", "compile", "simulate")
 
 
-def _print_static_error(exc: Exception, path: str) -> None:
-    name = os.path.basename(path)
-    if isinstance(exc, StaticError):
-        for diag in exc.diagnostics:
-            print(diag.render(name), file=sys.stderr)
-    elif isinstance(exc, (LexError, ParseError)):
-        print(exc.diagnostic.render(name), file=sys.stderr)
-    else:
-        print(f"{name}: {exc}", file=sys.stderr)
-
-
 def _check(path: str, scripts_dir: str | None):
     try:
         return check_file(path, scripts_dir=scripts_dir)
-    except (StaticError, LexError, ParseError) as exc:
-        _print_static_error(exc, path)
+    except StaticError as exc:
+        for diag in exc.diagnostics:
+            print(diag.render(os.path.basename(path)), file=sys.stderr)
         return None
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

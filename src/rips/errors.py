@@ -22,28 +22,30 @@ class RipsError(Exception):
     """Base class for all engine errors."""
 
 
-class LexError(RipsError):
-    """Lexical error with source position."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
-        self.diagnostic = Diagnostic(message, line, column)
-
-
-class ParseError(RipsError):
-    """Syntax error with source position; parsing stops at the first one."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
-        self.diagnostic = Diagnostic(message, line, column)
-
-
 class StaticError(RipsError):
-    """Static validation failed; carries every diagnostic found, in source order."""
+    """A rules file failed its static reading; carries every diagnostic
+    found, in source order. The checker reports all it finds; the tokenizer
+    and the parser stop at the first, a ``LexError`` or ``ParseError``."""
 
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(d.render() for d in self.diagnostics))
+
+
+class LexError(StaticError):
+    """Lexical error with source position."""
+
+    def __init__(self, message: str, line: int, column: int):
+        self.diagnostic = Diagnostic(message, line, column)
+        super().__init__([self.diagnostic])
+
+
+class ParseError(StaticError):
+    """Syntax error with source position; parsing stops at the first one."""
+
+    def __init__(self, message: str, line: int, column: int):
+        self.diagnostic = Diagnostic(message, line, column)
+        super().__init__([self.diagnostic])
 
 
 class EvalFault(RipsError):

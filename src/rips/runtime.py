@@ -332,7 +332,6 @@ class Engine:
     def act_crash(self, text: str) -> bool:
         self.act_alert(text)
         print(text, file=sys.stderr)
-        log.critical("crash: %s", text)
         raise EngineCrash(text)
 
     def act_true(self, *vals) -> bool:

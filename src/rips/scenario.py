@@ -93,7 +93,6 @@ class ObservedOutcome:
 class ExpectationResult:
     expectation: Expectation
     matched: bool
-    time_s: float | None = None
     latency_s: float | None = None
 
 
@@ -351,7 +350,7 @@ def run_scenario(
             results.append(ExpectationResult(exp, False))
         else:
             obs = observed[hit]
-            results.append(ExpectationResult(exp, True, obs.time_s, obs.time_s - obs.anchor_s))
+            results.append(ExpectationResult(exp, True, obs.time_s - obs.anchor_s))
             cursor = hit + 1
 
     return RunReport(

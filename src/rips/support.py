@@ -1,12 +1,13 @@
 """Runtime support layer for generated rule programs, and the engine options
 that `rips run`, `rips simulate` and generated programs share.
 
-Generated source imports this module and ``predicates``: this module supplies
-the value arithmetic, resource loaders, the ``Engine`` class that the
+Generated source imports this module, ``predicates`` and ``values``: this
+module supplies the resource loaders, the ``Engine`` class that the
 interpreter uses too, and the program's entry point; every expression
-builtin is called straight from ``predicates``, and every action as an
-``Engine`` method, the same functions the interpreter reaches through
-``BuiltinSig.impl``.
+builtin is called straight from ``predicates``, every operator function
+straight from ``values``, and every action as an ``Engine`` method, the
+same functions the interpreter reaches through ``BuiltinSig.impl`` and the
+operator's ``impl``.
 """
 
 from __future__ import annotations
@@ -20,13 +21,9 @@ from .bus import SocketServer, serve
 from .patterns import parse_pattern_text
 from .regexlite import compile_pattern as compile_regex
 from .runtime import Engine, EngineConfig, run_host_problems
-from .values import concat, fdiv, iadd, idiv, imod, imul, ineg, isub
 
 # The names generated source reads as ``_rt.<name>``.
-__all__ = [
-    "Engine", "compile_regex", "parse_pattern_text", "compiled_main",
-    "iadd", "isub", "imul", "ineg", "idiv", "imod", "fdiv", "concat",
-]
+__all__ = ["Engine", "compile_regex", "parse_pattern_text", "compiled_main"]
 
 
 def positive_float(text) -> float:

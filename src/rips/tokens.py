@@ -1,13 +1,18 @@
 """Tokenizer for rules files.
 
-Comments run from ``#`` to end of line (which also covers a leading ``#!``
-interpreter line). Whitespace and newlines only separate tokens. The Unicode
-arrow connectors U+2192 and U+219B are normalized to ``=>`` and ``!>`` here,
-so the parser only ever sees the ASCII forms.
+One pattern, ``_TOKEN``, reads the source: its named groups are the token
+kinds, tried in order at each position, and a position that none of them
+matches is an invalid character. Spaces, comments and newlines only separate
+tokens; a comment runs from ``#`` to end of line, which also covers a leading
+``#!`` interpreter line. The Unicode arrow connectors U+2192 and U+219B are
+normalized to ``=>`` and ``!>`` here, so the parser only ever sees the ASCII
+forms. Number literals and identifiers are ASCII. A token's column is its
+offset from the start of its line, counted in characters from 1.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -31,24 +36,31 @@ class TokenKind(Enum):
 # identifiers so the builtin call `string(...)` keeps working.
 KEYWORDS = frozenset({"levels", "consts", "vars", "rules", "Graph", "Msg", "External", "soft"})
 
-# Two-character operators/connectors, checked before single characters.
-_TWO_CHAR = {
-    "=>": (TokenKind.CONNECTOR, "=>"),
-    "!>": (TokenKind.CONNECTOR, "!>"),
-    "==": (TokenKind.OPERATOR, "=="),
-    "!=": (TokenKind.OPERATOR, "!="),
-    "<=": (TokenKind.OPERATOR, "<="),
-    ">=": (TokenKind.OPERATOR, ">="),
-    "&&": (TokenKind.OPERATOR, "&&"),
-    "||": (TokenKind.OPERATOR, "||"),
-}
+# The token table. Two-character operators come before their one-character
+# prefixes. A string runs to its closing quote; without one (a line break or
+# the end of input comes first) the ``closed`` group stays empty.
+_TOKEN = re.compile(r"""
+    (?P<space>[ \t\r\f\v]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<newline>\n)
+  | (?P<connector>=>|!>|→|↛)
+  | (?P<operator>==|!=|<=|>=|&&|\|\||[-+*/%<>!~&|^=])
+  | (?P<punct>[:;?(),])
+  | (?P<string>"(?:[^"\\\n]|\\[\s\S])*(?P<closed>")?)
+  | (?P<binary>0[bB][01]*)
+  | (?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<invalid>[\s\S])
+""", re.VERBOSE)
 
-_ONE_CHAR_OPS = frozenset("+-*/%<>!~&|^=")
-_PUNCT = frozenset(":;?(),")
+_SYMBOLS = {"connector": TokenKind.CONNECTOR, "operator": TokenKind.OPERATOR, "punct": TokenKind.PUNCT}
 
 # Unicode arrows accepted as connector aliases.
 _ARROWS = {"→": "=>", "↛": "!>"}
 
+# A string escape: a backslash and the character after it, or ``\x`` and two
+# hex digits.
+_ESCAPE = re.compile(r"\\(x[0-9a-fA-F]{2}|[\s\S])")
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
 
 
@@ -64,164 +76,57 @@ class Token:
         return f"Token({self.kind.name}, {self.lexeme!r}, {self.line}:{self.column})"
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() and c.isascii() or c == "_"
+def _string_value(body: str, line: int, column: int) -> str:
+    """Decode the escapes of a string body that starts at ``column``, in
+    order, raising LexError at the first invalid one."""
 
+    def unescape(m: re.Match) -> str:
+        esc = m[1]
+        if esc in _ESCAPES:
+            return _ESCAPES[esc]
+        if len(esc) == 3:
+            return chr(int(esc[1:], 16))
+        message = "invalid \\x escape: expected two hex digits" if esc == "x" else f"invalid escape sequence \\{esc}"
+        raise LexError(message, line, column + m.start())
 
-def _is_ident_char(c: str) -> bool:
-    return (c.isalnum() and c.isascii()) or c == "_"
+    return _ESCAPE.sub(unescape, body)
 
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize a rules source string, raising LexError on bad input."""
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def err(message: str, l: int, c: int):
-        raise LexError(message, l, c)
-
-    while i < n:
-        c = source[i]
-
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r\f\v":
-            i += 1
-            col += 1
-            continue
-
-        # Comment to end of line.
-        if c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-
-        start_line, start_col = line, col
-
-        if c in _ARROWS:
-            tokens.append(Token(TokenKind.CONNECTOR, _ARROWS[c], start_line, start_col))
-            i += 1
-            col += 1
-            continue
-
-        pair = source[i : i + 2]
-        if pair in _TWO_CHAR:
-            kind, lexeme = _TWO_CHAR[pair]
-            tokens.append(Token(kind, lexeme, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-
-        if c == '"':
-            i += 1
-            col += 1
-            buf: list[str] = []
-            while True:
-                if i >= n or source[i] == "\n":
-                    err("unterminated string literal", start_line, start_col)
-                ch = source[i]
-                if ch == '"':
-                    i += 1
-                    col += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n:
-                        err("unterminated string literal", start_line, start_col)
-                    esc = source[i + 1]
-                    if esc in _ESCAPES:
-                        buf.append(_ESCAPES[esc])
-                        i += 2
-                        col += 2
-                    elif esc == "x":
-                        hexpart = source[i + 2 : i + 4]
-                        if len(hexpart) < 2 or not all(h in "0123456789abcdefABCDEF" for h in hexpart):
-                            err("invalid \\x escape: expected two hex digits", line, col)
-                        buf.append(chr(int(hexpart, 16)))
-                        i += 4
-                        col += 4
-                    else:
-                        err(f"invalid escape sequence \\{esc}", line, col)
-                else:
-                    buf.append(ch)
-                    i += 1
-                    col += 1
-            text = "".join(buf)
-            tokens.append(Token(TokenKind.STRING, text, start_line, start_col, value=text))
-            continue
-
-        if c.isdigit():
-            j = i
-            if source.startswith("0b", i) or source.startswith("0B", i):
-                j = i + 2
-                while j < n and source[j] in "01":
-                    j += 1
-                if j == i + 2:
-                    err("binary literal needs at least one digit", start_line, start_col)
-                lexeme = source[i:j]
-                tokens.append(Token(TokenKind.INT, lexeme, start_line, start_col, value=int(lexeme, 2)))
-                col += j - i
-                i = j
-                continue
-            while j < n and source[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            lexeme = source[i:j]
-            if is_float:
-                tokens.append(Token(TokenKind.FLOAT, lexeme, start_line, start_col, value=float(lexeme)))
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN.finditer(source):
+        kind, text = m.lastgroup, m[0]
+        column = m.start() - line_start + 1
+        if kind in _SYMBOLS:
+            tokens.append(Token(_SYMBOLS[kind], _ARROWS.get(text, text), line, column))
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "string":
+            closed = m["closed"] is not None
+            value = _string_value(text[1:-1] if closed else text[1:], line, column + 1)
+            if not closed:
+                raise LexError("unterminated string literal", line, column)
+            tokens.append(Token(TokenKind.STRING, value, line, column, value))
+        elif kind == "binary":
+            if len(text) == 2:
+                raise LexError("binary literal needs at least one digit", line, column)
+            tokens.append(Token(TokenKind.INT, text, line, column, int(text, 2)))
+        elif kind == "number":
+            if text.isdigit():
+                tokens.append(Token(TokenKind.INT, text, line, column, int(text)))
             else:
-                tokens.append(Token(TokenKind.INT, lexeme, start_line, start_col, value=int(lexeme, 10)))
-            col += j - i
-            i = j
-            continue
-
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            name = source[i:j]
-            if name in ("true", "false"):
-                tokens.append(Token(TokenKind.BOOL, name, start_line, start_col, value=(name == "true")))
-            elif name in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, name, start_line, start_col))
+                tokens.append(Token(TokenKind.FLOAT, text, line, column, float(text)))
+        elif kind == "word":
+            if text in ("true", "false"):
+                tokens.append(Token(TokenKind.BOOL, text, line, column, text == "true"))
             else:
-                tokens.append(Token(TokenKind.IDENT, name, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        if c in _PUNCT:
-            tokens.append(Token(TokenKind.PUNCT, c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-
-        if c in _ONE_CHAR_OPS:
-            tokens.append(Token(TokenKind.OPERATOR, c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-
-        err(f"invalid character {c!r}", start_line, start_col)
-
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+                tokens.append(Token(TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT, text, line, column))
+        elif kind == "invalid":
+            raise LexError(f"invalid character {text!r}", line, column)
+    # After a trailing comment the end of input is where the comment starts.
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(source)
+    tokens.append(Token(TokenKind.EOF, "", line, end - line_start + 1))
     return tokens

@@ -12,10 +12,10 @@ interpreter calls, with the same arguments: an expression builtin becomes
 or a pattern file becomes a module constant ``_R<n>``, built at import from
 the regex or the pattern text that the checker read.
 Every operator likewise names the ``impl`` the checker bound on its node: a
-``values`` function becomes ``_rt.<name>(...)`` through the ``support``
-layer, which also supplies the engine; a plain Python operator is written
-inline, ``!`` as ``not``, and ``&&`` and ``||``, which have no ``impl``, as
-``and`` and ``or``.
+``values`` function becomes ``_V.<name>(...)``; a plain Python operator is
+written inline, ``!`` as ``not``, and ``&&`` and ``||``, which have no
+``impl``, as ``and`` and ``or``. The ``support`` layer, ``_rt``, supplies
+the engine and the program's entry point.
 Equivalence with the interpreter is checked by the differential test
 (``tests/test_differential.py``). Generated output is deterministic except
 for the generated-at manifest line.
@@ -66,7 +66,7 @@ class _Gen:
         if isinstance(e, Unary):
             inner = self.expr(e.operand)
             if e.impl.__module__ == values.__name__:
-                return f"_rt.{e.impl.__name__}({inner})"
+                return f"_V.{e.impl.__name__}({inner})"
             if e.op == "!":
                 return f"(not {inner})"
             if e.op == "+":
@@ -78,7 +78,7 @@ class _Gen:
             if e.impl is None:
                 return f"({a} {'and' if e.op == '&&' else 'or'} {b})"
             if e.impl.__module__ == values.__name__:
-                return f"_rt.{e.impl.__name__}({a}, {b})"
+                return f"_V.{e.impl.__name__}({a}, {b})"
             return f"({a} {e.op} {b})"
         if isinstance(e, Call):
             return self.call(e)
@@ -157,6 +157,7 @@ def transpile(checked: CheckedProgram, timestamp: str | None = None) -> str:
     w("")
     w("from rips import predicates as _P")
     w("from rips import support as _rt")
+    w("from rips import values as _V")
     w("")
     levels = [(d.name, d.soft) for d in checked.levels]
     w(f"LEVELS = {levels!r}")

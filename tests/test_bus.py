@@ -17,7 +17,7 @@ import time
 import pytest
 
 import rips
-from rips.bus import SignalCounters, SocketServer, drive, register_signals
+from rips.bus import SignalCounters, SocketServer, drive, register_signals, serve
 from rips.checker import check_source
 from rips.errors import EngineCrash
 from rips.runtime import EngineConfig, FakeClock, InterpretedEngine
@@ -239,6 +239,43 @@ def test_serve_exits_3_on_a_crash_action(tmp_path):
                                         + [("alert", "HIGH", "fatal")])
         assert monitor.sock.recv(1) == b""
         monitor.sock.close()
+
+
+class _OneDocumentServer:
+    """A ``serve`` server stub: ``receive`` hands over one document, then
+    ends the loop."""
+
+    path = "stub.sock"
+
+    def __init__(self, doc):
+        self.docs = [doc]
+        self.sent: list[bytes] = []
+
+    def start(self):
+        pass
+
+    def stop(self):
+        pass
+
+    def send(self, data):
+        self.sent.append(data)
+
+    def receive(self, wait_ns):
+        return [self.docs.pop()] if self.docs else None
+
+
+def test_serve_writes_a_crash_once_to_stderr(capsys, caplog):
+    """The crash action prints its text; serve returns 3 and logs nothing."""
+    server = _OneDocumentServer(CRASH.decode())
+    previous = {sig: signal.getsignal(sig) for sig in (signal.SIGUSR1, signal.SIGUSR2)}
+    try:
+        assert serve(InterpretedEngine(check_source(RULES, "crash.rul")), server) == 3
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+    assert [decode_outcome(data.decode()).text for data in server.sent] == ["fatal"]
+    assert capsys.readouterr().err == "fatal\n"
+    assert caplog.records == []
 
 
 def test_a_monitor_that_stops_reading_is_dropped(tmp_path):

@@ -148,6 +148,28 @@ def test_a_rules_file_name_cannot_inject_code_into_the_generated_program():
     assert "\n# source: x\\nINJECTED = 1\\n#.rul\n" in source
 
 
+def test_a_non_ascii_digit_is_one_diagnostic(tmp_path, capsys):
+    """`rips check` reports a superscript digit as an invalid character; it
+    used to end in a ValueError traceback."""
+    rules = tmp_path / "digit.rul"
+    rules.write_text("consts: X int = ²;\n", encoding="utf-8")
+    assert cli.main(["check", str(rules)]) == cli.STATIC_ERROR
+    assert capsys.readouterr().err == "digit.rul:1:17: invalid character '²'\n"
+
+
+def test_a_simulated_crash_writes_its_text_once(tmp_path, capsys, caplog):
+    """The crash action prints its text; nothing logs it again."""
+    rules = tmp_path / "crash.rul"
+    rules.write_text('levels: A;\nrules Graph: true ? crash("fatal");\n')
+    scenario = tmp_path / "crash.yaml"
+    scenario.write_text("timeline:\n  - at: 0.1\n    graph: {nodes: [{node: n1}]}\non_change_only: true\n")
+    assert cli.main(["simulate", str(rules), str(scenario)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "fatal\n"
+    assert "aborted: engine crashed: fatal" in out.splitlines()
+    assert caplog.records == []
+
+
 @pytest.mark.parametrize("command", [["check"], ["compile", "-c", "scripts"]], ids=["check", "compile"])
 def test_a_rules_file_that_is_not_utf8_is_an_error(tmp_path, command):
     rules = tmp_path / "bad.rul"

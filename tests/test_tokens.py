@@ -129,3 +129,34 @@ def test_keywords_vs_identifiers():
     assert kinds[4] == (TokenKind.IDENT, "string")
     assert kinds[5] == (TokenKind.IDENT, "int")
     assert kinds[6] == (TokenKind.IDENT, "levelname")
+
+
+@pytest.mark.parametrize("source, expected", [
+    # An invalid escape comes before the missing closing quote.
+    ('"\\q', "1:2: invalid escape sequence \\q"),
+    ('"a\\\nb"', "1:3: invalid escape sequence \\\n"),
+    ('"\\x4"', "1:2: invalid \\x escape: expected two hex digits"),
+    ("0b2", "1:1: binary literal needs at least one digit"),
+    ("x\t→ y", [("x", 1, 1), ("=>", 1, 3), ("y", 1, 5), ("", 1, 6)]),
+    # After a trailing comment the end of input sits at the comment's column.
+    ("a # c", [("a", 1, 1), ("", 1, 3)]),
+    ("a\n  # tail", [("a", 1, 1), ("", 2, 3)]),
+], ids=["escape-before-unterminated", "backslash-newline", "short-hex", "empty-binary", "tab-and-arrow",
+        "trailing-comment", "indented-trailing-comment"])
+def test_error_texts_and_positions(source, expected):
+    """A LexError's full text, or each token's lexeme and position."""
+    if isinstance(expected, str):
+        with pytest.raises(LexError) as exc:
+            tokenize(source)
+        assert str(exc.value) == expected
+    else:
+        assert [(t.lexeme, t.line, t.column) for t in tokenize(source)] == expected
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"])
+def test_a_non_ascii_digit_is_an_invalid_character(digit):
+    """Number literals are ASCII: a superscript two used to end in a
+    ValueError from int(), and an Arabic-Indic three was read as 3."""
+    with pytest.raises(LexError) as exc:
+        tokenize(f"consts: X int = {digit};")
+    assert str(exc.value) == f"1:17: invalid character {digit!r}"
