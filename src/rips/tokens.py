@@ -38,7 +38,8 @@ KEYWORDS = frozenset({"levels", "consts", "vars", "rules", "Graph", "Msg", "Exte
 
 # The token table. Two-character operators come before their one-character
 # prefixes. A string runs to its closing quote; without one (a line break or
-# the end of input comes first) the ``closed`` group stays empty.
+# the end of input comes first) the ``closed`` group stays empty. An escaped
+# line break is read past here and refused as an invalid escape.
 _TOKEN = re.compile(r"""
     (?P<space>[ \t\r\f\v]+)
   | (?P<comment>\#[^\n]*)
@@ -115,7 +116,7 @@ def tokenize(source: str) -> list[Token]:
                 raise LexError("binary literal needs at least one digit", line, column)
             tokens.append(Token(TokenKind.INT, text, line, column, int(text, 2)))
         elif kind == "number":
-            if text.isdigit():
+            if text.isdigit():  # no fraction and no exponent
                 tokens.append(Token(TokenKind.INT, text, line, column, int(text)))
             else:
                 tokens.append(Token(TokenKind.FLOAT, text, line, column, float(text)))
