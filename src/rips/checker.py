@@ -358,7 +358,8 @@ class _Checker:
             if e.kind == "string":
                 e.value = values.clamp_str(e.value)
             elif e.kind == "int" and not values.I64_MIN <= e.value <= values.I64_MAX:
-                self.note(f"int literal {e.value} is outside the 64-bit range", e)
+                text = e.lexeme if len(e.lexeme) <= 40 else e.lexeme[:40] + "..."
+                self.note(f"int literal {text} is outside the 64-bit range", e)
             return VALUE_TYPE_BY_NAME[e.kind]
 
         if isinstance(e, Name):

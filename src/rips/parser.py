@@ -240,7 +240,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind is TokenKind.INT:
             self.advance()
-            return Literal(value=tok.value, kind="int", line=tok.line, column=tok.column)
+            return Literal(value=tok.value, kind="int", lexeme=tok.lexeme, line=tok.line, column=tok.column)
         if tok.kind is TokenKind.FLOAT:
             self.advance()
             return Literal(value=tok.value, kind="float", line=tok.line, column=tok.column)

@@ -31,6 +31,8 @@ class Node:
 class Literal(Node):
     value: object = None
     kind: str = ""  # int | float | bool | string
+    # The source text of an int literal, which its diagnostics quote.
+    lexeme: str = field(compare=False, repr=False, kw_only=True, default="")
 
 
 @dataclass(eq=True)

@@ -117,7 +117,12 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token(TokenKind.INT, text, line, column, int(text, 2)))
         elif kind == "number":
             if text.isdigit():  # no fraction and no exponent
-                tokens.append(Token(TokenKind.INT, text, line, column, int(text)))
+                # Past 19 significant digits a literal is outside the 64-bit
+                # range, and int() refuses one of over 4,300 digits: its
+                # value is then 10**19, which the checker reports.
+                digits = text.lstrip("0")
+                value = int(digits or "0") if len(digits) <= 19 else 10**19
+                tokens.append(Token(TokenKind.INT, text, line, column, value))
             else:
                 tokens.append(Token(TokenKind.FLOAT, text, line, column, float(text)))
         elif kind == "word":

@@ -22,16 +22,17 @@ every line is a top-level ``key: scalar`` entry except one column-0
 holds block mappings and block sequences, indented under their key or not,
 of ``key: scalar``, ``key:`` and ``- `` lines. A scalar sits on one line
 and is plain or single-quoted; a plain scalar resolves as PyYAML's YAML 1.1
-implicit resolvers resolve it, and is built by its ``SafeConstructor``.
-The recognizer either returns exactly the mapping the safe loader would, or
-declines: at a comment or flow indicator (``# , [ ] { }``) outside single
-quotes; at a key or plain scalar that starts with any other indicator, such
-as an anchor, alias, tag, block scalar or double quote; at a quoted key, a
-tab, a blank line, a multi-line scalar, a line break other than ``\n`` or a
-character outside printable ASCII; at a scalar that resolves to a type
-other than str, null, int or float, or a key that resolves to any type but
-str; and at nesting deeper than ``MAX_DEPTH``. The tokens of a short line
-are kept in a bounded cache, because a monitor repeats its entries.
+implicit resolvers resolve it, and is built as its ``SafeConstructor``
+builds it. The recognizer either returns exactly the mapping the safe
+loader would, or declines: at a comment or flow indicator (``# , [ ] { }``)
+outside single quotes; at a key or plain scalar that starts with any other
+indicator, such as an anchor, alias, tag, block scalar or double quote; at
+a quoted key, a tab, a blank line, a multi-line scalar, a line break other
+than ``\n`` or a character outside printable ASCII; at a scalar that
+resolves to a type other than str, null, int or float, or a key that
+resolves to any type but str; and at nesting deeper than ``MAX_DEPTH``.
+The tokens of a short line are kept in a bounded cache, because a monitor
+repeats its entries.
 
 A monitor sends the full graph with every event, and on a deployed robot
 that graph rarely changes. ``decode_event`` therefore keeps the
@@ -51,6 +52,16 @@ libyaml's events rejects it at its first alias or at a collection nested
 deeper than ``MAX_DEPTH`` before the composer recurses into it, so neither
 an alias bomb nor a 50,000-deep nesting gets further than one
 ``DecodeError``.
+
+The serving path does not import PyYAML. The recognizer resolves and
+builds a plain scalar with its own copy of PyYAML's YAML 1.1 implicit
+resolvers and its int, float and null constructors, and ``encode_outcome``
+writes an outcome whose strings are single-line printable ASCII from a
+template. PyYAML is imported at the first read of an attribute of the
+module-level ``yaml``: by the full parse of a document the recognizer
+declines, by ``encode_event`` (an outcome with any other string takes it)
+and by ``decode_outcome``. It stays a dependency, and ``rips simulate``
+reads its scenario with it.
 """
 
 from __future__ import annotations
@@ -62,16 +73,31 @@ import math
 import re
 from dataclasses import dataclass
 
-import yaml
-
 from .errors import RipsError
 
 log = logging.getLogger("rips.wire")
 
-try:
-    _Loader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
-except AttributeError:  # libyaml not built in
-    _Loader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
+
+class _PyYAML:
+    """Stands for the ``yaml`` module until one of its attributes is read,
+    which imports PyYAML and puts the module in its place."""
+
+    def __getattr__(self, name):
+        global yaml
+        import yaml as module
+
+        if yaml is self:
+            yaml = module
+        return getattr(module, name)
+
+
+yaml = _PyYAML()
+
+
+def _safe(what: str):
+    """PyYAML's ``CSafeLoader`` or ``CSafeDumper``, or its pure-Python safe
+    class when libyaml is not built in."""
+    return getattr(yaml, "CSafe" + what, None) or getattr(yaml, "Safe" + what)
 
 
 class DecodeError(RipsError):
@@ -219,15 +245,84 @@ _LINE = re.compile(
 # The newline that ends the last line of a `context:` block.
 _BLOCK_END = re.compile(r"\n[^ ]")
 
-# The tag the YAML 1.1 implicit resolvers give a plain scalar.
-_plain_tag = functools.partial(yaml.resolver.Resolver().resolve, yaml.ScalarNode, implicit=(True, False))
+# PyYAML's YAML 1.1 implicit resolvers, in its order: a tag, the first
+# characters of the plain scalars it is tried on ("" for the empty scalar),
+# and the pattern such a scalar must match. A scalar none matches is a str.
+_RESOLVERS = (
+    ("bool", "yYnNtTfFoO", r"yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE|on|On|ON|off|Off|OFF"),
+    ("float", "-+0123456789.", r"[-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+][0-9]+)?|\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?"
+     r"|[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+\.[0-9_]*|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN)"),
+    ("int", "-+0123456789", r"[-+]?0b[0-1_]+|[-+]?0[0-7_]+|[-+]?(?:0|[1-9][0-9_]*)|[-+]?0x[0-9a-fA-F_]+"
+     r"|[-+]?[1-9][0-9_]*(?::[0-5]?[0-9])+"),
+    ("merge", "<", r"<<"),
+    ("null", ("~", "n", "N", ""), r"~|null|Null|NULL|"),
+    ("timestamp", "0123456789", r"[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]"
+     r"|[0-9][0-9][0-9][0-9]-[0-9][0-9]?-[0-9][0-9]?(?:[Tt]|[ \t]+)[0-9][0-9]?:[0-9][0-9]:[0-9][0-9](?:\.[0-9]*)?"
+     r"(?:[ \t]*(?:Z|[-+][0-9][0-9]?(?::[0-9][0-9])?))?"),
+    ("value", "=", r"="),
+    ("yaml", "!&*", r"!|&|\*"),
+)
+# A plain scalar's first character ("" for the empty scalar) to the (tag,
+# pattern) pairs tried on it, in order.
+_IMPLICIT: dict[str, list[tuple[str, re.Pattern]]] = {}
+for _name, _firsts, _pattern in _RESOLVERS:
+    for _first in _firsts:
+        _IMPLICIT.setdefault(_first, []).append((f"tag:yaml.org,2002:{_name}", re.compile(rf"(?:{_pattern})$")))
 _STR_TAG = "tag:yaml.org,2002:str"
-_CONSTRUCTOR = yaml.constructor.SafeConstructor()
-_BUILD = {
-    "tag:yaml.org,2002:null": _CONSTRUCTOR.construct_yaml_null,
-    "tag:yaml.org,2002:int": _CONSTRUCTOR.construct_yaml_int,
-    "tag:yaml.org,2002:float": _CONSTRUCTOR.construct_yaml_float,
-}
+
+
+def _plain_tag(text: str) -> str:
+    """The tag PyYAML's ``Resolver().resolve`` gives a plain scalar."""
+    for tag, pattern in _IMPLICIT.get(text[:1], ()):
+        if pattern.match(text):
+            return tag
+    return _STR_TAG
+
+
+def _signed(text: str) -> tuple[int, str]:
+    """A number's sign and the rest of its text, its ``_`` dropped."""
+    text = text.replace("_", "")
+    return (-1 if text[0] == "-" else 1), (text[1:] if text[0] in "+-" else text)
+
+
+def _sexagesimal(digits: list, value):
+    """``value`` plus base-60 ``digits``, summed from the last one as
+    ``SafeConstructor`` sums them, so that a float rounds as it does."""
+    base = 1
+    for digit in reversed(digits):
+        value += digit * base
+        base *= 60
+    return value
+
+
+def _int(text: str) -> int:
+    """``SafeConstructor.construct_yaml_int``; ValueError at, e.g., "0b_"."""
+    sign, text = _signed(text)
+    if text.startswith("0b"):
+        return sign * int(text[2:], 2)
+    if text.startswith("0x"):
+        return sign * int(text[2:], 16)
+    if text[0] == "0":
+        return sign * int(text, 8)
+    if ":" in text:
+        return sign * _sexagesimal([int(part) for part in text.split(":")], 0)
+    return sign * int(text)
+
+
+def _float(text: str) -> float:
+    """``SafeConstructor.construct_yaml_float``."""
+    sign, text = _signed(text.lower())
+    if text == ".inf":
+        return sign * math.inf
+    if text == ".nan":
+        return -math.inf / math.inf  # SafeConstructor's nan_value
+    if ":" in text:
+        return sign * _sexagesimal([float(part) for part in text.split(":")], 0.0)
+    return sign * float(text)
+
+
+_BUILD = {"tag:yaml.org,2002:null": lambda text: None, "tag:yaml.org,2002:int": _int,
+          "tag:yaml.org,2002:float": _float}
 
 
 def _plain(text: str):
@@ -240,7 +335,7 @@ def _plain(text: str):
     if build is None:
         raise _Declined
     try:
-        return build(yaml.ScalarNode(tag, text))
+        return build(text)
     except ValueError:  # e.g. "0b_", which the full parse rejects too
         raise _Declined from None
 
@@ -417,7 +512,7 @@ def _load(text):
     ``MAX_DEPTH``, before libyaml's composer recurses into it."""
     try:
         depth = 0
-        for event in yaml.parse(text, Loader=_Loader):
+        for event in yaml.parse(text, Loader=_safe("Loader")):
             if isinstance(event, yaml.CollectionStartEvent):
                 depth += 1
                 if depth > MAX_DEPTH:
@@ -426,7 +521,7 @@ def _load(text):
                 depth -= 1
             elif isinstance(event, yaml.AliasEvent):
                 raise DecodeError("the document uses an alias")
-        return yaml.load(text, Loader=_Loader)
+        return yaml.load(text, Loader=_safe("Loader"))
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         # ValueError: scalar constructors, e.g. a timestamp "2001-13-45".
         raise DecodeError(f"invalid YAML: {exc}") from exc
@@ -469,31 +564,31 @@ _WIDTH = 1_000_000
 def encode_event(doc: dict) -> str:
     """Serialize a monitor-side event mapping as one framed YAML document,
     keys in the mapping's order."""
-    body = yaml.dump(doc, Dumper=_Dumper, sort_keys=False, default_flow_style=False, width=_WIDTH)
+    body = yaml.dump(doc, Dumper=_safe("Dumper"), sort_keys=False, default_flow_style=False, width=_WIDTH)
     return "---\n" + body + "...\n"
 
 
-# The pure-Python emitter's scalar analysis, which encode_outcome asks, with
-# the resolver, how a string is written.
-_ANALYZE_SCALAR = yaml.emitter.Emitter(None).analyze_scalar
+# What keeps a printable ASCII string from being written plain, as
+# PyYAML's ``Emitter.analyze_scalar`` finds it: a leading or trailing space, a
+# leading document marker or indicator, a leading "?" or "-" before a space
+# or the end, any ":" before a space or the end, and a "#" after a space.
+_NOT_PLAIN = re.compile(r"""^(?:[ #,\[\]{}&*!|>'"%@`]|[?-](?: |\Z)|---|\.\.\.)|:(?: |\Z)| #| \Z""")
 
 
 def _str_scalar(value) -> str | None:
-    """``value`` as the dumper writes it as a block mapping value: plain or
-    single-quoted, as ``Emitter.choose_scalar_style`` picks; None when the
-    value spans lines, is long enough to fold, or needs double quotes.
-    Quoting at most doubles a value, so one under a quarter of the width
-    stays on its line."""
-    if type(value) is not str or len(value) > _WIDTH // 4:
+    """``value`` as the dumper writes it as a block mapping value, when it
+    is single-line printable ASCII: plain when ``_NOT_PLAIN`` finds nothing
+    and it resolves to a str, as ``Emitter.choose_scalar_style`` picks, and
+    single-quoted otherwise. Neither asks PyYAML, which ``encode_event``
+    alone loads. None for any other string, which the dumper writes (it may
+    double-quote or fold it), and for one long enough to fold: quoting at
+    most doubles a value, so one under a quarter of the width stays on its
+    line."""
+    if type(value) is not str or len(value) > _WIDTH // 4 or not (value.isascii() and value.isprintable()):
         return None
-    analysis = _ANALYZE_SCALAR(value)
-    if analysis.multiline:
-        return None
-    if analysis.allow_block_plain and _plain_tag(value) == _STR_TAG:
+    if _NOT_PLAIN.search(value) is None and _plain_tag(value) == _STR_TAG:
         return value
-    if analysis.allow_single_quoted:
-        return "'" + value.replace("'", "''") + "'"
-    return None
+    return "'" + value.replace("'", "''") + "'"
 
 
 def _float_scalar(value) -> str | None:
@@ -532,7 +627,7 @@ def decode_outcome(doc) -> Outcome:
     """Monitor-side decoding of an outcome document, as a monitor or a load
     generator reads the engine's replies."""
     if isinstance(doc, (str, bytes)):
-        doc = yaml.load(doc, Loader=_Loader)
+        doc = yaml.load(doc, Loader=_safe("Loader"))
     if not isinstance(doc, dict) or "event" not in doc:
         raise DecodeError("outcome document lacks the 'event' key")
     return Outcome(

@@ -157,6 +157,17 @@ def test_a_non_ascii_digit_is_one_diagnostic(tmp_path, capsys):
     assert capsys.readouterr().err == "digit.rul:1:17: invalid character '²'\n"
 
 
+@pytest.mark.parametrize("literal", ["1" * 5000, "0b" + "1" * 20000], ids=["decimal", "binary"])
+def test_an_over_long_int_literal_is_one_diagnostic(tmp_path, capsys, literal):
+    """An int literal too long for ``int()`` (decimal) or for ``str()`` of
+    its value (binary) gets the range diagnostic, which quotes a prefix of
+    its text; both used to end in a ValueError traceback."""
+    rules = tmp_path / "long.rul"
+    rules.write_text(f"consts: X int = {literal};\n")
+    assert cli.main(["check", str(rules)]) == cli.STATIC_ERROR
+    assert capsys.readouterr().err == f"long.rul:1:17: int literal {literal[:40]}... is outside the 64-bit range\n"
+
+
 def test_a_simulated_crash_writes_its_text_once(tmp_path, capsys, caplog):
     """The crash action prints its text; nothing logs it again."""
     rules = tmp_path / "crash.rul"

@@ -160,3 +160,12 @@ def test_a_non_ascii_digit_is_an_invalid_character(digit):
     with pytest.raises(LexError) as exc:
         tokenize(f"consts: X int = {digit};")
     assert str(exc.value) == f"1:17: invalid character {digit!r}"
+
+
+def test_a_decimal_literal_of_any_length_tokenizes():
+    """Leading zeros do not count against the 19 digits of the 64-bit
+    range; past them a literal's value is out of range, not exact, since
+    int() refuses a string of over 4,300 digits."""
+    assert tokenize("0" * 5000 + "7")[0].value == 7
+    assert tokenize("9223372036854775807")[0].value == 2**63 - 1
+    assert tokenize("1" * 5000)[0].value > 2**63 - 1

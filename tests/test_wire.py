@@ -232,6 +232,62 @@ def test_alert_outcome_round_trip(text, level, gravity, timestamp):
                                            default_flow_style=False, width=1_000_000) + "...\n"
 
 
+# Plain scalars near every resolver's edge: indicators, signs, digits, the
+# letters of bases and exponents, and pieces of inf, nan, null and yes.
+_INDICATORS = "-+.:_#'\"!&*<=?,[]{}|>%@~ 0123456789eExXbBoOinfaulys"
+_PLAIN_PIECES = ["inf", "nan", "null", "yes", ".inf", ".NaN", "0x", "0b", "0o", "e+", "1:2", "---", "...", "<<",
+                 "2001-12-14", " #", ": "]
+_PLAINS = st.one_of(
+    st.lists(st.sampled_from(list(_INDICATORS)) | st.sampled_from(_PLAIN_PIECES), max_size=10).map("".join),
+    st.from_regex(r"[-+]?(?:0b[01_]*|0x[0-9a-fA-F_]*|0[0-7_]*|[0-9_]+(?::[0-5]?[0-9])*(?:\.[0-9_]*)?"
+                  r"(?:[eE][-+][0-9]+)?|\.(?:inf|Inf|nan|NaN))", fullmatch=True),
+)
+_SAFE_CONSTRUCTOR = yaml.constructor.SafeConstructor()
+
+
+def _built(build, *args):
+    """What ``build(*args)`` returns, NaN made comparable, or ValueError."""
+    try:
+        value = build(*args)
+    except ValueError:
+        return ValueError
+    return ("nan", math.copysign(1, value)) if value != value else (type(value), value, repr(value))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_PLAINS)
+@example(text="")
+@example(text="0b_")
+@example(text="-.Inf")
+@example(text="1:20.5")
+@example(text="190:20:30.15")
+def test_plain_scalars_resolve_and_build_as_pyyaml_does(text):
+    """``_plain_tag`` equals PyYAML's ``Resolver().resolve``, and the int,
+    float and null builders equal ``SafeConstructor``, a ValueError
+    included."""
+    tag = yaml.resolver.Resolver().resolve(yaml.ScalarNode, text, (True, False))
+    assert wire._plain_tag(text) == tag
+    kind = tag.rsplit(":", 1)[1]
+    if kind in ("int", "float", "null"):
+        expected = _built(getattr(_SAFE_CONSTRUCTOR, f"construct_yaml_{kind}"), yaml.ScalarNode(tag, text))
+        assert _built(wire._BUILD[tag], text) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_PLAINS | st.text(max_size=12), level=_PLAINS | st.text(max_size=12),
+       kind=st.sampled_from(["alert", "levelchange"]))
+@example(text="é", level="COMPROMISED", kind="alert")
+@example(text="a: b", level="- a", kind="alert")
+def test_outcome_bytes_equal_encode_event(text, level, kind):
+    """``encode_outcome`` writes what ``encode_event`` writes; a string
+    that is not single-line printable ASCII takes the dumper's path."""
+    o = Outcome(kind, level, 0, 0.5, text, 7)
+    doc = {"event": kind, "level": level, "gravity": 0.5, "text": text, "timestamp": 7}
+    assert encode_outcome(o) == encode_event(doc)
+    for value in (text, level):
+        assert (wire._str_scalar(value) is None) == (not (value.isascii() and value.isprintable()))
+
+
 def test_graph_fixture_reencodes_equal():
     text = load_fixture()
     first = decode_event(text)
