@@ -21,7 +21,8 @@ import sys
 from . import __version__
 from .checker import check_file
 from .errors import StaticError
-from .runtime import InterpretedEngine, SubprocessRunner
+from .interpreter import InterpretedEngine
+from .runtime import SubprocessRunner
 from .support import add_engine_args, config_from_args, positive_float, serve_from_args
 
 # Where `rips run` looks for transition scripts unless told otherwise.

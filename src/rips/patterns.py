@@ -11,7 +11,7 @@ Hex wildcards, jumps, regex strings and modules are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 _ESCAPES = {"n": 0x0A, "t": 0x09, "\\": 0x5C, '"': 0x22}
 
@@ -24,8 +24,7 @@ class PatternFileError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # ident | var | string | punct
     text: str
     data: bytes | None
@@ -172,8 +171,7 @@ class _CondParser:
         self.error(f"unexpected token in condition: {t.text!r}")
 
 
-@dataclass
-class PatternRule:
+class PatternRule(NamedTuple):
     name: str
     strings: dict[str, bytes]
     condition: tuple
@@ -192,11 +190,10 @@ class PatternRule:
         return self._eval(node[1], payload) or self._eval(node[2], payload)
 
 
-@dataclass
-class PatternFile:
+class PatternFile(NamedTuple):
     rules: list[PatternRule]
     # The text it was parsed from, which a generated program embeds.
-    source: str = field(default="", compare=False)
+    source: str = ""
 
     def match(self, payload: bytes) -> bool:
         return any(rule.match(payload) for rule in self.rules)

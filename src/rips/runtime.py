@@ -1,16 +1,11 @@
-"""Rule execution: the engine, its actions, the level transitions and the
-tree-walking interpreter.
+"""Rule execution: the engine, its actions and the level transitions.
 
 One ``Engine`` class runs both engines. It takes its rules as tables of
 ``(rule_id, fn)`` and runs each as ``fn(engine, ctx)``: a generated
-program hands over the functions it defines, and ``InterpretedEngine``
-builds functions that walk the checked AST. Every builtin call, action or
-expression, goes through its ``BuiltinSig.impl``, with the same arguments in
-both engines: the first argument the checker prepared in ``Call.resource``,
-if there is one, then the evaluated rest. Every operator goes through the
-``impl`` the checker bound on its ``Unary`` or ``Binary`` node from the
-operator table in ``values``; only ``&&`` and ``||``, which short-circuit,
-are walked here.
+program hands over the functions it defines, and
+``interpreter.InterpretedEngine`` hands over functions that walk the
+checked AST. This module does not import the AST, so a generated program
+loads neither it nor the walker.
 
 One logical loop owns the engine's state; rules never run concurrently.
 Each rule evaluation first reads the clock into ``time_ns``, from which
@@ -22,26 +17,23 @@ engine.
 
 from __future__ import annotations
 
-import functools
 import logging
 import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import values
 from .bus import SignalCounters
 from .errors import EngineCrash, EvalFault
 from .predicates import IdsAlertScanner
-from .syntax import Binary, Call, Literal, Name, Rule, Unary
 from .wire import DecodeError, InboundEvent, Outcome, decode_event
 
 log = logging.getLogger("rips.engine")
 
 
-@dataclass
-class EngineConfig:
+class EngineConfig(NamedTuple):
     socket_path: str = "/tmp/rips.sock"
     tick_interval: float = 0.1
     exec_timeout: float = 30.0
@@ -163,7 +155,8 @@ class Engine:
     ``levels`` are ``(name, soft)`` pairs in declaration order; with a
     ``scripts_dir`` every transition runs ``<scripts_dir>/<level>.from`` and
     ``.to``. The three rule tables hold ``(rule_id, fn)`` pairs, run as
-    ``fn(engine, ctx)``.
+    ``fn(engine, ctx)``: the functions a generated program defines, or
+    those of ``interpreter.InterpretedEngine``, which walk the AST.
 
     The run's state: ``current``, the ordinal of the current level, which
     only rises except that a soft level may step down one; ``variables``;
@@ -356,67 +349,12 @@ class Engine:
         return ordinal / (n - 1) if n > 1 else 0.0
 
 
-def InterpretedEngine(checked, **kwargs) -> Engine:
-    """The engine of a ``CheckedProgram`` whose rule functions walk its AST;
-    keywords as for ``Engine``: clock, runner, counters, sink, config."""
-    return Engine(
-        levels=[(d.name, d.soft) for d in checked.levels],
-        scripts_dir=checked.scripts_dir,
-        var_init=checked.var_initial,
-        graph_rules=[(r.rule_id, functools.partial(run_rule, r)) for r in checked.graph_rules],
-        msg_rules=[(r.rule_id, functools.partial(run_rule, r)) for r in checked.msg_rules],
-        external_rules=[(r.rule_id, functools.partial(run_rule, r)) for r in checked.external_rules],
-        **kwargs,
-    )
+def __getattr__(name):
+    """``InterpretedEngine``, which moved to ``rips.interpreter``. perfbench
+    still imports it from here; this stays only until the benchmark change
+    of ROADMAP item 1 moves that import."""
+    if name == "InterpretedEngine":
+        from .interpreter import InterpretedEngine
 
-
-def run_rule(rule: Rule, E: Engine, ctx) -> None:
-    """Interpret one rule: its trigger, then its chain of actions."""
-    if evaluate(E, rule.trigger, ctx) is not True:
-        return
-    prev = None
-    for idx, item in enumerate(rule.chain):
-        if idx:
-            conn = rule.chain[idx - 1].connector
-            if conn == "=>" and prev is not True:
-                return
-            if conn == "!>" and prev is not False:
-                return
-        call = item.action
-        prev = call.sig.impl(E, *_arguments(E, call, ctx))
-
-
-def _arguments(E: Engine, call: Call, ctx) -> list:
-    """The prepared first argument, if any, then the evaluated rest."""
-    if call.resource is None:
-        return [evaluate(E, a, ctx) for a in call.args]
-    return [call.resource, *[evaluate(E, a, ctx) for a in call.args[1:]]]
-
-
-def evaluate(E: Engine, e, ctx):
-    """The value of expression ``e`` in rule context ``ctx``."""
-    cls = type(e)
-    if cls is Literal:
-        return e.value
-    if cls is Name:
-        sym = e.binding
-        kind = sym.kind
-        if kind == "var":
-            return E.variables[sym.name]
-        if kind == "predefined":
-            if sym.name == "CurrLevel":
-                return E.current
-            if sym.name == "Time":
-                return E.time_ns
-            return E.time_ns - E.start_ns
-        return sym.value
-    if cls is Binary:
-        if e.impl is not None:
-            return e.impl(evaluate(E, e.left, ctx), evaluate(E, e.right, ctx))
-        if e.op == "&&":
-            return evaluate(E, e.left, ctx) and evaluate(E, e.right, ctx)
-        return evaluate(E, e.left, ctx) or evaluate(E, e.right, ctx)
-    if cls is Unary:
-        return e.impl(evaluate(E, e.operand, ctx))
-    # Call
-    return e.sig.impl(E, ctx, *_arguments(E, e, ctx))
+        return InterpretedEngine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

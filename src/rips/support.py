@@ -8,12 +8,15 @@ builtin is called straight from ``predicates``, every operator function
 straight from ``values``, and every action as an ``Engine`` method, the
 same functions the interpreter reaches through ``BuiltinSig.impl`` and the
 operator's ``impl``.
+
+A generated program loads what these three modules import and no more:
+what serving runs, and not the AST or its walker, ``dataclasses``, PyYAML
+or (unless ``--dump-vars`` asks for it at exit) ``json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -40,15 +43,16 @@ def positive_float(text) -> float:
 def add_engine_args(parser: argparse.ArgumentParser, *, serving: bool = True) -> None:
     """Add the engine options; ``serving`` adds those that only a socket
     server has (socket path, child-process timeout, ``--dump-vars``)."""
+    defaults = EngineConfig()
     if serving:
-        parser.add_argument("-s", "--socket", default=EngineConfig.socket_path,
+        parser.add_argument("-s", "--socket", default=defaults.socket_path,
                             help="unix socket path (default %(default)s)")
-    parser.add_argument("--tick", type=positive_float, default=EngineConfig.tick_interval,
+    parser.add_argument("--tick", type=positive_float, default=defaults.tick_interval,
                         help="External-rule tick interval in seconds (default %(default)s)")
     if serving:
-        parser.add_argument("--exec-timeout", type=positive_float, default=EngineConfig.exec_timeout)
-    parser.add_argument("--ids-dir", default=EngineConfig.ids_dir)
-    parser.add_argument("--ids-pattern", default=EngineConfig.ids_pattern)
+        parser.add_argument("--exec-timeout", type=positive_float, default=defaults.exec_timeout)
+    parser.add_argument("--ids-dir", default=defaults.ids_dir)
+    parser.add_argument("--ids-pattern", default=defaults.ids_pattern)
     if serving:
         parser.add_argument("--dump-vars", action="store_true",
                             help="print the final variable store to stderr at exit")
@@ -56,11 +60,14 @@ def add_engine_args(parser: argparse.ArgumentParser, *, serving: bool = True) ->
 
 def config_from_args(args: argparse.Namespace) -> EngineConfig:
     """The ``EngineConfig`` that the options of ``add_engine_args`` describe."""
-    config = EngineConfig(tick_interval=args.tick, ids_dir=args.ids_dir, ids_pattern=args.ids_pattern)
-    if hasattr(args, "socket"):
-        config.socket_path = args.socket
-        config.exec_timeout = args.exec_timeout
-    return config
+    defaults = EngineConfig()
+    return EngineConfig(
+        socket_path=getattr(args, "socket", defaults.socket_path),
+        tick_interval=args.tick,
+        exec_timeout=getattr(args, "exec_timeout", defaults.exec_timeout),
+        ids_dir=args.ids_dir,
+        ids_pattern=args.ids_pattern,
+    )
 
 
 def serve_from_args(build_engine, args: argparse.Namespace) -> int:
@@ -70,6 +77,8 @@ def serve_from_args(build_engine, args: argparse.Namespace) -> int:
     engine = build_engine(config=config)
     status = serve(engine, SocketServer(config.socket_path))
     if args.dump_vars:
+        import json
+
         print(json.dumps(engine.dump_variables(), sort_keys=True, default=repr), file=sys.stderr)
     return status
 

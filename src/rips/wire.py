@@ -53,11 +53,12 @@ deeper than ``MAX_DEPTH`` before the composer recurses into it, so neither
 an alias bomb nor a 50,000-deep nesting gets further than one
 ``DecodeError``.
 
-The serving path does not import PyYAML. The recognizer resolves and
-builds a plain scalar with its own copy of PyYAML's YAML 1.1 implicit
-resolvers and its int, float and null constructors, and ``encode_outcome``
-writes an outcome whose strings are single-line printable ASCII from a
-template. PyYAML is imported at the first read of an attribute of the
+The serving path imports neither PyYAML nor ``dataclasses``
+(``InboundEvent`` and ``Outcome`` are ``NamedTuple``s). The recognizer
+resolves and builds a plain scalar with its own copy of PyYAML's YAML 1.1
+implicit resolvers and its int, float and null constructors, and
+``encode_outcome`` writes an outcome whose strings are single-line
+printable ASCII from a template. PyYAML is imported at the first read of an attribute of the
 module-level ``yaml``: by the full parse of a document the recognizer
 declines, by ``encode_event`` (an outcome with any other string takes it)
 and by ``decode_outcome``. It stays a dependency, and ``rips simulate``
@@ -71,7 +72,7 @@ import functools
 import logging
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import RipsError
 
@@ -137,8 +138,7 @@ class GraphContext:
         return self._subscribers.get(topic, frozenset())
 
 
-@dataclass
-class InboundEvent:
+class InboundEvent(NamedTuple):
     kind: str  # "graph" | "message"
     graph: GraphContext
     topic: str = ""
@@ -146,8 +146,7 @@ class InboundEvent:
     payload: bytes = b""
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     kind: str  # "levelchange" | "alert"
     level: str
     ordinal: int
@@ -544,17 +543,14 @@ def _event(doc, graph: GraphContext | None = None) -> InboundEvent:
         if "context" not in doc:
             raise DecodeError("event document lacks the 'context' key")
         graph = parse_graph_context(doc["context"])
-    ev = InboundEvent(kind, graph)
-    if kind == "message":
-        ev.topic = str(doc.get("topic") or "")
-        ev.msg_type = str(doc.get("msgtype") or "")
-        raw = doc.get("payload")
-        if raw:
-            try:
-                ev.payload = base64.b64decode(str(raw), validate=True)
-            except (ValueError, TypeError) as exc:
-                raise DecodeError(f"payload is not valid base64: {exc}") from exc
-    return ev
+    if kind == "graph":
+        return InboundEvent(kind, graph)
+    raw = doc.get("payload")
+    try:
+        payload = base64.b64decode(str(raw), validate=True) if raw else b""
+    except (ValueError, TypeError) as exc:
+        raise DecodeError(f"payload is not valid base64: {exc}") from exc
+    return InboundEvent(kind, graph, str(doc.get("topic") or ""), str(doc.get("msgtype") or ""), payload)
 
 
 # Wider than any line an engine writes, so the dumper never folds one.

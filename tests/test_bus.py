@@ -20,7 +20,8 @@ import rips
 from rips.bus import SignalCounters, SocketServer, drive, register_signals, serve
 from rips.checker import check_source
 from rips.errors import EngineCrash
-from rips.runtime import EngineConfig, FakeClock, InterpretedEngine
+from rips.interpreter import InterpretedEngine
+from rips.runtime import EngineConfig, FakeClock
 from rips.wire import DocumentStream, decode_outcome, encode_event
 
 from conftest import make_scripts

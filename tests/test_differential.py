@@ -24,7 +24,8 @@ from rips import predicates, values
 from rips.bus import SignalCounters
 from rips.checker import check_source
 from rips.errors import EngineCrash, StaticError
-from rips.runtime import Engine, EngineConfig, FakeClock, InterpretedEngine, RecordingRunner
+from rips.interpreter import InterpretedEngine
+from rips.runtime import Engine, EngineConfig, FakeClock, RecordingRunner
 from rips.signatures import ACTIONS, EXPRESSION_BUILTINS
 from rips.syntax import Binary, Call, Unary
 from rips.transpiler import load_generated, transpile
@@ -270,7 +271,7 @@ def _module_tree(module: str) -> ast.Module:
         return ast.parse(fh.read())
 
 
-@pytest.mark.parametrize("module", ["runtime.py", "transpiler.py"])
+@pytest.mark.parametrize("module", ["runtime.py", "interpreter.py", "transpiler.py"])
 def test_engines_do_not_dispatch_on_builtin_names(module):
     """No string ladder: neither engine compares a name with a builtin's
     name, action or expression. (``RecordingRunner`` labels its records
@@ -278,7 +279,7 @@ def test_engines_do_not_dispatch_on_builtin_names(module):
     assert not _compared_constants(_module_tree(module)) & {*ACTIONS, *EXPRESSION_BUILTINS}
 
 
-@pytest.mark.parametrize("module, function", [("runtime.py", "evaluate"), ("checker.py", "fold")])
+@pytest.mark.parametrize("module, function", [("interpreter.py", "evaluate"), ("checker.py", "fold")])
 def test_evaluators_do_not_dispatch_on_operators(module, function):
     """The interpreter and the constant folder call the ``impl`` the checker
     bound on each operator node; only the short-circuit operators, which

@@ -1,6 +1,6 @@
-"""The runtime loads without the compiler, and serves without PyYAML. Each
-check imports in a fresh interpreter, whose ``sys.modules`` no other test
-has filled."""
+"""The runtime loads without the compiler, and serves without PyYAML,
+``dataclasses``, ``inspect`` or ``json``. Each check imports in a fresh
+interpreter, whose ``sys.modules`` no other test has filled."""
 
 from __future__ import annotations
 
@@ -14,16 +14,19 @@ from rips import cli
 from conftest import DATA_DIR, make_scripts
 
 RUNTIME = {f"rips.{name}" for name in (
-    "errors", "values", "syntax", "wire", "bus",
+    "errors", "values", "wire", "bus",
     "predicates", "regexlite", "patterns", "runtime", "support")} | {"rips"}
 COMPILER = {f"rips.{name}" for name in ("checker", "parser", "tokens", "signatures", "transpiler", "scenario", "cli")}
+# Standard modules that serving never runs: PyYAML, the records' old
+# ``dataclasses`` (which loads ``inspect``) and ``--dump-vars``'s ``json``.
+NOT_SERVING = {"yaml", "dataclasses", "inspect", "json"}
 
 
 def _modules_after(code: str, cwd=None) -> set[str]:
-    """The ``rips`` modules loaded once ``code`` has run, and ``yaml`` when
-    PyYAML is loaded."""
+    """The ``rips`` modules loaded once ``code`` has run, and those of
+    ``NOT_SERVING`` that are loaded."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rips.__file__)))
-    report = "import sys; print(*(m for m in sys.modules if m in ('rips', 'yaml') or m.startswith('rips.')))"
+    report = f"import sys; print(*(m for m in sys.modules if m in {sorted(NOT_SERVING | {'rips'})!r} or m.startswith('rips.')))"
     proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -44,7 +47,10 @@ def test_generated_program_loads_no_compiler_module(tmp_path, capsys):
 
 
 def test_cli_loads_no_subcommand_module():
+    """``rips.cli`` imports the walker at its top, so that it is compiled
+    before ``check_file`` builds a checked program."""
     loaded = _modules_after("import rips.cli")
+    assert "rips.interpreter" in loaded
     assert not loaded & {"rips.transpiler", "rips.scenario", "rips.bench", "rips.randprog", "yaml"}
 
 

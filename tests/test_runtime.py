@@ -8,7 +8,8 @@ import pytest
 from rips.bus import SignalCounters
 from rips.checker import check_source
 from rips.errors import EngineCrash
-from rips.runtime import EngineConfig, FakeClock, InterpretedEngine, RecordingRunner, evaluate
+from rips.interpreter import InterpretedEngine, evaluate
+from rips.runtime import EngineConfig, FakeClock, RecordingRunner
 from rips.wire import decode_event, encode_event
 
 

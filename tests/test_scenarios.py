@@ -17,7 +17,8 @@ import yaml
 import rips
 from rips import cli
 from rips.checker import check_file, check_source
-from rips.runtime import EngineConfig, InterpretedEngine, RecordingRunner
+from rips.interpreter import InterpretedEngine
+from rips.runtime import EngineConfig, RecordingRunner
 from rips.scenario import (
     DEFAULT_POLLING_S,
     ScenarioError,

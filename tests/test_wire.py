@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import rips
 from rips import wire
 from rips.checker import check_source
-from rips.runtime import FakeClock, InterpretedEngine, RecordingRunner
+from rips.interpreter import InterpretedEngine
+from rips.runtime import FakeClock, RecordingRunner
 from rips.transpiler import load_generated, transpile
 from rips.wire import (
     MAX_DEPTH,
