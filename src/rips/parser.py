@@ -3,11 +3,15 @@
 The operator set and precedence mirror C (shifts excluded). Sentences end
 with ``;``; a section marker is a keyword followed by ``:`` (``rules``
 carries an extra kind keyword). The first syntax error aborts the parse.
+
+An expression's tree may be at most ``MAX_NESTING`` levels deep. Each
+operator of a chain is one level, as in its tree, and so is each call and
+each parenthesis. The bound keeps the parser, the checker, the interpreter,
+the transpiler and CPython's compile of a generated program under Python's
+default recursion limit.
 """
 
 from __future__ import annotations
-
-import sys
 
 from .errors import ParseError
 from .syntax import (
@@ -29,12 +33,13 @@ from .syntax import (
 )
 from .tokens import Token, TokenKind, tokenize
 
-MAX_NESTING = 256
+MAX_NESTING = 100
 
 _SECTION_KEYWORDS = {"levels", "consts", "vars", "rules"}
 _TYPE_NAMES = {"string", "int", "bool", "float"}
 
 UNARY_OPS = {"!", "-", "+", "~"}
+_LITERAL_KINDS = {TokenKind.INT: "int", TokenKind.FLOAT: "float", TokenKind.STRING: "string", TokenKind.BOOL: "bool"}
 
 
 class _Parser:
@@ -195,102 +200,91 @@ class _Parser:
         tok = self.peek()
         if not (tok.kind is TokenKind.PUNCT and tok.lexeme == "("):
             self.error("'(' (actions are calls)")
-        return self.finish_call(name_tok)
+        return self.finish_call(name_tok)[0]
 
     # --- expressions ---
+    #
+    # Each expression method returns its node and the height of its tree,
+    # in which a parenthesised expression counts one level. ``depth`` is
+    # the number of levels above the node being read.
 
     def parse_expr(self) -> Expr:
-        return self.parse_binary(1)
+        return self.parse_binary(1)[0]
 
-    def parse_binary(self, min_prec: int) -> Expr:
+    def nested(self, tok: Token, parse, *args) -> tuple[Expr, int]:
+        """``parse(*args)`` one level below the current one."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            tok = self.peek()
             raise ParseError("expression nesting too deep", tok.line, tok.column)
-        try:
-            left = self.parse_unary()
-            while True:
-                tok = self.peek()
-                if tok.kind is not TokenKind.OPERATOR:
-                    return left
-                prec = BINARY_PRECEDENCE.get(tok.lexeme)
-                if prec is None or prec < min_prec:
-                    return left
-                self.advance()
-                right = self.parse_binary(prec + 1)
-                left = Binary(op=tok.lexeme, left=left, right=right, line=tok.line, column=tok.column)
-        finally:
-            self.depth -= 1
+        result = parse(*args)
+        self.depth -= 1
+        return result
 
-    def parse_unary(self) -> Expr:
+    def parse_binary(self, min_prec: int) -> tuple[Expr, int]:
+        left, height = self.parse_unary()
+        while True:
+            tok = self.peek()
+            if tok.kind is not TokenKind.OPERATOR:
+                return left, height
+            prec = BINARY_PRECEDENCE.get(tok.lexeme)
+            if prec is None or prec < min_prec:
+                return left, height
+            self.advance()
+            right, right_height = self.nested(tok, self.parse_binary, prec + 1)
+            # Each operator of a chain sits one level above the one before.
+            height = 1 + max(height, right_height)
+            if self.depth + height > MAX_NESTING:
+                raise ParseError("expression nesting too deep", tok.line, tok.column)
+            left = Binary(op=tok.lexeme, left=left, right=right, line=tok.line, column=tok.column)
+
+    def parse_unary(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind is TokenKind.OPERATOR and tok.lexeme in UNARY_OPS:
             self.advance()
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError("expression nesting too deep", tok.line, tok.column)
-            try:
-                operand = self.parse_unary()
-            finally:
-                self.depth -= 1
-            return Unary(op=tok.lexeme, operand=operand, line=tok.line, column=tok.column)
+            operand, height = self.nested(tok, self.parse_unary)
+            return Unary(op=tok.lexeme, operand=operand, line=tok.line, column=tok.column), height + 1
         return self.parse_primary()
 
-    def parse_primary(self) -> Expr:
+    def parse_primary(self) -> tuple[Expr, int]:
         tok = self.peek()
-        if tok.kind is TokenKind.INT:
+        if tok.kind in _LITERAL_KINDS:
             self.advance()
-            return Literal(value=tok.value, kind="int", lexeme=tok.lexeme, line=tok.line, column=tok.column)
-        if tok.kind is TokenKind.FLOAT:
-            self.advance()
-            return Literal(value=tok.value, kind="float", line=tok.line, column=tok.column)
-        if tok.kind is TokenKind.STRING:
-            self.advance()
-            return Literal(value=tok.value, kind="string", line=tok.line, column=tok.column)
-        if tok.kind is TokenKind.BOOL:
-            self.advance()
-            return Literal(value=tok.value, kind="bool", line=tok.line, column=tok.column)
+            kind = _LITERAL_KINDS[tok.kind]
+            return Literal(value=tok.value, kind=kind, lexeme=tok.lexeme, line=tok.line, column=tok.column), 0
         if tok.kind is TokenKind.IDENT:
             self.advance()
             nxt = self.peek()
             if nxt.kind is TokenKind.PUNCT and nxt.lexeme == "(":
                 return self.finish_call(tok)
-            return Name(name=tok.lexeme, line=tok.line, column=tok.column)
+            return Name(name=tok.lexeme, line=tok.line, column=tok.column), 0
         if tok.kind is TokenKind.PUNCT and tok.lexeme == "(":
             self.advance()
-            inner = self.parse_expr()
+            inner, height = self.nested(tok, self.parse_binary, 1)
             self.expect_punct(")")
-            return inner
+            return inner, height + 1
         self.error("an expression")
 
-    def finish_call(self, name_tok: Token) -> Call:
+    def finish_call(self, name_tok: Token) -> tuple[Call, int]:
         self.expect_punct("(")
         args: list[Expr] = []
+        height = 0
         tok = self.peek()
         if not (tok.kind is TokenKind.PUNCT and tok.lexeme == ")"):
             while True:
-                args.append(self.parse_expr())
+                arg, arg_height = self.nested(name_tok, self.parse_binary, 1)
+                args.append(arg)
+                height = max(height, arg_height + 1)
                 tok = self.peek()
                 if tok.kind is TokenKind.PUNCT and tok.lexeme == ",":
                     self.advance()
                     continue
                 break
         self.expect_punct(")")
-        return Call(name=name_tok.lexeme, args=args, line=name_tok.line, column=name_tok.column)
+        return Call(name=name_tok.lexeme, args=args, line=name_tok.line, column=name_tok.column), height
 
 
 def parse_program(tokens: list[Token], source_name: str = "rules") -> Program:
-    # The recursive parser needs ~5 interpreter frames per nesting level;
-    # give the MAX_NESTING guard room to fire before Python's own limit.
-    limit = sys.getrecursionlimit()
-    needed = MAX_NESTING * 6 + 200
-    if limit < needed:
-        sys.setrecursionlimit(needed)
-    try:
-        return _Parser(tokens, source_name).parse_program()
-    finally:
-        if limit < needed:
-            sys.setrecursionlimit(limit)
+    return _Parser(tokens, source_name).parse_program()
 
 
 def parse_source(source: str, source_name: str = "rules") -> Program:

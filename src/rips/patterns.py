@@ -6,13 +6,46 @@ in a ``condition:`` section with ``and`` / ``or`` / ``not`` and parentheses.
 A pattern identifier is true when its byte sequence occurs anywhere in the
 payload. The file matches a payload when any of its rules' conditions hold.
 
+One pattern, ``_TOKEN``, reads the file: its named groups are the token
+kinds, tried in order at each position (white space and the ``#``, ``//``
+and ``/* */`` comments, string, ``$name``, name, punctuation), and a
+position that none of them matches is an unexpected character. The whole
+file is read before it is parsed, so a token error anywhere wins. One
+recursive-descent ``_Parser`` then reads the rules and their conditions. A
+chain of ``and`` or of ``or`` is one n-ary node, which matching checks with
+``all`` or ``any``. Parentheses and ``not`` count toward ``MAX_NESTING``;
+a condition nested deeper is refused, so neither parsing nor matching
+recurses past Python's limit.
+
 Hex wildcards, jumps, regex strings and modules are out of scope.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
+# The deepest a condition may nest, counting each '(' and each 'not'.
+MAX_NESTING = 100
+
+# The token table. A string runs to its closing quote; without one (a line
+# break or the end of input comes first) the ``closed`` group stays empty.
+# An escaped line break is read past here and refused as an invalid escape.
+# A name is ``\w+`` and must start with a letter or '_', which ``_lex``
+# checks: ``\w`` also admits digits such as '²'.
+_TOKEN = re.compile(r"""
+    (?P<space>(?:[ \t\r\f\v\n]|(?:\#|//)[^\n]*|/\*[\s\S]*?\*/)+)
+  | (?P<open>/\*)
+  | (?P<string>"(?P<body>(?:[^"\\\n]|\\[\s\S])*)(?P<closed>")?)
+  | (?P<var>\$\w*)
+  | (?P<ident>\w+)
+  | (?P<punct>[{}():=])
+  | (?P<invalid>[\s\S])
+""", re.VERBOSE)
+
+# A string body in order: an escape (a backslash and the character after
+# it, or ``\x`` and two hex digits) or a run of plain text.
+_ESCAPE = re.compile(r"\\(x[0-9a-fA-F]{2}|[\s\S])|[^\\]+")
 _ESCAPES = {"n": 0x0A, "t": 0x09, "\\": 0x5C, '"': 0x22}
 
 
@@ -31,144 +64,53 @@ class _Tok(NamedTuple):
     line: int
 
 
+def _string_bytes(body: str, line: int) -> bytes:
+    """The bytes of a string body: escapes decoded in order, the rest as
+    UTF-8. The first invalid escape raises PatternFileError."""
+    data = bytearray()
+    for m in _ESCAPE.finditer(body):
+        esc = m[1]
+        if esc is None:
+            data += m[0].encode("utf-8")
+        elif esc in _ESCAPES:
+            data.append(_ESCAPES[esc])
+        elif len(esc) == 3:
+            data.append(int(esc[1:], 16))
+        elif esc == "x":
+            raise PatternFileError("\\x escape needs two hex digits", line)
+        else:
+            raise PatternFileError(f"invalid escape \\{esc}", line)
+    return bytes(data)
+
+
 def _lex(source: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i = 0
     line = 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            continue
-        if c in " \t\r\f\v":
-            i += 1
-            continue
-        if c == "#" or source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise PatternFileError("unterminated comment", line)
-            line += source.count("\n", i, end)
-            i = end + 2
-            continue
-        if c == '"':
-            start_line = line
-            i += 1
-            data = bytearray()
-            while True:
-                if i >= n:
-                    raise PatternFileError("unterminated string", start_line)
-                ch = source[i]
-                if ch == '"':
-                    i += 1
-                    break
-                if ch == "\n":
-                    raise PatternFileError("unterminated string", start_line)
-                if ch == "\\":
-                    if i + 1 >= n:
-                        raise PatternFileError("unterminated string", start_line)
-                    esc = source[i + 1]
-                    if esc in _ESCAPES:
-                        data.append(_ESCAPES[esc])
-                        i += 2
-                    elif esc == "x":
-                        hexpart = source[i + 2 : i + 4]
-                        if len(hexpart) < 2 or not all(h in "0123456789abcdefABCDEF" for h in hexpart):
-                            raise PatternFileError("\\x escape needs two hex digits", line)
-                        data.append(int(hexpart, 16))
-                        i += 4
-                    else:
-                        raise PatternFileError(f"invalid escape \\{esc}", line)
-                else:
-                    data.extend(ch.encode("utf-8"))
-                    i += 1
-            toks.append(_Tok("string", "", bytes(data), start_line))
-            continue
-        if c == "$":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            if j == i + 1:
+    for m in _TOKEN.finditer(source):
+        kind, text = m.lastgroup, m[0]
+        if kind == "space":
+            line += text.count("\n")
+        elif kind == "open":
+            raise PatternFileError("unterminated comment", line)
+        elif kind == "string":
+            data = _string_bytes(m["body"], line)
+            if m["closed"] is None:
+                raise PatternFileError("unterminated string", line)
+            toks.append(_Tok("string", "", data, line))
+        elif kind == "var":
+            if text == "$":
                 raise PatternFileError("expected a name after '$'", line)
-            toks.append(_Tok("var", source[i + 1 : j], None, line))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", source[i:j], None, line))
-            i = j
-            continue
-        if c in "{}():=":
-            toks.append(_Tok("punct", c, None, line))
-            i += 1
-            continue
-        raise PatternFileError(f"unexpected character {c!r}", line)
+            toks.append(_Tok("var", text[1:], None, line))
+        elif kind == "ident" and (text[0].isalpha() or text[0] == "_"):
+            toks.append(_Tok("ident", text, None, line))
+        elif kind == "punct":
+            toks.append(_Tok("punct", text, None, line))
+        else:
+            raise PatternFileError(f"unexpected character {text[0]!r}", line)
     return toks
 
 
-# Condition AST: ("var", name) | ("not", x) | ("and", a, b) | ("or", a, b)
-
-
-class _CondParser:
-    def __init__(self, toks: list[_Tok], pos: int, strings: dict[str, bytes]):
-        self.toks = toks
-        self.pos = pos
-        self.strings = strings
-
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def error(self, msg: str):
-        tok = self.peek()
-        line = tok.line if tok else (self.toks[-1].line if self.toks else 0)
-        raise PatternFileError(msg, line)
-
-    def parse_or(self):
-        node = self.parse_and()
-        while (t := self.peek()) and t.kind == "ident" and t.text == "or":
-            self.pos += 1
-            node = ("or", node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_not()
-        while (t := self.peek()) and t.kind == "ident" and t.text == "and":
-            self.pos += 1
-            node = ("and", node, self.parse_not())
-        return node
-
-    def parse_not(self):
-        t = self.peek()
-        if t and t.kind == "ident" and t.text == "not":
-            self.pos += 1
-            return ("not", self.parse_not())
-        return self.parse_atom()
-
-    def parse_atom(self):
-        t = self.peek()
-        if t is None:
-            self.error("condition ended unexpectedly")
-        if t.kind == "punct" and t.text == "(":
-            self.pos += 1
-            node = self.parse_or()
-            t2 = self.peek()
-            if not (t2 and t2.kind == "punct" and t2.text == ")"):
-                self.error("expected ')'")
-            self.pos += 1
-            return node
-        if t.kind == "var":
-            if t.text not in self.strings:
-                self.error(f"condition references undefined pattern ${t.text}")
-            self.pos += 1
-            return ("var", t.text)
-        self.error(f"unexpected token in condition: {t.text!r}")
+# Condition tree: ("var", name) | ("not", x) | ("and", x, y, ...) | ("or", x, y, ...)
 
 
 class PatternRule(NamedTuple):
@@ -186,8 +128,8 @@ class PatternRule(NamedTuple):
         if op == "not":
             return not self._eval(node[1], payload)
         if op == "and":
-            return self._eval(node[1], payload) and self._eval(node[2], payload)
-        return self._eval(node[1], payload) or self._eval(node[2], payload)
+            return all(self._eval(x, payload) for x in node[1:])
+        return any(self._eval(x, payload) for x in node[1:])
 
 
 class PatternFile(NamedTuple):
@@ -199,53 +141,102 @@ class PatternFile(NamedTuple):
         return any(rule.match(payload) for rule in self.rules)
 
 
-def parse_pattern_text(source: str) -> PatternFile:
-    toks = _lex(source)
-    pos = 0
-    rules: list[PatternRule] = []
+class _Parser:
+    """Recursive descent over a file's tokens: its rules, and in each its
+    condition. An error is reported at the current token, or at the last
+    one when the tokens have run out."""
 
-    def expect(kind: str, text: str | None = None) -> _Tok:
-        nonlocal pos
-        if pos >= len(toks):
-            raise PatternFileError("unexpected end of file", toks[-1].line if toks else 0)
-        tok = toks[pos]
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise PatternFileError(f"expected {want!r}, found {tok.text!r}", tok.line)
-        pos += 1
+    def __init__(self, toks: list[_Tok]):
+        self.toks = toks
+        self.pos = 0
+        self.depth = 0
+        self.strings: dict[str, bytes] = {}
+
+    def peek(self) -> _Tok | None:
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def at(self, kind: str, text: str | None = None) -> bool:
+        tok = self.peek()
+        return tok is not None and tok.kind == kind and text in (None, tok.text)
+
+    def fail(self, message: str):
+        raise PatternFileError(message, (self.peek() or self.toks[-1]).line)
+
+    def expect(self, kind: str, text: str | None = None) -> _Tok:
+        tok = self.peek()
+        if tok is None:
+            self.fail("unexpected end of file")
+        if not self.at(kind, text):
+            self.fail(f"expected {text or kind!r}, found {tok.text!r}")
+        self.pos += 1
         return tok
 
-    while pos < len(toks):
-        expect("ident", "rule")
-        name = expect("ident")
-        # Optional tag list after a colon.
-        if pos < len(toks) and toks[pos].kind == "punct" and toks[pos].text == ":":
-            pos += 1
-            while pos < len(toks) and toks[pos].kind == "ident" and toks[pos].text not in ("rule",):
-                if toks[pos].text in ("strings", "condition"):
-                    break
-                pos += 1
-        expect("punct", "{")
-        strings: dict[str, bytes] = {}
-        if pos < len(toks) and toks[pos].kind == "ident" and toks[pos].text == "strings":
-            pos += 1
-            expect("punct", ":")
-            while pos < len(toks) and toks[pos].kind == "var":
-                var = toks[pos]
-                pos += 1
-                expect("punct", "=")
-                lit = expect("string")
-                if var.text in strings:
+    def rule(self) -> PatternRule:
+        self.expect("ident", "rule")
+        name = self.expect("ident").text
+        if self.at("punct", ":"):  # a list of tags, which are ignored
+            self.pos += 1
+            while self.at("ident") and self.peek().text not in ("rule", "strings", "condition"):
+                self.pos += 1
+        self.expect("punct", "{")
+        self.strings = {}
+        if self.at("ident", "strings"):
+            self.pos += 1
+            self.expect("punct", ":")
+            while self.at("var"):
+                var = self.expect("var")
+                self.expect("punct", "=")
+                data = self.expect("string").data
+                if var.text in self.strings:
                     raise PatternFileError(f"duplicate pattern ${var.text}", var.line)
-                strings[var.text] = lit.data
-        expect("ident", "condition")
-        expect("punct", ":")
-        cond_parser = _CondParser(toks, pos, strings)
-        condition = cond_parser.parse_or()
-        pos = cond_parser.pos
-        expect("punct", "}")
-        rules.append(PatternRule(name.text, strings, condition))
+                self.strings[var.text] = data
+        self.expect("ident", "condition")
+        self.expect("punct", ":")
+        condition = self.condition()
+        self.expect("punct", "}")
+        return PatternRule(name, self.strings, condition)
 
+    def condition(self, op: str = "or") -> tuple:
+        """Terms joined by ``op``, as one node when there are several;
+        ``and`` binds tighter than ``or``."""
+        items = []
+        while True:
+            items.append(self.condition("and") if op == "or" else self.term())
+            if not self.at("ident", op):
+                return (op, *items) if len(items) > 1 else items[0]
+            self.pos += 1
+
+    def term(self) -> tuple:
+        tok = self.peek()
+        if tok is None:
+            self.fail("condition ended unexpectedly")
+        if tok.kind == "var":
+            if tok.text not in self.strings:
+                self.fail(f"condition references undefined pattern ${tok.text}")
+            self.pos += 1
+            return ("var", tok.text)
+        if not (self.at("ident", "not") or self.at("punct", "(")):
+            self.fail(f"unexpected token in condition: {tok.text!r}")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail("condition nesting too deep")
+        self.pos += 1
+        if tok.text == "not":
+            node = ("not", self.term())
+        else:
+            node = self.condition()
+            if not self.at("punct", ")"):
+                self.fail("expected ')'")
+            self.pos += 1
+        self.depth -= 1
+        return node
+
+
+def parse_pattern_text(source: str) -> PatternFile:
+    parser = _Parser(_lex(source))
+    rules = []
+    while parser.peek():
+        rules.append(parser.rule())
     if not rules:
         raise PatternFileError("pattern file declares no rules", 1)
     return PatternFile(rules, source)

@@ -14,6 +14,10 @@ falls back to backtracking.
 Matching is whole-string: a leading ``^`` or trailing ``$`` is accepted and
 ignored, anchors anywhere else are rejected. A ``$`` after an odd number of
 backslashes is a literal ``$``.
+
+Groups nest at most ``MAX_NESTING`` deep, and a run of quantifiers is read
+as one (``a**`` as ``a*``, and any mix, such as ``a+?``, as ``a*``), so no
+pattern makes compiling recurse past Python's limit.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ _SPACE = ((" ", " "), ("\t", "\t"), ("\n", "\n"), ("\r", "\r"), ("\f", "\f"), ("
 
 _CLASS_ESCAPES = {"d": _DIGITS, "w": _WORD, "s": _SPACE}
 _CHAR_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "f": "\f", "v": "\v", "0": "\0"}
+_QUANTIFIERS = {"*": "star", "+": "plus", "?": "opt"}
+MAX_NESTING = 100
 
 
 class _Matcher:
@@ -51,6 +57,7 @@ class _Parser:
     def __init__(self, pattern: str):
         self.pat = pattern
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg: str):
         raise PatternError(f"{msg} (at offset {self.pos} in {self.pat!r})")
@@ -89,18 +96,25 @@ class _Parser:
 
     def repeat(self):
         node = self.atom()
-        while self.peek() in ("*", "+", "?"):
-            op = self.take()
-            node = ({"*": "star", "+": "plus", "?": "opt"}[op], node)
+        while self.peek() in _QUANTIFIERS:
+            kind = _QUANTIFIERS[self.take()]
+            if node[0] in _QUANTIFIERS.values():
+                # x** is x*, and two different quantifiers make x*.
+                kind, node = (kind if kind == node[0] else "star"), node[1]
+            node = (kind, node)
         return node
 
     def atom(self):
         c = self.take()
         if c == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.error("groups nested too deep")
             node = self.alternation()
             if self.peek() != ")":
                 self.error("unbalanced '('")
             self.take()
+            self.depth -= 1
             return node
         if c == "[":
             return ("match", self.char_class())

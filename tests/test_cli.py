@@ -6,6 +6,7 @@ start."""
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import shutil
 import subprocess
@@ -14,11 +15,13 @@ import sys
 import pytest
 
 import rips
-from rips import cli
+from rips import cli, parser
 from rips.checker import check_source
-from rips.runtime import EngineConfig
+from rips.interpreter import InterpretedEngine
+from rips.runtime import EngineConfig, FakeClock, RecordingRunner
 from rips.support import add_engine_args, config_from_args
 from rips.transpiler import load_generated, transpile
+from rips.wire import encode_event
 
 from conftest import DATA_DIR, make_scripts, write_script
 
@@ -191,3 +194,69 @@ def test_a_rules_file_that_is_not_utf8_is_an_error(tmp_path, command):
     assert proc.returncode == cli.STATIC_ERROR
     assert proc.stderr.startswith(f"error: {rules} is not UTF-8: ")
     assert "Traceback" not in proc.stderr
+
+
+DEEP_INPUTS = {
+    "pattern-parens": ('rules Msg: payload("deep.yar") ? alert("x");',
+                       "1:20: bad pattern file 'deep.yar': line 1: condition nesting too deep"),
+    "regex-groups": ('rules Msg: topicmatches("' + "(" * 400 + "a" + ")" * 400 + '") ? alert("x");',
+                     "1:25: invalid regular expression: groups nested too deep (at offset 101 in "),
+    "and-chain": ("rules Graph: " + " && ".join(["true"] * 3000) + ' ? alert("x");',
+                  "1:819: expression nesting too deep"),
+    "short-and-chain": ("rules Graph: " + " && ".join(["true"] * 250) + ' ? alert("x");',
+                        "1:819: expression nesting too deep"),
+    "unary-minus": ("vars: v int = 0;\nrules Graph: " + "-" * 199 + 'v == 0 ? set(v, 1);',
+                    "2:114: expression nesting too deep"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_INPUTS))
+def test_a_deep_input_is_one_diagnostic(tmp_path, name):
+    """Nesting past a bound is one diagnostic and exit status 1 from
+    ``rips check``; each of these used to end in a RecursionError
+    traceback, or passed and left a program that could not start."""
+    rules, diagnostic = DEEP_INPUTS[name]
+    (tmp_path / "deep.yar").write_text('rule r { strings: $a = "A" condition: ' + "(" * 300 + "$a" + ")" * 300 + " }")
+    (tmp_path / "deep.rul").write_text(rules + "\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rips.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "rips", "check", str(tmp_path / "deep.rul")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.STATIC_ERROR
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("deep.rul:" + diagnostic)
+
+
+def test_deep_expressions_at_the_bound_run_alike_under_both_engines(tmp_path):
+    """Expressions at the depth bound, in each deep form, give the same
+    outcomes and variables under the interpreter and a generated program
+    started in a fresh interpreter."""
+    d = parser.MAX_NESTING
+    source = (
+        'vars: v int = 0; s string = "";\n'
+        "rules Graph:\n"
+        f"  v == 0 ? set(v, {'-' * (d - 1)}7);\n"
+        f"  s == \"\" ? set(s, {'string(' * (d - 1)}7{')' * (d - 1)});\n"
+        f"  {' && '.join(['nodecount(1, 1)'] * d)} ? alert(\"chain\");\n"
+        f"  {'(' * d}true{')' * d} ? alert(\"parens\");\n"
+        f"  {'!' * d}{str(d % 2 == 0).lower()} ? alert(\"not\");\n"
+    )
+    checked = check_source(source, "deep.rul")
+    graph = encode_event({"event": "graph", "context": {"nodes": [{"node": "n1"}], "topics": []}})
+    engine = InterpretedEngine(checked, clock=FakeClock(0), runner=RecordingRunner())
+    expected = ([[(o.kind, o.text) for o in engine.handle_document(graph)] for _ in range(2)],
+                dict(engine.variables))
+    assert expected[0][0] == [("alert", "chain"), ("alert", "parens"), ("alert", "not")]
+    assert expected[1] == {"v": -7 if d % 2 == 0 else 7, "s": "7"}
+    (tmp_path / "deep_rules.py").write_text(transpile(checked))
+    driver = (
+        "from rips.runtime import FakeClock, RecordingRunner\n"
+        "import deep_rules\n"
+        "engine = deep_rules.build_engine(clock=FakeClock(0), runner=RecordingRunner())\n"
+        f"outcomes = [[(o.kind, o.text) for o in engine.handle_document({graph!r})] for _ in range(2)]\n"
+        "print(repr((outcomes, dict(engine.variables))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rips.__file__)))
+    proc = subprocess.run([sys.executable, "-c", driver], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == expected

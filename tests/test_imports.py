@@ -51,7 +51,7 @@ def test_cli_loads_no_subcommand_module():
     before ``check_file`` builds a checked program."""
     loaded = _modules_after("import rips.cli")
     assert "rips.interpreter" in loaded
-    assert not loaded & {"rips.transpiler", "rips.scenario", "rips.bench", "rips.randprog", "yaml"}
+    assert not loaded & {"rips.transpiler", "rips.scenario", "yaml"}
 
 
 def test_the_dialect_and_outcomes_need_no_pyyaml():

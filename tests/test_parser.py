@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rips.errors import ParseError
-from rips.parser import parse_source
+from rips.parser import MAX_NESTING, parse_source
 from rips.syntax import Binary, Call, Literal, Name, SectionKind, Unary
 
 from conftest import DATA_DIR
@@ -160,6 +160,36 @@ def test_deep_nesting_bounded():
     src = "consts: X int = " + "(" * 300 + "1" + ")" * 300 + ";"
     with pytest.raises(ParseError, match="nesting too deep"):
         parse_source(src)
+
+
+# Expressions whose deepest leaf sits ``d`` levels down the tree, where each
+# operator of a chain is one level and so is each parenthesis.
+DEEP = {
+    "not": lambda d: "!" * d + "false",
+    "minus": lambda d: "-" * (d - 1) + "1 == 1",
+    "chain": lambda d: " && ".join(["true"] * (d + 1)),
+    "call": lambda d: "string(" * (d - 1) + "1" + ")" * (d - 1) + ' == "1"',
+    "parens": lambda d: "(" * d + "true" + ")" * d,
+}
+
+
+@pytest.mark.parametrize("form", sorted(DEEP))
+def test_expression_depth_is_bounded(form):
+    """The bound is on the depth of the tree the parser builds: the deepest
+    expression at it parses, and one level more, or a nesting far past
+    Python's recursion limit, is one error."""
+    rule = "rules Graph: {} ? alert(\"x\");"
+    parse_source(rule.format(DEEP[form](MAX_NESTING)))
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError, match="^1:[0-9]+: expression nesting too deep$"):
+            parse_source(rule.format(DEEP[form](depth)))
+
+
+def test_the_depth_error_names_the_first_operator_past_the_bound():
+    chain = " && ".join(["true"] * 3000)
+    with pytest.raises(ParseError) as exc:
+        parse_source(f"rules Graph: {chain} ? alert(\"x\");")
+    assert exc.value.diagnostic.column == len("rules Graph: ") + len("true && ") * MAX_NESTING + len("true ") + 1
 
 
 def test_empty_decl_sections_allowed():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rips.regexlite import CompiledPattern, PatternError, compile_pattern
+from rips.regexlite import MAX_NESTING, CompiledPattern, PatternError, compile_pattern
 
 
 def matches(pattern, text):
@@ -108,6 +108,38 @@ def test_nested_repetition_terminates_quickly():
     assert not pat.full_match("a" * 400)
     assert pat.full_match("a" * 400 + "b")
     assert time.perf_counter() - start < 1.0
+
+
+def test_group_nesting_is_bounded():
+    """Groups nested to the bound compile; one level more, or a nesting far
+    past Python's recursion limit, is one PatternError."""
+    assert matches("(" * MAX_NESTING + "a" + ")" * MAX_NESTING, "a")
+    for depth in (MAX_NESTING + 1, 250, 5000):
+        with pytest.raises(PatternError, match="^groups nested too deep"):
+            compile_pattern("(" * depth + "a" + ")" * depth)
+
+
+@pytest.mark.parametrize("stack", ["*" * 1000, "+" * 1000, "?" * 1000, "*+?" * 400, "+?" * 500],
+                         ids=["star", "plus", "opt", "mixed", "plus-opt"])
+def test_a_stack_of_quantifiers_is_one_quantifier(stack):
+    """A run of one quantifier means that quantifier, and a run that mixes
+    them means ``*``; a thousand of them compile without recursing."""
+    single = stack[0] if len(set(stack)) == 1 else "*"
+    pat = compile_pattern("xa" + stack + "b")
+    for text in ("xb", "xab", "xaab", "xa", "ab"):
+        assert pat.full_match(text) == bool(re.fullmatch("xa" + single + "b", text)), text
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=st.text("*+?", min_size=1, max_size=4), atom=st.sampled_from(["a", "(ab)", "(a|b*)", "[ab]"]),
+       text=st.text("ab", max_size=5))
+def test_stacked_quantifiers_agree_with_nested_groups(stack, atom, text):
+    """Stdlib ``re`` refuses ``a**`` but reads ``(?:a*)*``: the same
+    language."""
+    nested = atom
+    for q in stack:
+        nested = f"(?:{nested}){q}"
+    assert matches(atom + stack, text) == bool(re.fullmatch(nested, text))
 
 
 def _random_pattern(rng, depth=3):
