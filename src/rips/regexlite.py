@@ -60,7 +60,8 @@ class _Parser:
         self.depth = 0
 
     def error(self, msg: str):
-        raise PatternError(f"{msg} (at offset {self.pos} in {self.pat!r})")
+        pat = self.pat if len(self.pat) <= 40 else self.pat[:40] + "..."
+        raise PatternError(f"{msg} (at offset {self.pos} in {pat!r})")
 
     def peek(self) -> str | None:
         return self.pat[self.pos] if self.pos < len(self.pat) else None

@@ -111,18 +111,19 @@ class _Gen:
         lines = [f"def {fn_name}(E, ctx):"]
         lines.append(f"    if not ({self.expr(rule.trigger)}):")
         lines.append("        return")
-        indent = "    "
+        # Nothing follows a chain in its function, so each connector returns
+        # early and a chain of any length stays at one indentation level.
         for idx, item in enumerate(rule.chain):
             if idx:
                 conn = rule.chain[idx - 1].connector
                 if conn == "=>":
-                    lines.append(f"{indent}if r:")
-                    indent += "    "
+                    lines.append("    if not r:")
+                    lines.append("        return")
                 elif conn == "!>":
-                    lines.append(f"{indent}if not r:")
-                    indent += "    "
+                    lines.append("    if r:")
+                    lines.append("        return")
             call = item.action
-            lines.append(f"{indent}r = E.{call.sig.impl.__name__}({', '.join(self.arguments(call))})")
+            lines.append(f"    r = E.{call.sig.impl.__name__}({', '.join(self.arguments(call))})")
         lines.append("")
         lines.append("")
         return lines

@@ -14,55 +14,46 @@ set. The decoded ``InboundEvent`` is itself the context of the Msg rules.
 Outcomes go out as one YAML document each, with a fixed key order so the
 byte stream is stable.
 
-The monitor writes a narrow dialect of YAML, and ``decode_event`` reads it
-with a line recognizer instead of libyaml. A document is in the dialect
-when, after an optional ``---`` line and before an optional ``...`` line,
-every line is a top-level ``key: scalar`` entry except one column-0
-``context:`` line and the indented lines after it (the block). The block
-holds block mappings and block sequences, indented under their key or not,
-of ``key: scalar``, ``key:`` and ``- `` lines. A scalar sits on one line
-and is plain or single-quoted; a plain scalar resolves as PyYAML's YAML 1.1
-implicit resolvers resolve it, and is built as its ``SafeConstructor``
-builds it. The recognizer either returns exactly the mapping the safe
-loader would, or declines: at a comment or flow indicator (``# , [ ] { }``)
-outside single quotes; at a key or plain scalar that starts with any other
-indicator, such as an anchor, alias, tag, block scalar or double quote; at
-a quoted key, a tab, a blank line, a multi-line scalar, a line break other
-than ``\n`` or a character outside printable ASCII; at a scalar that
-resolves to a type other than str, null, int or float, or a key that
-resolves to any type but str; and at nesting deeper than ``MAX_DEPTH``.
-The tokens of a short line are kept in a bounded cache, because a monitor
-repeats its entries.
+``decode_event`` reads only the YAML that PyYAML's block dumper writes for
+a monitor event, with a line recognizer; any other document is one
+``DecodeError`` "outside the monitor's dialect", and nothing else parses
+inbound bytes. In the dialect, after an optional ``---`` line and before an
+optional ``...`` line, every line is a column-0 ``key: value`` entry, but
+for an optional ``context:`` line and the indented lines after it (the
+block). The block holds block mappings and sequences, indented under their
+key or not, of ``key: value``, ``key:`` and ``- `` lines. A value is one
+line: a plain scalar, a single- or double-quoted one (with YAML's escapes),
+or ``[]`` or ``{}``. A top-level value may also be a single-quoted scalar
+whose later lines are indented or empty, as the dumper writes a string with
+a line break. A plain scalar resolves and builds as PyYAML's YAML 1.1
+implicit resolvers and ``SafeConstructor`` do, and must be a str, null, int
+or float; a key must be a str. Comments, non-empty flow collections,
+anchors, aliases, tags, block scalars, multi-line scalars in the block,
+tabs, blank lines, line breaks other than ``\n`` and characters outside
+printable ASCII are refused, and so is nesting deeper than ``MAX_DEPTH``,
+with its own message. What the recognizer returns is what
+``yaml.safe_load`` returns. The tokens of a short line are kept in a
+bounded cache, because a monitor repeats its entries.
 
 A monitor sends the full graph with every event, and on a deployed robot
 that graph rarely changes. ``decode_event`` therefore keeps the
-``GraphContext`` of the last block the recognizer read, keyed on the
-block's exact text, and when the next document carries the same block it
-reads only the rest of the document's lines. Nothing in the dialect can
-link to, span past or resolve differently from the rest of the document,
-so a block's graph is a function of its text. The cache holds one graph and
-one block no longer than its document, which the framer bounds by
-``MAX_DOC_BYTES``, however many distinct contexts a monitor sends. A cached
-graph is shared by every event decoded from its block, so a
-``GraphContext`` must never be mutated. ``parse_graph_context`` runs, and
-its debug lines about malformed entries fire, only on a miss.
+``GraphContext`` of the last block it read, keyed on the block's exact
+text, and when the next document carries the same block it reads only the
+rest of the document's lines. Nothing in the dialect can link to, span past
+or resolve differently from the rest of the document, so a block's graph is
+a function of its text. The cache holds one graph and one block no longer
+than its document, which the framer bounds by ``MAX_DOC_BYTES``, however
+many distinct contexts a monitor sends. A cached graph is shared by every
+event decoded from its block, so a ``GraphContext`` must never be mutated.
+``parse_graph_context`` runs, and its debug lines about malformed entries
+fire, only on a miss.
 
-A document the recognizer declines takes the full parse, bounded: a walk of
-libyaml's events rejects it at its first alias or at a collection nested
-deeper than ``MAX_DEPTH`` before the composer recurses into it, so neither
-an alias bomb nor a 50,000-deep nesting gets further than one
-``DecodeError``.
-
-The serving path imports neither PyYAML nor ``dataclasses``
-(``InboundEvent`` and ``Outcome`` are ``NamedTuple``s). The recognizer
-resolves and builds a plain scalar with its own copy of PyYAML's YAML 1.1
-implicit resolvers and its int, float and null constructors, and
-``encode_outcome`` writes an outcome whose strings are single-line
-printable ASCII from a template. PyYAML is imported at the first read of an attribute of the
-module-level ``yaml``: by the full parse of a document the recognizer
-declines, by ``encode_event`` (an outcome with any other string takes it)
-and by ``decode_outcome``. It stays a dependency, and ``rips simulate``
-reads its scenario with it.
+``encode_outcome`` writes every outcome from a template, in the bytes
+``encode_event`` writes, but for a string with a line break, which goes out
+double-quoted on one line. The serving path imports neither PyYAML nor
+``dataclasses``. PyYAML loads at the first read of an attribute of the
+module-level ``yaml``, which only the monitor-side helpers ``encode_event``
+and ``decode_outcome`` read; ``rips simulate`` and the tests use them.
 """
 
 from __future__ import annotations
@@ -221,26 +212,38 @@ _last_graph: GraphContext | None = None
 # mapping counted; the schema needs about 8.
 MAX_DEPTH = 64
 
+_OUTSIDE = "outside the monitor's dialect"
 
-class _Declined(Exception):
-    """The recognizer does not take the document; the full parse does."""
-
-
-# Printable ASCII that may start a plain scalar: no indicator, and "-" only
-# before a character that continues one, as in "-1".
-_FIRST = r"(?:[$()+./0-9;<=A-Z\\^_a-z~]|-(?=[!\"$-+\--9;-Z\\^-z|~]))"
-# Printable ASCII that may continue one, besides ":" and space: no "#" and
-# no flow indicator.
-_INNER = r"!\"$-+\--9;-Z\\^-z|~"
-# One line of the dialect: indentation, an optional "- " sequence entry, an
-# optional "key:" whose key is short enough to be a YAML simple key, and an
-# optional scalar, plain or single-quoted, then trailing spaces. Each scalar
-# is one run of a character class, so a long line costs a single scan; what
-# the classes let through (": " or a trailing ":" in a plain scalar, a lone
-# quote in a quoted one) is checked on the match.
+# Printable ASCII that may start a plain scalar: no indicator, and "-", "?"
+# or ":" only before a character that is not a space, as in "-1".
+_FIRST = r"(?:[$()+./0-9;<=A-Z\\^_a-z~]|[-?:](?=[!-~]))"
+# A key: a plain scalar short enough to be a YAML simple key, of printable
+# ASCII other than ":", space, "#" and the flow indicators.
+_KEY = rf"{_FIRST}[!\"$-+\--9;-Z\\^-z|~]{{0,127}}"
+# YAML's escapes in a double-quoted scalar, by the character after the "\";
+# the dumper writes all but the last three.
+_UNESCAPE = dict(zip('0abtnvfre"\\N_LP \t/', '\0\a\b\t\n\v\f\r\x1b"\\\x85\xa0\u2028\u2029 \t/'))
+# The text of a one-line double-quoted scalar: printable ASCII but '"' and
+# "\", and escapes, a "\U" one at most U+10FFFF.
+_DOUBLE = (r'(?:[ !#-\[\]-~]|\\(?:[0abtnvfre"\\N_LP \t/]|x[0-9A-Fa-f]{2}|u[0-9A-Fa-f]{4}'
+           r'|U00(?:10|0[0-9A-Fa-f])[0-9A-Fa-f]{4}))*')
+_ESCAPE_SEQUENCE = re.compile(r"\\(x..|u.{4}|U.{8}|.)")
+# One line of the dialect: indentation, an optional "- ", an optional
+# "key:" and an optional value: a plain scalar with its trailing spaces, or a
+# quoted scalar or "[]" or "{}" and trailing spaces. Each scalar is one run,
+# so a line costs one scan and a failing line backtracks only over that run;
+# what the runs let through (": ", " #" or a trailing ":" in a plain scalar,
+# a lone quote in a single-quoted one) is checked on the match.
 _LINE = re.compile(
-    rf"( *)(?:(-)(?: +|$))?(?:({_FIRST}[{_INNER}]{{0,127}}):(?: +|$))?(?:({_FIRST}[{_INNER}: ]*)|'([ -~]*)')? *"
+    rf"( *)(?:(-)(?: +|$))?(?:({_KEY}):(?: +|$))?"
+    rf"(?:({_FIRST}[ -~]*)|(?:'([ -~]*)'|\"({_DOUBLE})\"|(\[\]|\{{\}})) *)?"
 )
+# A top-level entry whose single-quoted value spans lines.
+_MULTILINE = re.compile(rf"({_KEY}): +'((?:[ -&(-~\n]|'')*)' *")
+# A line break in such a value, the spaces around it and the empty lines
+# after it, which YAML folds to a newline for each empty line, or to a space
+# when there are none.
+_FOLD = re.compile(r"(?<! ) *\n *((?:\n *)*)")
 # The newline that ends the last line of a `context:` block.
 _BLOCK_END = re.compile(r"\n[^ ]")
 
@@ -326,50 +329,57 @@ _BUILD = {"tag:yaml.org,2002:null": lambda text: None, "tag:yaml.org,2002:int": 
 
 def _plain(text: str):
     """A plain scalar's value as the safe loader builds it. Any type but
-    str, null, int and float declines."""
+    str, null, int and float is outside the dialect."""
     tag = _plain_tag(text)
     if tag == _STR_TAG:
         return text
     build = _BUILD.get(tag)
     if build is None:
-        raise _Declined
+        raise DecodeError(_OUTSIDE)
     try:
         return build(text)
-    except ValueError:  # e.g. "0b_", which the full parse rejects too
-        raise _Declined from None
+    except ValueError:  # e.g. "0b_", which the safe loader rejects too
+        raise DecodeError(_OUTSIDE) from None
 
 
+# The value of a "[]" or "{}" token is the type ``list`` or ``dict``, called
+# for a new collection each time the token is read.
 _DASH, _SCALAR, _EMPTY = object(), object(), object()
 
 
 def _line_tokens(line: str) -> tuple[tuple, ...]:
     """One line as (column, kind, value) tokens: a sequence entry's dash
-    (kind ``_DASH``), then a bare scalar (``_SCALAR``) or a mapping key (the
+    (kind ``_DASH``), then a bare value (``_SCALAR``) or a mapping key (the
     key itself, with ``_EMPTY`` for no value on the line)."""
     m = _LINE.fullmatch(line)
     if m is None:
-        raise _Declined
-    indent, dash, key, plain, quoted = m.groups()
+        raise DecodeError(_OUTSIDE)
+    indent, dash, key, plain, single, double, flow = m.groups()
     tokens = ((len(indent), _DASH, None),) if dash else ()
     if plain is not None:
         plain = plain.rstrip(" ")
-        if ": " in plain or plain[-1] == ":":
-            raise _Declined
+        if ": " in plain or " #" in plain or plain[-1] == ":":
+            raise DecodeError(_OUTSIDE)
         value, at = _plain(plain), m.start(4)
-    elif quoted is not None:
-        if "'" in quoted.replace("''", ""):
-            raise _Declined
-        value, at = quoted.replace("''", "'"), m.start(5) - 1
+    elif single is not None:
+        if "'" in single.replace("''", ""):
+            raise DecodeError(_OUTSIDE)
+        value, at = single.replace("''", "'"), m.start(5) - 1
+    elif double is not None:
+        value = _ESCAPE_SEQUENCE.sub(lambda e: _UNESCAPE.get(e[1]) or chr(int(e[1][1:], 16)), double)
+        at = m.start(6) - 1
+    elif flow is not None:
+        value, at = (list if flow == "[]" else dict), m.start(7)
     elif key is not None:
         value = _EMPTY
     elif dash:
         return tokens
     else:
-        raise _Declined  # a blank line
+        raise DecodeError(_OUTSIDE)  # a blank line
     if key is None:
         return tokens + ((at, _SCALAR, value),)
     if type(_plain(key)) is not str:
-        raise _Declined
+        raise DecodeError(_OUTSIDE)
     return tokens + ((m.start(3), key, value),)
 
 
@@ -390,13 +400,15 @@ def _tokens(lines: list[str]) -> list[tuple]:
 def _node(tokens: list[tuple], i: int, depth: int) -> tuple[object, int]:
     """The node whose first token is ``tokens[i]``, nested ``depth`` deep,
     and the index of the token after it. A token in a column that no open
-    collection has ends every collection; the caller declines it."""
-    if depth > MAX_DEPTH:
-        raise _Declined
+    collection has ends every collection; the caller refuses it."""
     col, kind, value = tokens[i]
-    n = len(tokens)
-    if kind is _SCALAR:
+    if kind is _SCALAR and value is not list and value is not dict:
         return value, i + 1
+    if depth > MAX_DEPTH:
+        raise DecodeError(f"collections nested deeper than {MAX_DEPTH}")
+    if kind is _SCALAR:
+        return value(), i + 1
+    n = len(tokens)
     if kind is _DASH:
         items = []
         while i < n and tokens[i][0] == col and tokens[i][1] is _DASH:
@@ -411,7 +423,7 @@ def _node(tokens: list[tuple], i: int, depth: int) -> tuple[object, int]:
     while i < n and tokens[i][0] == col:
         _, key, value = tokens[i]
         if key is _DASH or key is _SCALAR:
-            raise _Declined
+            raise DecodeError(_OUTSIDE)
         i += 1
         if value is _EMPTY:
             # The value is the next token's node when that token is deeper,
@@ -420,44 +432,62 @@ def _node(tokens: list[tuple], i: int, depth: int) -> tuple[object, int]:
                 value, i = _node(tokens, i, depth + 1)
             else:
                 value = None
+        elif value is list or value is dict:
+            if depth == MAX_DEPTH:
+                raise DecodeError(f"collections nested deeper than {MAX_DEPTH}")
+            value = value()
         mapping[key] = value
     return mapping, i
 
 
-def _recognize(text: str) -> tuple[dict, str] | None:
+def _top_level(text: str, rest: dict) -> None:
+    """Add to ``rest`` the entries of a run of top-level lines: a column-0
+    ``key: value`` line, or a ``key: '...`` line and the indented or empty
+    lines of its value."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        del lines[-1]  # what follows the last newline: nothing
+    i, n = 0, len(lines)
+    while i < n:
+        j = i + 1
+        while j < n and lines[j][:1] in ("", " "):
+            j += 1
+        if j == i + 1:
+            tokens = (_cached_line_tokens if len(lines[i]) <= _CACHED_LINE else _line_tokens)(lines[i])
+            col, key, value = tokens[0]
+            if len(tokens) > 1 or col or key is _DASH or key is _SCALAR:
+                raise DecodeError(_OUTSIDE)
+            rest[key] = None if value is _EMPTY else value() if value is list or value is dict else value
+        elif (m := _MULTILINE.fullmatch("\n".join(lines[i:j]))) and type(_plain(m[1])) is str:
+            rest[m[1]] = _FOLD.sub(lambda f: "\n" * f[1].count("\n") or " ", m[2]).replace("''", "'")
+        else:
+            raise DecodeError(_OUTSIDE)
+        i = j
+
+
+def _recognize(text: str) -> tuple[dict, str | None]:
     """The mapping of a document's top-level lines other than its
-    ``context:`` block, and that block's text; None when the document is
-    not in the monitor's dialect outside the block."""
-    if text.startswith("context:\n"):
-        start = 0
-    else:
-        start = text.find("\ncontext:\n") + 1
-        if not start:
-            return None
+    ``context:`` block, and that block's text, or None when the document has
+    no block; ``DecodeError`` when the document is not in the monitor's
+    dialect outside the block."""
+    text = text.removeprefix("---\n")
+    if text.endswith(("\n...\n", "\n...")):
+        text = text[:text.rindex("\n...") + 1]
+    start = 0 if text.startswith("context:\n") else text.find("\ncontext:\n") + 1 or len(text)
     m = _BLOCK_END.search(text, start + 8)
     end = m.start() + 1 if m else len(text)
-    head, tail = text[:start].split("\n"), text[end:].split("\n")
-    del head[-1]  # what follows the last newline: nothing
-    if head[:1] == ["---"]:
-        del head[0]
-    if tail[-1:] == [""]:
-        del tail[-1]
-    if tail[-1:] == ["..."]:
-        del tail[-1]
-    try:
-        tokens = _tokens(head + tail)
-    except _Declined:
-        return None
     rest = {}
-    for col, key, value in tokens:
-        if col or key is _DASH or key is _SCALAR or key == "context":
-            return None
-        rest[key] = None if value is _EMPTY else value
+    _top_level(text[:start], rest)
+    _top_level(text[end:], rest)
+    if start == len(text):
+        return rest, None
+    if "context" in rest:
+        raise DecodeError(_OUTSIDE)
     return rest, text[start:end]
 
 
 def _block_value(block: str):
-    """The value of a ``context:`` block; ``_Declined`` when the block is
+    """The value of a ``context:`` block; ``DecodeError`` when the block is
     not in the dialect."""
     lines = block.split("\n")
     if lines[-1] == "":
@@ -467,7 +497,7 @@ def _block_value(block: str):
         return None
     value, i = _node(tokens, 0, 2)
     if i != len(tokens):
-        raise _Declined
+        raise DecodeError(_OUTSIDE)
     return value
 
 
@@ -481,56 +511,28 @@ def decode_event(text: str) -> InboundEvent:
     """Decode the text of one YAML document into an event.
 
     Any input that cannot be understood raises ``DecodeError`` and nothing
-    else, so a hostile document costs the caller one skipped event. A
-    document in the monitor's dialect is read by the recognizer, and the
-    graph of its ``context:`` block comes from the cache when the block is
-    the one last read (see the module docstring).
+    else, so a hostile document costs the caller one skipped event. The
+    graph of the document's ``context:`` block comes from the cache when the
+    block is the one last read (see the module docstring).
     """
     global _last_block, _last_graph
-    if (parts := _recognize(text)) is not None:
-        rest, block = parts
-        if block == _last_block:
-            return _event(rest, _last_graph)
-        # Free the old graph before the new one is built, so that a stream
-        # of misses peaks at one graph, as it would with no cache.
-        _last_block = _last_graph = None
-        try:
-            rest["context"] = _block_value(block)
-        except _Declined:
-            pass
-        else:
-            event = _event(rest)
-            _last_block, _last_graph = block, event.graph
-            return event
-    return _event(_load(text))
+    rest, block = _recognize(text)
+    if block is None:
+        return _event(rest)
+    if block == _last_block:
+        return _event(rest, _last_graph)
+    # Free the old graph before the new one is built, so that a stream of
+    # misses peaks at one graph, as it would with no cache.
+    _last_block = _last_graph = None
+    rest["context"] = _block_value(block)
+    event = _event(rest)
+    _last_block, _last_graph = block, event.graph
+    return event
 
 
-def _load(text):
-    """The full parse, after a walk of the parser's events that rejects a
-    document at its first alias or at a collection nested deeper than
-    ``MAX_DEPTH``, before libyaml's composer recurses into it."""
-    try:
-        depth = 0
-        for event in yaml.parse(text, Loader=_safe("Loader")):
-            if isinstance(event, yaml.CollectionStartEvent):
-                depth += 1
-                if depth > MAX_DEPTH:
-                    raise DecodeError(f"collections nested deeper than {MAX_DEPTH}")
-            elif isinstance(event, yaml.CollectionEndEvent):
-                depth -= 1
-            elif isinstance(event, yaml.AliasEvent):
-                raise DecodeError("the document uses an alias")
-        return yaml.load(text, Loader=_safe("Loader"))
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:
-        # ValueError: scalar constructors, e.g. a timestamp "2001-13-45".
-        raise DecodeError(f"invalid YAML: {exc}") from exc
-
-
-def _event(doc, graph: GraphContext | None = None) -> InboundEvent:
-    """The event of a parsed document; ``graph``, when given, stands for
+def _event(doc: dict, graph: GraphContext | None = None) -> InboundEvent:
+    """The event of a document's mapping; ``graph``, when given, stands for
     its ``context`` entry, which ``doc`` then lacks."""
-    if not isinstance(doc, dict):
-        raise DecodeError("event document must be a mapping")
     for key in doc:
         if key not in _KNOWN_EVENT_KEYS:
             log.debug("ignoring unknown event key %r", key)
@@ -569,28 +571,34 @@ def encode_event(doc: dict) -> str:
 # leading document marker or indicator, a leading "?" or "-" before a space
 # or the end, any ":" before a space or the end, and a "#" after a space.
 _NOT_PLAIN = re.compile(r"""^(?:[ #,\[\]{}&*!|>'"%@`]|[?-](?: |\Z)|---|\.\.\.)|:(?: |\Z)| #| \Z""")
+# What a double-quoted scalar escapes: all but printable ASCII, and '"' and
+# "\"; by name where the dumper has one.
+_ESCAPED = re.compile(r'[^ !#-\[\]-~]')
+_ESCAPE = {char: "\\" + name for name, char in _UNESCAPE.items() if name not in " \t/"}
 
 
-def _str_scalar(value) -> str | None:
-    """``value`` as the dumper writes it as a block mapping value, when it
-    is single-line printable ASCII: plain when ``_NOT_PLAIN`` finds nothing
-    and it resolves to a str, as ``Emitter.choose_scalar_style`` picks, and
-    single-quoted otherwise. Neither asks PyYAML, which ``encode_event``
-    alone loads. None for any other string, which the dumper writes (it may
-    double-quote or fold it), and for one long enough to fold: quoting at
-    most doubles a value, so one under a quarter of the width stays on its
-    line."""
-    if type(value) is not str or len(value) > _WIDTH // 4 or not (value.isascii() and value.isprintable()):
-        return None
-    if _NOT_PLAIN.search(value) is None and _plain_tag(value) == _STR_TAG:
-        return value
-    return "'" + value.replace("'", "''") + "'"
+def _escape(m: re.Match) -> str:
+    code = ord(m[0])
+    return _ESCAPE.get(m[0]) or (f"\\x{code:02X}" if code <= 0xFF else f"\\u{code:04X}" if code <= 0xFFFF
+                                 else f"\\U{code:08X}")
 
 
-def _float_scalar(value) -> str | None:
+def _str_scalar(value: str) -> str:
+    """``value`` as the dumper writes it as a block mapping value: plain
+    when it is single-line printable ASCII, ``_NOT_PLAIN`` finds nothing and
+    it resolves to a str, as ``Emitter.choose_scalar_style`` picks, else
+    single-quoted, and any other string double-quoted with the dumper's
+    escapes. The dumper writes most strings with a line break over several
+    single-quoted lines, and this on one double-quoted line."""
+    if value.isascii() and value.isprintable():
+        if _NOT_PLAIN.search(value) is None and _plain_tag(value) == _STR_TAG:
+            return value
+        return "'" + value.replace("'", "''") + "'"
+    return '"' + _ESCAPED.sub(_escape, value) + '"'
+
+
+def _float_scalar(value: float) -> str:
     """``value`` as ``SafeRepresenter.represent_float`` writes it."""
-    if type(value) is not float:
-        return None
     if value != value:
         return ".nan"
     if value in (math.inf, -math.inf):
@@ -602,21 +610,11 @@ def _float_scalar(value) -> str | None:
 
 
 def encode_outcome(o: Outcome) -> str:
-    """One framed outcome document with the bytes ``encode_event`` would write,
-    from a fixed template unless a value needs the dumper's quoting."""
-    kind, level, text = _str_scalar(o.kind), _str_scalar(o.level), _str_scalar(o.text)
-    gravity = _float_scalar(o.gravity)
-    if None in (kind, level, gravity, text) or type(o.timestamp_ns) is not int:
-        return encode_event(
-            {
-                "event": o.kind,
-                "level": o.level,
-                "gravity": o.gravity,
-                "text": o.text,
-                "timestamp": o.timestamp_ns,
-            }
-        )
-    return f"---\nevent: {kind}\nlevel: {level}\ngravity: {gravity}\ntext: {text}\ntimestamp: {o.timestamp_ns}\n...\n"
+    """One framed outcome document, from a fixed template: the bytes
+    ``encode_event`` writes for it, unless a string holds a line break (see
+    ``_str_scalar``)."""
+    return (f"---\nevent: {_str_scalar(o.kind)}\nlevel: {_str_scalar(o.level)}\n"
+            f"gravity: {_float_scalar(o.gravity)}\ntext: {_str_scalar(o.text)}\ntimestamp: {o.timestamp_ns}\n...\n")
 
 
 def decode_outcome(doc) -> Outcome:
@@ -644,8 +642,9 @@ class DocumentStream:
     """Splits an incoming byte stream into YAML document texts.
 
     Documents are delimited by ``---`` (start) and ``...`` (end) marker
-    lines: a line that reads as one of them after ``str.strip()``, decoded
-    with ``errors="replace"``. Bytes may arrive split at arbitrary
+    lines: a line that reads as one of them after ``str.rstrip()``, decoded
+    with ``errors="replace"``, so that, as in YAML, an indented ``...`` line
+    of a multi-line scalar is not one. Bytes may arrive split at arbitrary
     boundaries; a partial document left at connection close is discarded.
     A document longer than ``MAX_DOC_BYTES`` is dropped with one warning and
     framing resumes at the next marker line, so the stream holds at most
@@ -686,7 +685,7 @@ class DocumentStream:
                 break
             start = buf.rfind(b"\n", line, at) + 1 or line
             line = buf.find(b"\n", at) + 1
-            marker = line - start <= MAX_DOC_BYTES and buf[start:line].decode("utf-8", errors="replace").strip()
+            marker = line - start <= MAX_DOC_BYTES and buf[start:line].decode("utf-8", errors="replace").rstrip()
             if marker in ("---", "..."):
                 # The limit counts the closing marker line too, so where the
                 # chunks split never changes what is dropped.

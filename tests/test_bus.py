@@ -22,7 +22,8 @@ from rips.checker import check_source
 from rips.errors import EngineCrash
 from rips.interpreter import InterpretedEngine
 from rips.runtime import EngineConfig, FakeClock
-from rips.wire import DocumentStream, decode_outcome, encode_event
+from rips.transpiler import load_generated, transpile
+from rips.wire import DocumentStream, decode_outcome, encode_event, encode_outcome
 
 from conftest import make_scripts
 
@@ -66,6 +67,67 @@ class ScriptedSource:
         after_ns, docs = self.steps.pop(0)
         self.clock.advance(wait_ns if after_ns is None else after_ns)
         return docs
+
+
+class EchoingMonitor:
+    """A ``drive`` source that plays the monitor for ``rounds`` graph
+    events: each carries the echo of the last level and alert text, which
+    the monitor read back from the bytes the engine wrote, and reaches the
+    engine as bytes through a ``DocumentStream``."""
+
+    def __init__(self, engine, rounds):
+        self.engine, self.rounds = engine, rounds
+        self.level = self.alert = ""
+        self.framed: list[list[str]] = []
+        engine.sink = self.record
+
+    def record(self, outcome) -> bool:
+        back = decode_outcome(encode_outcome(outcome))
+        if back.kind == "alert":
+            self.alert = back.text
+        else:
+            self.level = back.level
+        return True
+
+    def receive(self, wait_ns):
+        if not self.rounds:
+            return None
+        self.rounds -= 1
+        self.engine.clock.advance(wait_ns)
+        doc = encode_event({"event": "graph", "currentlevel": self.level, "currentgrav": 0.0,
+                            "lastalert": self.alert, "context": {"nodes": [{"node": "n1"}], "topics": []}})
+        self.framed.append(DocumentStream().feed(doc.encode("utf-8")))
+        return self.framed[-1]
+
+
+ECHO_RULES = """\
+vars: n int = 0;
+rules Graph:
+    true ? set(n, n + 1);
+    n == 1 ? alert("\u00e9\\n...\\nb");
+    n == 2 ? alert("a\\n...\\nb");
+    n == 3 ? alert("last");
+"""
+
+
+@pytest.mark.parametrize("mode", ["interp", "gen"])
+def test_the_echo_of_a_multi_line_alert_is_one_document(mode):
+    """An alert text with a non-ASCII character, a line break and a "..."
+    line goes out and comes back in the monitor's echo; each echo frames as
+    one document and decodes, so the Graph rules run on every event."""
+    checked = check_source(ECHO_RULES, "echo.rul")
+    clock = FakeClock(0)
+    if mode == "interp":
+        engine = InterpretedEngine(checked, clock=clock)
+    else:
+        engine = load_generated(transpile(checked), "echo_generated").build_engine(clock=clock)
+    monitor = EchoingMonitor(engine, rounds=4)
+    drive(engine, monitor)
+    assert [len(docs) for docs in monitor.framed] == [1, 1, 1, 1]
+    assert 'lastalert: "\\xE9\\n...\\nb"\n' in monitor.framed[1][0]
+    assert "lastalert: 'a\n\n  ...\n\n  b'\n" in monitor.framed[2][0]
+    assert engine.dump_variables() == {"n": 4}
+    assert monitor.alert == "last"
 
 
 def _recording_engine(calls, handle_ns=0):

@@ -363,3 +363,24 @@ def test_generated_code_spells_non_finite_floats():
         run.engine.tick()
         assert repr(run.engine.dump_variables()) == "{'v': nan}"
         assert run.delivered == []
+
+
+@pytest.mark.parametrize("chain", [
+    " => ".join(["set(v, v + 1)"] * 121),
+    " !> ".join(["False(v)"] * 119) + " !> set(v, 7)",
+    " => ".join(["set(v, v + 1)"] * 60 + ["False(v)"] + ["set(v, v + 1)"] * 59),
+    " !> ".join(["False(v)"] * 60 + ["set(v, 3)"] + ["set(v, 7)"] * 59),
+    " => ".join(["set(v, v + 1)"] * 40 + ["False(v) !> set(v, v + 100), set(v, v + 1)"] + ["alert(string(v))"] * 40),
+], ids=["120-then", "119-else", "then-stops", "else-stops", "mixed"])
+def test_long_chains_run_under_both_engines(chain):
+    """A rule with 120 "=>" or 119 "!>" connectors compiles to a generated
+    program that starts and runs the chain as the interpreter does, up to
+    the action that stops it."""
+    checked = check_source(f"vars: v int = 0;\nrules External: true ? {chain};\n", "chain.rul")
+    ran = []
+    for run in _engines(checked, EngineConfig()):
+        run.engine.start()
+        run.engine.tick()
+        ran.append((run.engine.dump_variables(), [o.text for o in run.delivered]))
+    assert ran[0] == ran[1]
+    assert ran[0][0]["v"] > 0

@@ -55,20 +55,22 @@ def test_cli_loads_no_subcommand_module():
 
 
 def test_the_dialect_and_outcomes_need_no_pyyaml():
-    """The fixture decodes and a levelchange and an alert encode without
-    PyYAML; a flow-style document, which the recognizer declines, then
-    loads it and decodes."""
+    """The fixture decodes, a flow-style document is one DecodeError, and a
+    levelchange, an alert and a non-ASCII, multi-line alert encode, all
+    without PyYAML."""
     fixture = os.path.join(DATA_DIR, "graph_event.yaml")
     serve = f"""
-from rips.wire import Outcome, decode_event, encode_outcome
+from rips.wire import DecodeError, Outcome, decode_event, encode_outcome
 event = decode_event(open({fixture!r}, encoding="utf-8").read())
 assert sorted(event.graph.node_names) == ["recorder", "rips"]
 assert encode_outcome(Outcome("levelchange", "COMPROMISED", 1, 1.0, "", 5)).startswith("---\\nevent: levelchange\\n")
 assert "text: 'intruder: /cmd_vel'" in encode_outcome(Outcome("alert", "COMPROMISED", 1, 0.5, "intruder: /cmd_vel", 5))
+assert 'text: "\\\\xE9\\\\n...\\\\nb"' in encode_outcome(Outcome("alert", "A", 0, 0.5, "\\xe9\\n...\\nb", 5))
+try:
+    decode_event("event: graph\\ncontext: {{nodes: [{{node: n1}}]}}\\n")
+except DecodeError as exc:
+    assert "outside the monitor's dialect" in str(exc)
+else:
+    raise AssertionError("a flow-style document decoded")
 """
     assert "yaml" not in _modules_after(serve)
-    flow = serve + """
-event = decode_event("event: graph\\ncontext: {nodes: [{node: n1}]}\\n")
-assert event.graph.node_names == {"n1"}
-"""
-    assert "yaml" in _modules_after(flow)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rips.checker import check_source
+from rips.errors import StaticError
 from rips.regexlite import MAX_NESTING, CompiledPattern, PatternError, compile_pattern
 
 
@@ -117,6 +119,20 @@ def test_group_nesting_is_bounded():
     for depth in (MAX_NESTING + 1, 250, 5000):
         with pytest.raises(PatternError, match="^groups nested too deep"):
             compile_pattern("(" * depth + "a" + ")" * depth)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 400, 20_000])
+def test_a_deep_regex_is_one_short_diagnostic(depth):
+    """The diagnostic quotes a bounded prefix of the pattern, so a deep or
+    long one gives one short line, through the checker too."""
+    pattern = "(" * depth + "a" + ")" * depth
+    with pytest.raises(PatternError) as info:
+        compile_pattern(pattern)
+    assert str(info.value) == f"groups nested too deep (at offset {MAX_NESTING + 1} in '{'(' * 40}...')"
+    with pytest.raises(StaticError) as info:
+        check_source(f'rules Msg: topicmatches("{pattern}") ? alert("x");', "deep.rul")
+    (diagnostic,) = info.value.diagnostics
+    assert "\n" not in diagnostic.message and len(diagnostic.message) < 120
 
 
 @pytest.mark.parametrize("stack", ["*" * 1000, "+" * 1000, "?" * 1000, "*+?" * 400, "+?" * 500],

@@ -1,3 +1,4 @@
+import base64
 import logging
 import math
 import os
@@ -70,8 +71,8 @@ def _oracle_graph(text: str) -> tuple[dict, dict]:
 
 
 # A node and a topic listed twice, null and missing publishers and services,
-# a topic that names an unknown node, and malformed entries; in the dialect
-# and in flow style, which takes the full parse.
+# a topic that names an unknown node, and malformed entries; as written by
+# hand, and as ``encode_event`` writes them, with empty flow collections.
 _ODD_GRAPH = """\
 event: graph
 context:
@@ -114,15 +115,19 @@ context:
   - publishers:
     - a
 """
-_ODD_GRAPH_FLOW = ("event: message\ntopic: /t\ncontext: {nodes: [{node: x, services: [{service: s}]}, {node: x},"
-                   " {node: y, services: ~}, 7], topics: [{topic: /t, publishers: [x, ~], subscribers: [z]},"
-                   " {topic: /t, subscribers: [x]}, {topic: /w, publishers: ~}, [1]]}\n")
+_ODD_GRAPH_DUMPED = encode_event({
+    "event": "message", "topic": "/t",
+    "context": {"nodes": [{"node": "x", "services": [{"service": "s"}, {}]}, {"node": "x"},
+                          {"node": "y", "services": None}, 7, {}],
+                "topics": [{"topic": "/t", "publishers": ["x", None], "subscribers": ["z"]},
+                           {"topic": "/t", "subscribers": ["x"]}, {"topic": "/w", "publishers": []}, []]},
+})
 
 
 def test_graph_answers_equal_an_oracle_from_safe_load():
     """node_names, topic_names and the per-name sets, for every name and
     an absent one, are what the document lists."""
-    docs = [load_fixture(), _ODD_GRAPH, _ODD_GRAPH_FLOW]
+    docs = [load_fixture(), _ODD_GRAPH, _ODD_GRAPH_DUMPED]
     for seed in range(4):
         docs += random_corpus(seed, 40)
     for text in docs:
@@ -184,7 +189,7 @@ def test_unknown_kind_rejected():
 
 
 def test_invalid_yaml_rejected():
-    with pytest.raises(DecodeError, match="invalid YAML"):
+    with pytest.raises(DecodeError, match="outside the monitor's dialect"):
         decode_event("event: [unclosed\n")
 
 
@@ -221,16 +226,23 @@ _YAMLISH = st.one_of(
 
 @settings(max_examples=500, deadline=None)
 @given(text=_YAMLISH, level=_YAMLISH, gravity=st.floats(), timestamp=st.integers(0, 2**63 - 1))
+@example(text="é\n...\nb", level="a\nb", gravity=0.5, timestamp=0)
 def test_alert_outcome_round_trip(text, level, gravity, timestamp):
-    """Text, level and gravity survive the wire, and the bytes are those of
-    the pure-Python ``SafeDumper``, whatever path ``encode_outcome`` takes."""
+    """Text, level and gravity survive the wire, through ``yaml.safe_load``
+    and ``decode_outcome``. The bytes are those of the pure-Python
+    ``SafeDumper`` unless a string holds a line break; then the document is
+    still one line per key."""
     encoded = encode_outcome(Outcome("alert", level, 0, gravity, text, timestamp))
+    mapping = {"event": "alert", "level": level, "gravity": gravity, "text": text, "timestamp": timestamp}
+    assert _canonical(yaml.safe_load(encoded)) == _canonical(mapping)
     back = decode_outcome(encoded)
     assert (back.kind, back.level, back.text, back.timestamp_ns) == ("alert", level, text, timestamp)
     assert back.gravity == gravity or (math.isnan(back.gravity) and math.isnan(gravity))
-    mapping = {"event": "alert", "level": level, "gravity": gravity, "text": text, "timestamp": timestamp}
-    assert encoded == "---\n" + yaml.dump(mapping, Dumper=yaml.SafeDumper, sort_keys=False,
-                                           default_flow_style=False, width=1_000_000) + "...\n"
+    if "\n" in text + level:
+        assert encoded.count("\n") == 7
+    else:
+        assert encoded == "---\n" + yaml.dump(mapping, Dumper=yaml.SafeDumper, sort_keys=False,
+                                               default_flow_style=False, width=1_000_000) + "...\n"
 
 
 # Plain scalars near every resolver's edge: indicators, signs, digits, the
@@ -279,14 +291,19 @@ def test_plain_scalars_resolve_and_build_as_pyyaml_does(text):
        kind=st.sampled_from(["alert", "levelchange"]))
 @example(text="é", level="COMPROMISED", kind="alert")
 @example(text="a: b", level="- a", kind="alert")
+@example(text="x\ty\x85\xa0\u2028\ufeff\U0001F600\x00\x7f\"\\", level="A", kind="alert")
+@example(text="a\n...\nb", level="A", kind="alert")
 def test_outcome_bytes_equal_encode_event(text, level, kind):
-    """``encode_outcome`` writes what ``encode_event`` writes; a string
-    that is not single-line printable ASCII takes the dumper's path."""
+    """``encode_outcome`` writes what ``encode_event`` writes, unless a
+    string holds a line break; a string that is not single-line printable
+    ASCII goes out double-quoted."""
     o = Outcome(kind, level, 0, 0.5, text, 7)
     doc = {"event": kind, "level": level, "gravity": 0.5, "text": text, "timestamp": 7}
-    assert encode_outcome(o) == encode_event(doc)
+    if "\n" not in text + level:
+        assert encode_outcome(o) == encode_event(doc)
+    assert yaml.safe_load(encode_outcome(o)) == yaml.safe_load(encode_event(doc))
     for value in (text, level):
-        assert (wire._str_scalar(value) is None) == (not (value.isascii() and value.isprintable()))
+        assert wire._str_scalar(value).startswith('"') == (not (value.isascii() and value.isprintable()))
 
 
 def test_graph_fixture_reencodes_equal():
@@ -423,17 +440,32 @@ def test_ill_typed_fields_rejected(text):
         decode_event(text)
 
 
-@pytest.mark.parametrize("flow", [False, True], ids=["recognizer", "full-parse"])
-def test_an_echo_no_rule_reads_does_not_cost_the_event(flow):
+@pytest.mark.parametrize("text, message", [
+    ("event: graph\ncontext:\n  nodes: 5\n", "context nodes must be a list"),
+    ("event: graph\ncontext:\n  topics: 3\n", "context topics must be a list"),
+    ("event: graph\ncontext:\n  nodes:\n  - node: a\n    services: 7\n", "node services must be a list"),
+    ("event: graph\ncontext: []\n", "context must be a mapping"),
+    ("event: graph\ncontext: 'x\n\n  y'\n", "context must be a mapping"),
+    ("event: graph\ncontext: {}\nlastalert: 2001-12-14\n", "outside the monitor's dialect"),
+])
+def test_ill_typed_fields_in_the_dialect_rejected(text, message):
+    """The same fields in the dialect reach the graph's type checks; a
+    timestamp scalar is outside the dialect."""
+    with pytest.raises(DecodeError, match=message):
+        decode_event(text)
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["recognizer", "quoted"])
+def test_an_echo_no_rule_reads_does_not_cost_the_event(quoted):
     """The monitor's echo is not decoded, so a ``currentgrav`` that is not a
-    number leaves the Graph rules to run, in the dialect and, with a
-    flow-style line, through the full parse."""
-    doc = "---\nevent: graph\ncurrentlevel: A\ncurrentgrav: abc\nlastalert: 1.5\ncontext:\n  nodes:\n  - node: n1\n"
-    if flow:
-        doc += "topics: []\n"
-    doc += "...\n"
+    number leaves the Graph rules to run, whether the echo is plain or in
+    the quoted forms the dumper writes for a non-ASCII level and a
+    multi-line alert text that holds a ``...`` line."""
+    level, alert = ('"\\xC9"', "'a\n\n  ...\n\n  b'") if quoted else ("A", "1.5")
+    doc = (f"---\nevent: graph\ncurrentlevel: {level}\ncurrentgrav: abc\nlastalert: {alert}\ncontext:\n"
+           "  nodes:\n  - node: n1\ntopics: []\n...\n")
     (text,) = DocumentStream().feed(doc.encode("utf-8"))
-    assert (wire._recognize(text) is None) == flow
+    assert _recognizer_agrees(text)
     wire.clear_context_cache()
     engine = InterpretedEngine(check_source('rules Graph: nodecount(1, 1) ? alert("one node");'),
                                clock=FakeClock(0), runner=RecordingRunner())
@@ -471,24 +503,29 @@ def _canonical(value):
 
 def _recognizer_agrees(text: str) -> bool:
     """Whether the recognizer takes the document; when it does, its mapping
-    must be the full parse's, which compares every scalar of the context
+    must be ``yaml.safe_load``'s, which compares every scalar of the context
     block, gids and params included, that the graph drops."""
-    parts = wire._recognize(text)
-    if parts is None:
-        return False
-    rest, block = parts
     try:
-        context = wire._block_value(block)
-    except wire._Declined:
+        rest, block = wire._recognize(text)
+        if block is not None:
+            rest = {**rest, "context": wire._block_value(block)}
+    except DecodeError:
         return False
-    assert _canonical({**rest, "context": context}) == _canonical(wire._load(text))
+    assert _canonical(rest) == _canonical(yaml.safe_load(text))
     return True
 
 
 def _full_parse(text):
-    """The event of the full parse alone, as a document the recognizer
-    declines gets it."""
-    return wire._event(wire._load(text))
+    """The event of ``yaml.safe_load``'s mapping of the document: the
+    reference decode. DecodeError where the safe loader fails or gives no
+    mapping."""
+    try:
+        doc = yaml.safe_load(text)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: e.g. a timestamp "2001-13-45"
+        raise DecodeError(str(exc)) from exc
+    if not isinstance(doc, dict):
+        raise DecodeError("not a mapping")
+    return wire._event(doc)
 
 
 def _parts(text: str) -> tuple[list[str], list[str], list[str]]:
@@ -543,7 +580,7 @@ def _layout(value, col: int, rng: random.Random) -> list[str]:
 
 def _mutate(text: str, mutation: str, seed: int, v: int) -> str:
     """A copy of ``text`` changed in one way, which the recognizer must read
-    as the full parse does or decline. The two variants ``v`` of one
+    as ``yaml.safe_load`` does or refuse. The two variants ``v`` of one
     (mutation, seed) differ only outside the context block, in what a block
     that depended on the rest of the document would read."""
     rng = random.Random(seed)
@@ -635,21 +672,22 @@ _MUTATIONS = ["none", "duplicate-context", "spanning-block", "spanning-document"
               "context-position", "resolver-form", "non-string-key", "layout", "non-printable", "fuzz"]
 
 
-def _refuse_full_parse(monkeypatch):
-    def refuse(text):
-        raise AssertionError(f"the full parse was asked for {text[:80]!r}")
+def _refuse_pyyaml(monkeypatch):
+    class Refuse:
+        def __getattr__(self, name):
+            raise AssertionError(f"decoding read yaml.{name}")
 
-    monkeypatch.setattr(wire, "_load", refuse)
+    monkeypatch.setattr(wire, "yaml", Refuse())
 
 
 def test_bases_decode_without_yaml_load(monkeypatch):
     """The fixture and every random_corpus document are in the dialect, cold
-    and with the cache warm, and the recognizer reads each as the full parse
-    does."""
+    and with the cache warm, and the recognizer reads each as
+    ``yaml.safe_load`` does."""
     docs = _BASES + random_corpus(3, 200) + DocumentStream().feed("".join(random_corpus(4, 200)).encode("utf-8"))
     wire.clear_context_cache()
     assert all(_recognizer_agrees(doc) for doc in docs)
-    _refuse_full_parse(monkeypatch)
+    _refuse_pyyaml(monkeypatch)
     for warm in (False, True):
         for doc in docs:
             if not warm:
@@ -661,7 +699,7 @@ def test_bases_decode_without_yaml_load(monkeypatch):
 def test_dialect_layouts_decode_without_yaml_load(monkeypatch, seed):
     """Sequences indented or not, extra spaces after "-" and ":", trailing
     spaces, and null, int and float scalars are all in the dialect, and
-    decode as the full parse does."""
+    decode as ``yaml.safe_load`` reads them."""
     rng = random.Random(seed)
     head, block, tail = _parts(rng.choice(_BASES))
     value = yaml.safe_load("\n".join(block))["context"]
@@ -671,28 +709,110 @@ def test_dialect_layouts_decode_without_yaml_load(monkeypatch, seed):
     doc = "\n".join(["---", *rest, *block, f"lastalert: {alert}", "..."]) + "\n"
     expected = _decoded(doc, _full_parse)
     assert _recognizer_agrees(doc)
-    _refuse_full_parse(monkeypatch)
+    _refuse_pyyaml(monkeypatch)
     wire.clear_context_cache()
     assert _decoded(doc) == expected != "DecodeError"
+
+
+_CONTEXTS = [yaml.safe_load(doc)["context"] for doc in random_corpus(5, 30)] + [{}, None, {"nodes": [], "topics": []}]
+_ECHO_KEYS = ["currentlevel", "currentgrav", "lastalert", "topic", "msgtype", "payload", "futurefield"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["graph", "message"]), context=st.sampled_from(_CONTEXTS),
+       echo=st.fixed_dictionaries({}, optional={
+           **dict.fromkeys(["currentlevel", "lastalert", "topic", "msgtype", "futurefield"], st.text()),
+           "currentgrav": st.floats() | st.text(),
+           "payload": st.binary(max_size=24).map(lambda b: base64.b64encode(b).decode("ascii")),
+       }),
+       at=st.integers(0, len(_ECHO_KEYS)), dumper=st.sampled_from([yaml.SafeDumper, wire._safe("Dumper")]))
+@example(kind="graph", context={}, echo={"lastalert": "a\n...\nb", "currentlevel": "é\n...\nb"}, at=1,
+         dumper=yaml.SafeDumper)
+def test_monitor_traffic_is_in_the_dialect(kind, context, echo, at, dumper):
+    """Every document the dumper writes for a monitor event, whatever text
+    the echo holds and wherever the context sits, decodes without a
+    DecodeError, as ``yaml.safe_load`` reads it."""
+    items = list(echo.items())
+    doc = dict([("event", kind), *items[:at], ("context", context), *items[at:]])
+    text = "---\n" + yaml.dump(doc, Dumper=dumper, sort_keys=False, default_flow_style=False,
+                               width=1_000_000) + "...\n"
+    assert _recognizer_agrees(text)
+    wire.clear_context_cache()
+    assert _decoded(text) == _decoded(text, _full_parse) != "DecodeError"
+    (framed,) = DocumentStream().feed(text.encode("utf-8"))
+    assert _decoded(framed) == _decoded(text)
+
+
+_GRAPH = "context:\n  nodes:\n  - node: a\n"
+# YAML the safe loader reads, in forms the monitor's dumper never writes.
+_OUTSIDE_FORMS = {
+    "comment-line": "# c\nevent: graph\n" + _GRAPH,
+    "comment-after-value": "event: graph # c\n" + _GRAPH,
+    "comment-in-block": "event: graph\n" + _GRAPH.replace("node: a", "node: a # c"),
+    "flow-mapping": "event: graph\ncontext: {nodes: [{node: a}]}\n",
+    "flow-sequence": "event: graph\ncontext:\n  nodes: [a]\n",
+    "anchor": "event: &e graph\n" + _GRAPH,
+    "alias": "currentlevel: &e graph\nevent: *e\n" + _GRAPH,
+    "tag": "event: !!str graph\n" + _GRAPH,
+    "block-scalar": "event: graph\nlastalert: |\n  a\n" + _GRAPH,
+    "bool": "event: graph\nlastalert: yes\n" + _GRAPH,
+    "timestamp": "event: graph\nlastalert: 2001-12-14\n" + _GRAPH,
+    "merge": "event: graph\n<<:\n  lastalert: a\n" + _GRAPH,
+    "multi-line-in-block": "event: graph\n" + _GRAPH.replace("node: a", "node: 'a\n\n      b'"),
+    "multi-line-plain": "event: graph\nlastalert: a\n  b\n" + _GRAPH,
+    "multi-line-double": "event: graph\nlastalert: \"a\n  b\"\n" + _GRAPH,
+    "unindented-continuation": "event: graph\nlastalert: 'a\nb'\n" + _GRAPH,
+    "indented-lines": "  event: graph\n  context: {}\n",
+    "indented-line": "  event: graph\n",
+    "tab": "event: graph\nlastalert: 'a\tb'\n" + _GRAPH,
+    "blank-line": "event: graph\n\n" + _GRAPH,
+    "carriage-return": "event: graph\r\n" + _GRAPH,
+    "non-ascii": "event: graph\nlastalert: é\n" + _GRAPH,
+    "nested-sequence": "event: graph\ncontext:\n  nodes:\n  - - a\n",
+    "complex-key": "event: graph\n? lastalert\n: a\n" + _GRAPH,
+    "quoted-key": "event: graph\n'lastalert': a\n" + _GRAPH,
+    "directive": "%YAML 1.1\n---\nevent: graph\n" + _GRAPH,
+}
+
+
+@pytest.mark.parametrize("form", sorted(_OUTSIDE_FORMS))
+def test_forms_outside_the_dialect_are_one_decode_error(form):
+    text = _OUTSIDE_FORMS[form]
+    assert isinstance(yaml.safe_load(text), dict)
+    wire.clear_context_cache()
+    with pytest.raises(DecodeError, match="outside the monitor's dialect"):
+        decode_event(text)
+
+
+@pytest.mark.parametrize("escaped", ["\\/", "\\ ", "\\\t", "\\xe9", "\\u00E9", "\\U0010FFFF", "\\U0001f600",
+                                     "\\0\\a\\b\\t\\n\\v\\f\\r\\e\\\"\\\\\\N\\_\\L\\P", "'", "a'b"])
+def test_double_quoted_escapes_read_as_the_safe_loader_reads_them(escaped):
+    """The escapes the dumper does not write are read too; a code point past
+    U+10FFFF, a bad escape and a double-quoted scalar over two lines are
+    outside the dialect."""
+    text = f'event: graph\ncontext: {{}}\nlastalert: "{escaped}"\n'
+    assert _recognizer_agrees(text)
+    for bad in ("\\U00110000", "\\q", "\\x4", 'a\n  b', "\\", "é"):
+        assert not _recognizer_agrees(f'event: graph\ncontext: {{}}\nlastalert: "{bad}"\n')
 
 
 @settings(max_examples=400, deadline=None)
 @given(base=st.sampled_from(_BASES), mutation=st.sampled_from(_MUTATIONS), seed=st.integers(0, 2**32))
 def test_cached_decode_equals_full_decode(base, mutation, seed):
-    """A document decodes as the full parse alone decodes it, the same event
-    or DecodeError: cold, where the recognizer reads it or declines it, and
-    with a cache warmed by the base document and by the other variant, in
-    either order, where the variants share the context block unless the
-    mutation changed it. The same holds for a document whose block is the
-    cached block and one more line, and after a cached block that ended
-    without its final newline, in the middle of a line. Where the recognizer
-    takes a document, its mapping is the full parse's."""
+    """A document decodes, cold, as ``yaml.safe_load``'s mapping of it
+    decodes, the same event or DecodeError, or is outside the dialect and
+    one DecodeError; and it decodes the same with a cache warmed by the base
+    document and by the other variant, in either order, where the variants
+    share the context block unless the mutation changed it. The same holds
+    for a document whose block is the cached block and one more line, and
+    after a cached block that ended without its final newline, in the middle
+    of a line. Where the recognizer takes a document, its mapping is the
+    safe loader's."""
     docs = [_mutate(base, mutation, seed, v) for v in (0, 1)]
     for doc, other in (docs, docs[::-1]):
         wire.clear_context_cache()
         cold = _decoded(doc)
-        assert cold == _decoded(doc, _full_parse)
-        _recognizer_agrees(doc)
+        assert cold == _decoded(doc, _full_parse) or not _recognizer_agrees(doc)
         for warm in ((base, other), (other, base)):
             wire.clear_context_cache()
             for text in warm:
@@ -701,12 +821,19 @@ def test_cached_decode_equals_full_decode(base, mutation, seed):
             assert _decoded(doc) == cold
     for warm, doc in _block_prefix_pairs(docs[0]):
         wire.clear_context_cache()
-        cold, cold_parts = _decoded(doc), wire._recognize(doc)
-        assert cold == _decoded(doc, _full_parse)
-        _recognizer_agrees(doc)
+        cold, cold_parts = _decoded(doc), _recognized(doc)
+        assert cold == _decoded(doc, _full_parse) or not _recognizer_agrees(doc)
         _decoded(warm)
-        assert wire._recognize(doc) == cold_parts
+        assert _recognized(doc) == cold_parts
         assert _decoded(doc) == cold
+
+
+def _recognized(doc: str):
+    """What ``_recognize`` returns for ``doc``, or "DecodeError"."""
+    try:
+        return wire._recognize(doc)
+    except DecodeError:
+        return "DecodeError"
 
 
 def _block_prefix_pairs(doc: str) -> list[tuple[str, str]]:
@@ -715,8 +842,8 @@ def _block_prefix_pairs(doc: str) -> list[tuple[str, str]]:
     last line of its block repeated, and ``doc`` cut before the last
     character of its block's last line before ``doc``."""
     wire.clear_context_cache()
-    parts = wire._recognize(doc)
-    if parts is None or "\n" not in parts[1].rstrip("\n"):
+    parts = _recognized(doc)
+    if parts == "DecodeError" or parts[1] is None or "\n" not in parts[1].rstrip("\n"):
         return []
     block = parts[1]
     start = 0 if doc.startswith("context:\n") else doc.find("\ncontext:\n") + 1
@@ -727,62 +854,86 @@ def _block_prefix_pairs(doc: str) -> list[tuple[str, str]]:
     return [(doc, grown), (cut, doc)]
 
 
-# 100-250 KB documents, under the framing limit, that nest 50,000 deep. The
-# block sequence is one line, which no count of "[" and "{" would see.
+# 100-500 KB documents, under the framing limit. The flow forms and the
+# one-line block sequence nest 50,000 deep, in forms outside the dialect;
+# the block mapping nests 1,000 deep, which is as deep as the framing limit
+# lets indentation go, in the dialect but past its depth bound.
 _DEEP = {
     "flow-sequence": "event: graph\ncontext: " + "[" * 50_000 + "]" * 50_000 + "\n",
     "flow-mapping": "event: graph\ncontext: " + "{a: " * 50_000 + "}" * 50_000 + "\n",
     "block-sequence": "event: graph\ncontext:\n  " + "- " * 50_000 + "x\n",
+    "block-mapping": "event: graph\ncontext:\n" + "".join(" " * k + "a:\n" for k in range(1, 1000)),
 }
 
 
-@pytest.mark.parametrize("form", sorted(_DEEP))
-def test_deep_document_costs_one_decode_error(form):
-    """In a child process, so that a crash in the parser fails this test
-    rather than killing pytest."""
+def _decode_in_child(doc: str) -> tuple[float, str]:
+    """The CPU seconds ``decode_event`` takes on ``doc`` and its
+    DecodeError's message, in a child process, so that a crash or a hang in
+    the decoder fails the caller rather than killing pytest."""
     code = ("import sys, time\nfrom rips.wire import DecodeError, decode_event\n"
             "doc = sys.stdin.read()\nstart = time.process_time()\n"
             "try:\n    decode_event(doc)\nexcept DecodeError as exc:\n"
             "    print(time.process_time() - start, exc)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rips.__file__)))
-    child = subprocess.run([sys.executable, "-c", code], input=_DEEP[form], capture_output=True, text=True,
+    child = subprocess.run([sys.executable, "-c", code], input=doc, capture_output=True, text=True,
                            env=env, timeout=60)
     assert child.returncode == 0, child.stderr[-2000:]
     seconds, message = child.stdout.split(" ", 1)
-    assert "nested deeper than" in message
-    assert float(seconds) < 1.0
+    return float(seconds), message
 
 
-@pytest.mark.parametrize("flow", [False, True], ids=["block", "flow"])
-def test_depth_bound_is_one_for_the_recognizer_and_the_full_parse(monkeypatch, flow):
+@pytest.mark.parametrize("form", sorted(_DEEP))
+def test_deep_document_costs_one_decode_error(form):
+    seconds, message = _decode_in_child(_DEEP[form])
+    assert ("nested deeper than" if form == "block-mapping" else "outside the monitor's dialect") in message
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("where", ["top-level", "block", "quoted"])
+def test_a_long_line_that_fails_costs_one_scan(where):
+    """A 1 MB line of spaces that then fails the line grammar, which a
+    pattern that backtracks into the spaces would take hours over."""
+    line = {"top-level": "lastalert: a", "block": "  - node: a", "quoted": "lastalert: 'a'"}[where]
+    line += " " * (1 << 20) + "\t"
+    doc = f"event: graph\ncontext:\n{line}\n" if where == "block" else f"event: graph\n{line}\ncontext:\n"
+    seconds, message = _decode_in_child(doc)
+    assert "outside the monitor's dialect" in message
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("form", ["block", "flow", "sequence", "sequence-flow"])
+def test_depth_bound_is_one_for_the_recognizer_and_the_full_parse(monkeypatch, form):
     """The top-level mapping counts as depth 1 and the context as 2: a
-    document MAX_DEPTH deep decodes, and one level more is rejected."""
+    document whose collections nest MAX_DEPTH deep decodes, as
+    ``yaml.safe_load`` reads it, and one level more is rejected. The
+    deepest collection is a mapping of scalars, an empty ``{}``, a sequence
+    of scalars or a sequence holding ``[]``."""
     def nested(depth):
-        if flow:
-            return "event: graph\ncontext: " + "{a: " * (depth - 1) + "1" + "}" * (depth - 1) + "\n"
-        return ("event: graph\ncontext:\n" + "".join(" " * k + "a:\n" for k in range(1, depth - 1))
-                + " " * (depth - 1) + "a: 1\n")
+        if form.endswith("flow"):
+            depth -= 1
+        lines = "".join(" " * k + "a:\n" for k in range(1, depth - 1))
+        last = {"block": "a: 1", "flow": "a: {}", "sequence": "- x", "sequence-flow": "- []"}[form]
+        return "event: graph\ncontext:\n" + lines + " " * (depth - 1) + last + "\n"
 
     assert _decoded(nested(MAX_DEPTH), _full_parse) != "DecodeError"
-    with pytest.raises(DecodeError, match="nested deeper than"):
-        _full_parse(nested(MAX_DEPTH + 1))
+    assert _recognizer_agrees(nested(MAX_DEPTH))
     with pytest.raises(DecodeError, match="nested deeper than"):
         decode_event(nested(MAX_DEPTH + 1))
-    if not flow:
-        assert _recognizer_agrees(nested(MAX_DEPTH))
-        _refuse_full_parse(monkeypatch)
+    _refuse_pyyaml(monkeypatch)
     wire.clear_context_cache()
     assert decode_event(nested(MAX_DEPTH)).graph.node_names == frozenset()
 
 
 def test_aliases_are_rejected():
     """An alias can make a small document expand to a huge graph, and the
-    monitor's schema needs none."""
+    monitor's schema needs none: an anchor or an alias is outside the
+    dialect."""
     wire.clear_context_cache()
-    with pytest.raises(DecodeError, match="alias"):
+    with pytest.raises(DecodeError, match="outside the monitor's dialect"):
         decode_event("event: graph\ncontext:\n  nodes:\n  - &n\n    node: a\n  - *n\n")
     nodes = "".join(f"  - &n{i}\n    node: a{i}\n" for i in range(3))
-    assert len(decode_event("event: graph\ncontext:\n  nodes:\n" + nodes).graph.node_names) == 3
+    with pytest.raises(DecodeError, match="outside the monitor's dialect"):
+        decode_event("event: graph\ncontext:\n  nodes:\n" + nodes)
 
 
 def test_repeated_contexts_skip_the_graph_build(monkeypatch):
@@ -845,7 +996,7 @@ def _reference_frames(stream: bytes, limit: int) -> list[str]:
     docs, doc = [], b""
     for raw in stream.split(b"\n")[:-1]:
         line = raw + b"\n"
-        if len(line) <= limit and line.decode("utf-8", errors="replace").strip() in ("---", "..."):
+        if len(line) <= limit and line.decode("utf-8", errors="replace").rstrip() in ("---", "..."):
             text = doc.decode("utf-8", errors="replace")
             if len(doc) + len(line) <= limit and text.strip():
                 docs.append(text)
@@ -868,6 +1019,9 @@ _STREAM_PIECES = st.sampled_from([
 # Lines over the limit that would read as markers: one padded, one cut short.
 @example(pieces=[b" " * 40, b"---", b"\n", b"a", b"\n...\n"], cuts=[], limit=16)
 @example(pieces=[b"x" * 30, b"---", b"\n", b"a", b"\n...\n"], cuts=[30], limit=16)
+# The monitor's echo of an alert text that holds a "..." line: one document.
+@example(pieces=[b"---\nevent: graph\nlastalert: 'a\n\n  ...\n\n  b'\ncontext: {}\n...\n"], cuts=[],
+         limit=MAX_DOC_BYTES)
 def test_framer_matches_a_per_line_reference(pieces, cuts, limit):
     stream = b"".join(pieces)
     with pytest.MonkeyPatch.context() as mp:
