@@ -14,7 +14,6 @@ order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from . import regexlite
 from .bus import SIGNALS
@@ -30,28 +29,37 @@ from . import values
 _RESERVED = ("CurrLevel", "Time", "Uptime", "CurrRule")
 
 
-@dataclass
 class Symbol:
-    name: str
-    kind: str  # level | const | var | predefined | rule_const
-    type: ValueType
-    value: object = None  # folded constant / level ordinal / var initial value
-    pos: tuple[int, int] = (0, 0)
-    level_init: bool = False  # var initialized with a level name
-    read: bool = False
-    written: bool = False
+    __slots__ = ("name", "kind", "type", "value", "pos", "level_init", "read", "written")
+
+    def __init__(self, name: str, kind: str, type: ValueType, value: object = None,
+                 pos: tuple[int, int] = (0, 0), level_init: bool = False, read: bool = False,
+                 written: bool = False):
+        self.name = name
+        self.kind = kind  # level | const | var | predefined | rule_const
+        self.type = type
+        self.value = value  # folded constant / level ordinal / var initial value
+        self.pos = pos
+        self.level_init = level_init  # var initialized with a level name
+        self.read = read
+        self.written = written
 
 
-@dataclass
 class CheckedProgram:
-    program: Program
-    symbols: dict[str, Symbol]
-    var_initial: dict[str, object]
-    plugins: list[str]  # the resolved path of each plugin called, once each
-    scripts_dir: str | None
-    graph_rules: list[Rule]
-    msg_rules: list[Rule]
-    external_rules: list[Rule]
+    __slots__ = ("program", "symbols", "var_initial", "plugins", "scripts_dir",
+                 "graph_rules", "msg_rules", "external_rules")
+
+    def __init__(self, program: Program, symbols: dict[str, Symbol], var_initial: dict[str, object],
+                 plugins: list[str], scripts_dir: str | None,
+                 graph_rules: list[Rule], msg_rules: list[Rule], external_rules: list[Rule]):
+        self.program = program
+        self.symbols = symbols
+        self.var_initial = var_initial
+        self.plugins = plugins  # the resolved path of each plugin called, once each
+        self.scripts_dir = scripts_dir
+        self.graph_rules = graph_rules
+        self.msg_rules = msg_rules
+        self.external_rules = external_rules
 
     @property
     def levels(self):

@@ -8,6 +8,8 @@ source that mimics the monitor: it emits a graph event every polling
 interval and immediately on a change (periodic emission can be disabled),
 filters message topics through the white/black lists, and tracks the
 level and last alert from the engine's sink to fill the event envelope.
+What it sends goes through one ``DocumentStream``, as a socket's bytes do,
+so the engine sees the documents ``serve`` would frame from them.
 Its ``FakeClock`` moves only when the source moves it, so runs are
 deterministic and fast, and ``drive`` ticks as it does on a socket: at
 one time, timeline entries (in file order) come before the graph poll,
@@ -19,7 +21,7 @@ from __future__ import annotations
 import base64
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import yaml
 
@@ -27,7 +29,7 @@ from .bus import SIGNALS, SignalCounters, drive
 from .errors import EngineCrash, RipsError
 from .runtime import FakeClock
 from .support import positive_float
-from .wire import Outcome, encode_event
+from .wire import DocumentStream, Outcome, encode_event
 
 DEFAULT_POLLING_S = 0.5
 DEFAULT_GRACE_S = 1.0
@@ -44,8 +46,7 @@ class ScenarioError(RipsError):
     pass
 
 
-@dataclass
-class TimelineEntry:
+class TimelineEntry(NamedTuple):
     at_s: float
     kind: str  # "graph" | "message" | "signal"
     graph: dict | None = None
@@ -55,8 +56,7 @@ class TimelineEntry:
     signal: str = ""
 
 
-@dataclass
-class Expectation:
+class Expectation(NamedTuple):
     level: str | None = None
     alert: str | None = None
 
@@ -71,8 +71,7 @@ class Expectation:
         return outcome.kind == "alert" and self.alert in outcome.text
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     timeline: list[TimelineEntry]
     expect: list[Expectation]
@@ -82,22 +81,19 @@ class Scenario:
     expect_none: bool = False
 
 
-@dataclass
-class ObservedOutcome:
+class ObservedOutcome(NamedTuple):
     time_s: float
     anchor_s: float  # time of the most recent timeline entry
     outcome: Outcome
 
 
-@dataclass
-class ExpectationResult:
+class ExpectationResult(NamedTuple):
     expectation: Expectation
     matched: bool
     latency_s: float | None = None
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     scenario: str
     outcomes: list[ObservedOutcome]
     results: list[ExpectationResult]
@@ -249,9 +245,9 @@ def resolve_polling(scenario: Scenario, override: float | None = None) -> float:
 class _SimulatedMonitor:
     """The monitor's side of a scenario, a ``drive`` source on the engine's
     ``FakeClock``: each ``receive`` moves the clock to the next timeline
-    entry or graph poll within the wait and returns its document, or none,
-    or, once the wait reaches past ``end_ns``, None. ``record`` is the
-    engine's sink."""
+    entry or graph poll within the wait and returns the documents that its
+    event frames to, or none, or, once the wait reaches past ``end_ns``,
+    None. ``record`` is the engine's sink."""
 
     def __init__(self, scenario: Scenario, engine, poll_ns: int, end_ns: int):
         self.timeline = iter(scenario.timeline)
@@ -264,6 +260,7 @@ class _SimulatedMonitor:
         self.level, self.grav, self.last_alert = engine.levelname(engine.current), engine.gravity(engine.current), ""
         self.last_entry_ns = 0
         self.observed: list[ObservedOutcome] = []
+        self.stream = DocumentStream()
 
     def record(self, o: Outcome) -> bool:
         self.observed.append(ObservedOutcome(self.clock.now_ns() / _NS, self.last_entry_ns / _NS, o))
@@ -274,8 +271,9 @@ class _SimulatedMonitor:
         return True
 
     def event(self, **extra) -> list[str]:
-        return [encode_event({"currentlevel": self.level, "currentgrav": self.grav, "lastalert": self.last_alert,
-                              "event": "graph", "context": self.graph, **extra})]
+        text = encode_event({"currentlevel": self.level, "currentgrav": self.grav, "lastalert": self.last_alert,
+                             "event": "graph", "context": self.graph, **extra})
+        return self.stream.feed(text.encode("utf-8"))
 
     def receive(self, wait_ns: int) -> list[str] | None:
         deadline = self.clock.now_ns() + wait_ns

@@ -14,7 +14,7 @@ called ``impl(engine, ctx, *args)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import predicates
 from .runtime import Engine
@@ -28,8 +28,7 @@ U = ValueType.UNIVERSAL
 GRAPH, MSG, EXTERNAL = SectionKind.GRAPH, SectionKind.MSG, SectionKind.EXTERNAL
 
 
-@dataclass(frozen=True)
-class BuiltinSig:
+class BuiltinSig(NamedTuple):
     name: str
     section: SectionKind | None  # None: callable from every section
     params: tuple[ValueType, ...]
@@ -41,7 +40,7 @@ class BuiltinSig:
     # CurrLevel, or an int variable initialized with a level name).
     level_args: tuple[int, ...] = ()
     # Actions: impl(engine, *args); expression builtins: impl(engine, ctx, *args).
-    impl: object = field(default=None, compare=False, repr=False)
+    impl: object = None
 
     def arity_ok(self, n: int) -> bool:
         if self.vararg is None:
@@ -59,7 +58,7 @@ def _table(sigs: list[BuiltinSig], impl_of) -> dict[str, BuiltinSig]:
     out: dict[str, BuiltinSig] = {}
     for sig in sigs:
         assert sig.name not in out, sig.name
-        out[sig.name] = replace(sig, impl=impl_of(sig.name))
+        out[sig.name] = sig._replace(impl=impl_of(sig.name))
     return out
 
 

@@ -10,8 +10,9 @@ same functions the interpreter reaches through ``BuiltinSig.impl`` and the
 operator's ``impl``.
 
 A generated program loads what these three modules import and no more:
-what serving runs, and not the AST or its walker, ``dataclasses``, PyYAML
-or (unless ``--dump-vars`` asks for it at exit) ``json``.
+what serving runs, and not the AST or its walker, PyYAML or (unless
+``--dump-vars`` asks for it at exit) ``json``. No ``rips`` module loads
+``dataclasses``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ so two structurally identical programs compare equal regardless of layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
@@ -21,108 +20,170 @@ class SectionKind(Enum):
     EXTERNAL = "External"
 
 
-@dataclass(eq=True)
-class Node:
-    line: int = field(compare=False, repr=False, kw_only=True, default=0)
-    column: int = field(compare=False, repr=False, kw_only=True, default=0)
+class _Fields:
+    """Equality and ``repr`` over the fields a class names in ``_FIELDS``,
+    in its positional order. Positions, the int literal's ``lexeme``, the
+    checker's annotations and ``Program.source_name`` are not among them.
+    Instances are unhashable: they hold lists and the checker fills them
+    in."""
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self._FIELDS] == [getattr(other, f) for f in self._FIELDS]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._FIELDS)})"
 
 
-@dataclass(eq=True)
+class Node(_Fields):
+    __slots__ = ("line", "column")
+
+
 class Literal(Node):
-    value: object = None
-    kind: str = ""  # int | float | bool | string
-    # The source text of an int literal, which its diagnostics quote.
-    lexeme: str = field(compare=False, repr=False, kw_only=True, default="")
+    __slots__ = ("value", "kind", "lexeme")
+    _FIELDS = ("value", "kind")
+
+    def __init__(self, value: object = None, kind: str = "", *, line: int = 0, column: int = 0, lexeme: str = ""):
+        self.value = value
+        self.kind = kind  # int | float | bool | string
+        self.line, self.column = line, column
+        # The source text of an int literal, which its diagnostics quote.
+        self.lexeme = lexeme
 
 
-@dataclass(eq=True)
 class Name(Node):
-    name: str = ""
-    # Resolved symbol, filled in by the checker.
-    binding: object = field(compare=False, repr=False, kw_only=True, default=None)
+    __slots__ = ("name", "binding")
+    _FIELDS = ("name",)
+
+    def __init__(self, name: str = "", *, line: int = 0, column: int = 0, binding: object = None):
+        self.name = name
+        self.line, self.column = line, column
+        # Resolved symbol, filled in by the checker.
+        self.binding = binding
 
 
-@dataclass(eq=True)
 class Unary(Node):
-    op: str = ""
-    operand: "Expr" = None
-    # The operator's function from ``values.UNARY``, filled in by the
-    # checker; engines call it as they call ``Call.sig.impl``.
-    impl: object = field(compare=False, repr=False, kw_only=True, default=None)
+    __slots__ = ("op", "operand", "impl")
+    _FIELDS = ("op", "operand")
+
+    def __init__(self, op: str = "", operand: Expr = None, *, line: int = 0, column: int = 0, impl: object = None):
+        self.op, self.operand = op, operand
+        self.line, self.column = line, column
+        # The operator's function from ``values.UNARY``, filled in by the
+        # checker; engines call it as they call ``Call.sig.impl``.
+        self.impl = impl
 
 
-@dataclass(eq=True)
 class Binary(Node):
-    op: str = ""
-    left: "Expr" = None
-    right: "Expr" = None
-    # The operator's function from ``values.BINARY``, filled in by the
-    # checker; None for the short-circuit ``&&`` and ``||``.
-    impl: object = field(compare=False, repr=False, kw_only=True, default=None)
+    __slots__ = ("op", "left", "right", "impl")
+    _FIELDS = ("op", "left", "right")
+
+    def __init__(self, op: str = "", left: Expr = None, right: Expr = None, *,
+                 line: int = 0, column: int = 0, impl: object = None):
+        self.op, self.left, self.right = op, left, right
+        self.line, self.column = line, column
+        # The operator's function from ``values.BINARY``, filled in by the
+        # checker; None for the short-circuit ``&&`` and ``||``.
+        self.impl = impl
 
 
-@dataclass(eq=True)
 class Call(Node):
-    name: str = ""
-    args: list["Expr"] = field(default_factory=list)
-    # Resolved builtin signature, filled in by the checker.
-    sig: object = field(compare=False, repr=False, kw_only=True, default=None)
-    # Prepared first argument, filled in by the checker: a compiled regex,
-    # a loaded pattern file, a plugin path, a signal name, or the variable
-    # name of a set. Engines pass it in place of that argument.
-    resource: object = field(compare=False, repr=False, kw_only=True, default=None)
+    __slots__ = ("name", "args", "sig", "resource")
+    _FIELDS = ("name", "args")
+
+    def __init__(self, name: str = "", args: list[Expr] | None = None, *,
+                 line: int = 0, column: int = 0, sig: object = None, resource: object = None):
+        self.name = name
+        self.args = [] if args is None else args
+        self.line, self.column = line, column
+        # Resolved builtin signature, filled in by the checker.
+        self.sig = sig
+        # Prepared first argument, filled in by the checker: a compiled
+        # regex, a loaded pattern file, a plugin path, a signal name, or the
+        # variable name of a set. Engines pass it in place of that argument.
+        self.resource = resource
 
 
 Expr = Union[Literal, Name, Unary, Binary, Call]
 
 
-@dataclass(eq=True)
-class ChainItem:
-    action: Call
-    connector: Optional[str]  # "," | "=>" | "!>" | None on the last action
+class ChainItem(_Fields):
+    __slots__ = ("action", "connector")
+    _FIELDS = __slots__
+
+    def __init__(self, action: Call, connector: Optional[str]):
+        self.action = action
+        self.connector = connector  # "," | "=>" | "!>" | None on the last action
 
 
-@dataclass(eq=True)
 class Rule(Node):
-    trigger: Expr = None
-    chain: list[ChainItem] = field(default_factory=list)
-    rule_id: str = ""
+    __slots__ = ("trigger", "chain", "rule_id")
+    _FIELDS = __slots__
+
+    def __init__(self, trigger: Expr = None, chain: list[ChainItem] | None = None, rule_id: str = "", *,
+                 line: int = 0, column: int = 0):
+        self.trigger = trigger
+        self.chain = [] if chain is None else chain
+        self.rule_id = rule_id
+        self.line, self.column = line, column
 
 
-@dataclass(eq=True)
 class RuleSection(Node):
-    kind: SectionKind = SectionKind.GRAPH
-    rules: list[Rule] = field(default_factory=list)
+    __slots__ = ("kind", "rules")
+    _FIELDS = __slots__
+
+    def __init__(self, kind: SectionKind = SectionKind.GRAPH, rules: list[Rule] | None = None, *,
+                 line: int = 0, column: int = 0):
+        self.kind = kind
+        self.rules = [] if rules is None else rules
+        self.line, self.column = line, column
 
 
-@dataclass(eq=True)
 class LevelDecl(Node):
-    name: str = ""
-    soft: bool = False
-    ordinal: int = 0
+    __slots__ = ("name", "soft", "ordinal")
+    _FIELDS = __slots__
+
+    def __init__(self, name: str = "", soft: bool = False, ordinal: int = 0, *, line: int = 0, column: int = 0):
+        self.name, self.soft, self.ordinal = name, soft, ordinal
+        self.line, self.column = line, column
 
 
-@dataclass(eq=True)
-class ConstDecl(Node):
-    name: str = ""
-    type_name: str = ""  # string | int | bool | float
-    init: Expr = None
+class _TypedDecl(Node):
+    __slots__ = ("name", "type_name", "init")
+    _FIELDS = __slots__
+
+    def __init__(self, name: str = "", type_name: str = "", init: Expr = None, *, line: int = 0, column: int = 0):
+        self.name = name
+        self.type_name = type_name  # string | int | bool | float
+        self.init = init
+        self.line, self.column = line, column
 
 
-@dataclass(eq=True)
-class VarDecl(Node):
-    name: str = ""
-    type_name: str = ""
-    init: Expr = None
+class ConstDecl(_TypedDecl):
+    __slots__ = ()
 
 
-@dataclass(eq=True)
-class Program:
-    levels: list[LevelDecl] = field(default_factory=list)
-    consts: list[ConstDecl] = field(default_factory=list)
-    vars: list[VarDecl] = field(default_factory=list)
-    rule_sections: list[RuleSection] = field(default_factory=list)
-    source_name: str = field(default="rules", compare=False)
+class VarDecl(_TypedDecl):
+    __slots__ = ()
+
+
+class Program(_Fields):
+    __slots__ = ("levels", "consts", "vars", "rule_sections", "source_name")
+    _FIELDS = ("levels", "consts", "vars", "rule_sections")
+
+    def __init__(self, levels: list[LevelDecl] | None = None, consts: list[ConstDecl] | None = None,
+                 vars: list[VarDecl] | None = None, rule_sections: list[RuleSection] | None = None,
+                 source_name: str = "rules"):
+        self.levels = [] if levels is None else levels
+        self.consts = [] if consts is None else consts
+        self.vars = [] if vars is None else vars
+        self.rule_sections = [] if rule_sections is None else rule_sections
+        self.source_name = source_name
 
 
 # Binary operator precedence, higher binds tighter. All left-associative.

@@ -13,8 +13,8 @@ offset from the start of its line, counted in characters from 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 from .errors import LexError
 
@@ -65,8 +65,7 @@ _ESCAPE = re.compile(r"\\(x[0-9a-fA-F]{2}|[\s\S])")
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     line: int

@@ -12,15 +12,27 @@ included. Division and modulo keep a small chance of a zero denominator on
 purpose: fault handling must match across engines too. The parser and wire
 tests draw on it as well; the parser's round-trip tests print ASTs back to
 source with ``format_program``.
+
+The "extremes" mode, ``extreme_programs``, builds programs at and just past
+each static bound instead: expressions at the parser's nesting bound,
+regexes and pattern files at theirs, int literals at the 64-bit edge, and,
+where nothing bounds them, hundreds of levels, constants, variables and
+rules, long chains and long string literals. ``rips check`` must accept
+each program at a bound, and the differential test runs it under both
+engines; it must refuse each one past a bound with one short diagnostic
+line.
 """
 
 from __future__ import annotations
 
 import base64
 import random
+from typing import NamedTuple
 
+from rips import parser, patterns, regexlite
 from rips.bus import SIGNALS
 from rips.syntax import BINARY_PRECEDENCE, Binary, Call, Expr, Literal, Name, Program, Unary
+from rips.values import STRING_CAP
 from rips.wire import encode_event
 
 TOPIC_POOL = ["/t0", "/t1", "/t2", "/cam/raw", "/cmd/vel", "/diag"]
@@ -350,6 +362,91 @@ def random_corpus(seed: int, n_events: int = 200) -> list[str]:
             )
         docs.append(encode_event(doc))
     return docs
+
+
+# --- programs at and just past the static bounds ---
+
+# Expressions whose deepest leaf sits ``d`` levels down the tree, where each
+# operator of a chain is one level and so is each call and each parenthesis.
+DEEP_EXPRESSIONS = {
+    "not": lambda d: "!" * d + "false",
+    "minus": lambda d: "-" * (d - 1) + "1 == 1",
+    "chain": lambda d: " && ".join(["true"] * (d + 1)),
+    "call": lambda d: "string(" * (d - 1) + "1" + ")" * (d - 1) + ' == "1"',
+    "parens": lambda d: "(" * d + "true" + ")" * d,
+}
+
+
+def nested_condition(depth: int, form: str) -> str:
+    """A pattern file of one rule whose condition nests ``depth`` deep in
+    parentheses or in ``not``; it matches a payload that holds "A" unless
+    an odd number of ``not`` negates it."""
+    cond = "(" * depth + "$a" + ")" * depth if form == "parens" else "not " * depth + "$a"
+    return f'rule r {{ strings: $a = "A" condition: {cond} }}'
+
+
+def _nested_regex(depth: int) -> str:
+    return "(" * depth + "/t[01]|/cam/.*" + ")" * depth
+
+
+class Extreme(NamedTuple):
+    """A rules program at or just past one static bound. ``accepted`` says
+    whether ``rips check`` must accept it, and ``files`` holds the pattern
+    files it names, as (file name, text) pairs, to sit beside it."""
+
+    name: str
+    source: str
+    accepted: bool
+    files: tuple[tuple[str, str], ...] = ()
+
+
+def extreme_programs(n: int = 300) -> list[Extreme]:
+    """The programs of the "extremes" mode; ``n`` is the number of levels,
+    constants, variables and rules of the large one, and of connectors in
+    each long chain."""
+    d, r, p = parser.MAX_NESTING, regexlite.MAX_NESTING, patterns.MAX_NESTING
+    out = [Extreme("expressions", "rules Graph:\n" + "".join(
+        f'    {deep(d)} ? alert("{form}");\n' for form, deep in DEEP_EXPRESSIONS.items()), True)]
+    out += [Extreme(f"expression-{form}-past", f'rules Graph: {deep(d + 1)} ? alert("{form}");\n', False)
+            for form, deep in DEEP_EXPRESSIONS.items()]
+
+    triggers = {"Graph": "nodecount(1, 9)", "Msg": 'topicin("/t0", "/t1")', "External": 'signal("SIGUSR1")'}
+    many = ["levels:", *(f"    L{i}{' soft' if i % 7 == 3 else ''};" for i in range(n)),
+            "consts:", "    K0 int = 1;", *(f"    K{i} int = K{i - 1} + {i % 5};" for i in range(1, n)),
+            "vars:", *(f"    v{i} int = K{i};" for i in range(n))]
+    for k, (kind, trigger) in enumerate(triggers.items()):
+        many.append(f"rules {kind}:")
+        many += [f"    v{i} < K{i} + 3 && {trigger} ? set(v{i}, v{i} + 1) => trigger(L{i});" for i in range(k, n, 3)]
+    out.append(Extreme("many", "\n".join(many) + "\n", True))
+
+    chains = {"then": " => ".join(["set(c, c + 1)"] * n),
+              "else": " !> ".join(["False(c)"] * n + ["set(c, c + 1)"]),
+              "all": ", ".join(["set(c, c * 3 + 1)"] * n + ["alert(string(c))"])}
+    out.append(Extreme("chains", "vars: c int = 0;\nrules External:\n" + "".join(
+        f"    true ? {chain};\n" for chain in chains.values()), True))
+
+    a, b = "a" * STRING_CAP, "b" * (STRING_CAP + 1)
+    out.append(Extreme("strings", f'consts: A string = "{a}"; B string = "{b}";\nvars: s string = "";\n'
+                       f"rules Graph: nodecount(1, 9) ? set(s, A + B), alert(s);\n"
+                       f'rules Msg: true ? alert("{"c" * 25 * STRING_CAP}"), alert(levelname(CurrLevel) + B);\n',
+                       True))
+
+    out.append(Extreme("int-literals", "consts: M int = 9223372036854775807;\n"
+                       "vars: m int = -9223372036854775807 - 1;\n"
+                       "rules External: true ? set(m, m + M), alert(string(m));\n", True))
+    out += [Extreme(f"int-literal-{name}", f"consts: M int = {digits};\n", False)
+            for name, digits in (("past", "9223372036854775808"), ("long", "9" * 5000))]
+
+    out.append(Extreme("regex", f'rules Msg: topicmatches("{_nested_regex(r)}") ? alert("matched");\n', True))
+    out.append(Extreme("regex-past", f'rules Msg: topicmatches("{_nested_regex(r + 1)}") ? alert("matched");\n',
+                       False))
+
+    out.append(Extreme("pattern-files", 'rules Msg:\n    payload("parens.yar") ? alert("parens");\n'
+                       '    payload("not.yar") ? alert("not");\n', True,
+                       tuple((f"{form}.yar", nested_condition(p, form)) for form in ("parens", "not"))))
+    out += [Extreme(f"pattern-{form}-past", 'rules Msg: payload("deep.yar") ? alert("deep");\n', False,
+                    (("deep.yar", nested_condition(p + 1, form)),)) for form in ("parens", "not")]
+    return out
 
 
 # --- formatting an AST back to source ---

@@ -20,9 +20,9 @@ import shutil
 
 import pytest
 
-from rips import predicates, values
+from rips import cli, predicates, values
 from rips.bus import SignalCounters
-from rips.checker import check_source
+from rips.checker import check_file, check_source
 from rips.errors import EngineCrash, StaticError
 from rips.interpreter import InterpretedEngine
 from rips.runtime import Engine, EngineConfig, FakeClock, RecordingRunner
@@ -33,7 +33,7 @@ from rips.values import ValueType
 from rips.wire import decode_event, encode_event
 
 from conftest import DATA_DIR
-from randprog import IDS_NEEDLE_POOL, random_corpus, random_program
+from randprog import IDS_NEEDLE_POOL, extreme_programs, random_corpus, random_program
 
 SEEDS = range(50)
 N_EVENTS = 40
@@ -102,9 +102,8 @@ def _same(a, b) -> bool:
     return repr(a) == repr(b)
 
 
-@functools.lru_cache(maxsize=None)
-def _replayed(seed: int, ids_dir: str) -> tuple[_Run, _Run]:
-    checked = check_source(random_program(seed), f"random{seed}.rul")
+def _replay(checked, seed: int, ids_dir: str) -> tuple[_Run, _Run]:
+    """Both engines of ``checked`` over the random corpus of ``seed``."""
     events = [decode_event(doc) for doc in random_corpus(seed, N_EVENTS)]
     interp, gen = _engines(checked, EngineConfig(ids_dir=ids_dir, tick_interval=0.1))
     interp.replay(events)
@@ -112,15 +111,49 @@ def _replayed(seed: int, ids_dir: str) -> tuple[_Run, _Run]:
     return interp, gen
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_engines_agree_on_random_programs(seed, ids_dir):
-    interp, gen = _replayed(seed, ids_dir)
+@functools.lru_cache(maxsize=None)
+def _replayed(seed: int, ids_dir: str) -> tuple[_Run, _Run]:
+    return _replay(check_source(random_program(seed), f"random{seed}.rul"), seed, ids_dir)
+
+
+def _assert_agree(interp: _Run, gen: _Run) -> None:
     assert _same(gen.steps, interp.steps)
     assert _same(gen.delivered, interp.delivered)
     assert _same(gen.engine.dump_variables(), interp.engine.dump_variables())
     assert gen.engine.current == interp.engine.current
     assert gen.runner.calls == interp.runner.calls
     assert gen.counters.consumed == interp.counters.consumed
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_engines_agree_on_random_programs(seed, ids_dir):
+    _assert_agree(*_replayed(seed, ids_dir))
+
+
+# The longest diagnostic line a program past a bound may give.
+MAX_DIAGNOSTIC_LINE = 160
+
+
+@pytest.mark.parametrize("extreme", extreme_programs(), ids=lambda extreme: extreme.name)
+def test_programs_at_the_bounds_run_and_past_them_get_one_line(extreme, tmp_path, ids_dir, capsys):
+    """``rips check`` accepts each program at a bound, and both engines then
+    agree on it over a random corpus; it refuses each one past a bound with
+    one short diagnostic line and no traceback."""
+    for name, text in extreme.files:
+        (tmp_path / name).write_text(text)
+    rules = tmp_path / "extreme.rul"
+    rules.write_text(extreme.source)
+    status = cli.main(["check", str(rules)])
+    err = capsys.readouterr().err
+    if not extreme.accepted:
+        assert status == 1
+        (line,) = err.splitlines()
+        assert len(line) <= MAX_DIAGNOSTIC_LINE
+        return
+    assert (status, err) == (0, "")
+    interp, gen = _replay(check_file(str(rules)), 0, ids_dir)
+    _assert_agree(interp, gen)
+    assert interp.delivered
 
 
 def test_random_programs_cover_every_expression_builtin():

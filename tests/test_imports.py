@@ -1,9 +1,12 @@
 """The runtime loads without the compiler, and serves without PyYAML,
-``dataclasses``, ``inspect`` or ``json``. Each check imports in a fresh
-interpreter, whose ``sys.modules`` no other test has filled."""
+``dataclasses``, ``inspect`` or ``json``. ``rips.cli`` and the interpreter's
+start load none of them either, nor the ``ast`` and ``dis`` that ``inspect``
+loads: no module of the package imports ``dataclasses``. Each check imports
+in a fresh interpreter, whose ``sys.modules`` no other test has filled."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,16 +20,18 @@ RUNTIME = {f"rips.{name}" for name in (
     "errors", "values", "wire", "bus",
     "predicates", "regexlite", "patterns", "runtime", "support")} | {"rips"}
 COMPILER = {f"rips.{name}" for name in ("checker", "parser", "tokens", "signatures", "transpiler", "scenario", "cli")}
-# Standard modules that serving never runs: PyYAML, the records' old
-# ``dataclasses`` (which loads ``inspect``) and ``--dump-vars``'s ``json``.
+# Standard modules that serving never runs: PyYAML, ``dataclasses`` (which
+# loads ``inspect``) and ``--dump-vars``'s ``json``.
 NOT_SERVING = {"yaml", "dataclasses", "inspect", "json"}
+# What ``inspect`` loads besides, which no engine's start needs.
+INTROSPECTION = {"ast", "dis"}
 
 
 def _modules_after(code: str, cwd=None) -> set[str]:
     """The ``rips`` modules loaded once ``code`` has run, and those of
-    ``NOT_SERVING`` that are loaded."""
+    ``NOT_SERVING`` and ``INTROSPECTION`` that are loaded."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rips.__file__)))
-    report = f"import sys; print(*(m for m in sys.modules if m in {sorted(NOT_SERVING | {'rips'})!r} or m.startswith('rips.')))"
+    report = f"import sys; print(*(m for m in sys.modules if m in {sorted(NOT_SERVING | INTROSPECTION | {'rips'})!r} or m.startswith('rips.')))"
     proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -51,7 +56,28 @@ def test_cli_loads_no_subcommand_module():
     before ``check_file`` builds a checked program."""
     loaded = _modules_after("import rips.cli")
     assert "rips.interpreter" in loaded
-    assert not loaded & {"rips.transpiler", "rips.scenario", "yaml"}
+    assert not loaded & ({"rips.transpiler", "rips.scenario"} | NOT_SERVING | INTROSPECTION)
+
+
+def test_the_interpreter_starts_without_dataclasses():
+    """What ``rips run`` does before it serves: check the rules file, then
+    build the engine."""
+    rules = os.path.join(DATA_DIR, "navigation.rul")
+    loaded = _modules_after("from rips.cli import InterpretedEngine, check_file\n"
+                            f"InterpretedEngine(check_file({rules!r}))")
+    assert "rips.syntax" in loaded
+    assert not loaded & (NOT_SERVING | INTROSPECTION)
+
+
+def test_no_module_imports_dataclasses():
+    package = os.path.dirname(rips.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+            imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+            assert "dataclasses" not in imported, name
 
 
 def test_the_dialect_and_outcomes_need_no_pyyaml():

@@ -8,7 +8,7 @@ from rips.parser import MAX_NESTING, parse_source
 from rips.syntax import Binary, Call, Literal, Name, SectionKind, Unary
 
 from conftest import DATA_DIR
-from randprog import format_program, random_program
+from randprog import DEEP_EXPRESSIONS, format_program, random_program
 
 
 def load(name):
@@ -162,27 +162,16 @@ def test_deep_nesting_bounded():
         parse_source(src)
 
 
-# Expressions whose deepest leaf sits ``d`` levels down the tree, where each
-# operator of a chain is one level and so is each parenthesis.
-DEEP = {
-    "not": lambda d: "!" * d + "false",
-    "minus": lambda d: "-" * (d - 1) + "1 == 1",
-    "chain": lambda d: " && ".join(["true"] * (d + 1)),
-    "call": lambda d: "string(" * (d - 1) + "1" + ")" * (d - 1) + ' == "1"',
-    "parens": lambda d: "(" * d + "true" + ")" * d,
-}
-
-
-@pytest.mark.parametrize("form", sorted(DEEP))
+@pytest.mark.parametrize("form", sorted(DEEP_EXPRESSIONS))
 def test_expression_depth_is_bounded(form):
     """The bound is on the depth of the tree the parser builds: the deepest
     expression at it parses, and one level more, or a nesting far past
     Python's recursion limit, is one error."""
     rule = "rules Graph: {} ? alert(\"x\");"
-    parse_source(rule.format(DEEP[form](MAX_NESTING)))
+    parse_source(rule.format(DEEP_EXPRESSIONS[form](MAX_NESTING)))
     for depth in (MAX_NESTING + 1, 3000):
         with pytest.raises(ParseError, match="^1:[0-9]+: expression nesting too deep$"):
-            parse_source(rule.format(DEEP[form](depth)))
+            parse_source(rule.format(DEEP_EXPRESSIONS[form](depth)))
 
 
 def test_the_depth_error_names_the_first_operator_past_the_bound():

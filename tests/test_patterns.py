@@ -13,6 +13,7 @@ from rips.transpiler import load_generated, transpile
 from rips.wire import encode_event
 
 from conftest import DATA_DIR
+from randprog import nested_condition
 
 SHELLCODE = bytes.fromhex("31c050682f2f7368682f62696e89e3505389e1b00bcd80")
 
@@ -151,21 +152,16 @@ def test_error_texts_and_lines(text, message):
     assert str(exc.value) == message
 
 
-def _nested(depth: int, form: str) -> str:
-    cond = "(" * depth + "$a" + ")" * depth if form == "parens" else "not " * depth + "$a"
-    return f'rule r {{ strings: $a = "A" condition: {cond} }}'
-
-
 @pytest.mark.parametrize("form", ["parens", "not"])
 def test_condition_nesting_is_bounded(form):
     """Parentheses and ``not`` count toward one bound: a condition at it
     parses and matches, one level more is one error, and so is one nested
     far past Python's recursion limit."""
-    pf = parse_pattern_text(_nested(MAX_NESTING, form))
+    pf = parse_pattern_text(nested_condition(MAX_NESTING, form))
     assert pf.match(b"xAx") == (form == "parens" or MAX_NESTING % 2 == 0)
     for depth in (MAX_NESTING + 1, 300, 5000):
         with pytest.raises(PatternFileError, match="^line 1: condition nesting too deep$"):
-            parse_pattern_text(_nested(depth, form))
+            parse_pattern_text(nested_condition(depth, form))
 
 
 def test_long_chains_are_flat():

@@ -1,7 +1,10 @@
 import copy
+import gc
 import itertools
 import logging
 import os
+import time
+import warnings
 
 import pytest
 
@@ -11,6 +14,8 @@ from rips.errors import EngineCrash
 from rips.interpreter import InterpretedEngine, evaluate
 from rips.runtime import EngineConfig, FakeClock, RecordingRunner
 from rips.wire import decode_event, encode_event
+
+from conftest import make_scripts, write_script
 
 
 def make_event(kind="graph", topics=(), nodes=(), topic="", msg_type="", payload=b""):
@@ -318,6 +323,40 @@ def test_exec_passes_argv():
     eng.start()
     eng.handle_event(make_event("graph"))
     assert runner.calls == [("exec", "/bin/echo", ("a", "2", "c"))]
+
+
+# A rule on /go whose child runs ``sleep 30``, and one on /next. The scripts
+# exec sleep, so that the child the timeout kills is the sleep itself.
+HUNG_CHILD = {
+    "script": ('levels: A; B;\nrules Msg: topicin("/go") ? trigger(B);', "transition script failed: B.to"),
+    "exec": ('rules Msg: topicin("/go") ? exec("/bin/sleep", "30") !> alert("timed out");', "timed out"),
+    "plugin": ('rules Msg: topicin("/go") && !plugin("hung.sh") ? alert("timed out");', "timed out"),
+}
+
+
+@pytest.mark.parametrize("child", sorted(HUNG_CHILD))
+def test_a_hung_child_costs_the_timeout_and_no_more(tmp_path, child):
+    """Past ``--exec-timeout`` a transition script, an exec or a plugin is
+    killed and reaped and reads False, about the timeout after it started,
+    and the engine serves the next event."""
+    scripts_dir = make_scripts(tmp_path / "scripts", ["A", "B"])
+    for hung in (tmp_path / "hung.sh", tmp_path / "scripts" / "B.to"):
+        write_script(hung, "exec sleep 30\n")
+    source, alert = HUNG_CHILD[child]
+    checked = check_source(source + '\n  topicin("/next") ? alert("served");', "hung.rul",
+                           scripts_dir=scripts_dir if child == "script" else None, base_dir=str(tmp_path))
+    eng = InterpretedEngine(checked, clock=FakeClock(1_000), config=EngineConfig(exec_timeout=0.3))
+    eng.start()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        started = time.monotonic()
+        outcomes = eng.handle_event(make_event("message", topic="/go"))
+        elapsed = time.monotonic() - started
+        gc.collect()
+    assert 0.3 <= elapsed < 1.0
+    assert alert in [o.text for o in outcomes]
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert [o.text for o in eng.handle_event(make_event("message", topic="/next"))] == ["served"]
 
 
 def test_debug_actions_print_and_return(caplog):

@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 import rips
-from rips import cli
+from rips import cli, wire
 from rips.checker import check_file, check_source
 from rips.interpreter import InterpretedEngine
 from rips.runtime import EngineConfig, RecordingRunner
@@ -114,6 +114,26 @@ def test_topic_lists_filter_messages(monkeypatch):
         assert report.passed, report.format()
         assert [obs.outcome.text for obs in report.outcomes] == ["on /kept"]
         assert len(documents) == 1 and "topic: /kept" in documents[0]
+
+
+def test_the_simulated_monitor_is_framed_as_a_socket_is(monkeypatch, caplog):
+    """What the simulated monitor sends goes through a ``DocumentStream``: a
+    document over ``MAX_DOC_BYTES`` is dropped with the framer's one warning,
+    as ``serve`` drops it, and the documents around it still arrive."""
+    monkeypatch.setattr(wire, "MAX_DOC_BYTES", 400)
+    checked = check_source('rules Graph: nodecount(1, 1) ? alert("small");\n'
+                           '  nodecount(2, 100) ? alert("large");', "framed.rul")
+    small = {"nodes": [{"node": "n0"}]}
+    large = {"nodes": [{"node": f"n{i}"} for i in range(60)]}
+    scenario = parse_scenario({
+        "timeline": [{"at": at, "graph": graph} for at, graph in ((0.1, small), (0.2, large), (0.3, small))],
+        "on_change_only": True,
+    })
+    for build in _both_engines(checked):
+        caplog.clear()
+        report = run_scenario(scenario, build)
+        assert [(obs.time_s, obs.outcome.text) for obs in report.outcomes] == [(0.1, "small"), (0.3, "small")]
+        assert [r.getMessage() for r in caplog.records] == ["dropping an inbound document over 400 bytes"]
 
 
 def test_equal_times_run_in_drive_order():
