@@ -38,7 +38,7 @@ class Symbol:
         self.name = name
         self.kind = kind  # level | const | var | predefined | rule_const
         self.type = type
-        self.value = value  # folded constant / level ordinal / var initial value
+        self.value = value  # folded constant / level ordinal / var initial value / Engine attribute
         self.pos = pos
         self.level_init = level_init  # var initialized with a level name
         self.read = read
@@ -46,20 +46,16 @@ class Symbol:
 
 
 class CheckedProgram:
-    __slots__ = ("program", "symbols", "var_initial", "plugins", "scripts_dir",
-                 "graph_rules", "msg_rules", "external_rules")
+    __slots__ = ("program", "symbols", "var_initial", "plugins", "scripts_dir", "rules")
 
     def __init__(self, program: Program, symbols: dict[str, Symbol], var_initial: dict[str, object],
-                 plugins: list[str], scripts_dir: str | None,
-                 graph_rules: list[Rule], msg_rules: list[Rule], external_rules: list[Rule]):
+                 plugins: list[str], scripts_dir: str | None, rules: dict[SectionKind, list[Rule]]):
         self.program = program
         self.symbols = symbols
         self.var_initial = var_initial
         self.plugins = plugins  # the resolved path of each plugin called, once each
         self.scripts_dir = scripts_dir
-        self.graph_rules = graph_rules
-        self.msg_rules = msg_rules
-        self.external_rules = external_rules
+        self.rules = rules  # every section, in SectionKind order, to its rules in source order
 
     @property
     def levels(self):
@@ -107,10 +103,10 @@ class _Checker:
         self.scripts_dir = scripts_dir
         self.base_dir = base_dir
         self.diags: list[Diagnostic] = []
+        # A predefined name's value is the Engine attribute both engines read.
         self.table: dict[str, Symbol] = {
-            "CurrLevel": Symbol("CurrLevel", "predefined", ValueType.INT),
-            "Time": Symbol("Time", "predefined", ValueType.INT),
-            "Uptime": Symbol("Uptime", "predefined", ValueType.INT),
+            name: Symbol(name, "predefined", ValueType.INT, value=attr)
+            for name, attr in (("CurrLevel", "current"), ("Time", "time_ns"), ("Uptime", "uptime_ns"))
         }
         self.plugins: list[str] = []
         self.var_initial: dict[str, object] = {}
@@ -158,7 +154,9 @@ class _Checker:
                     if kind == "var":
                         self.var_initial[decl.name] = default
 
+        rules: dict[SectionKind, list[Rule]] = {kind: [] for kind in SectionKind}
         for section in self.program.rule_sections:
+            rules[section.kind].extend(section.rules)
             for rule in section.rules:
                 try:
                     self.check_rule(rule, section.kind)
@@ -182,25 +180,13 @@ class _Checker:
         if self.diags:
             raise StaticError(self.diags)
 
-        graph_rules: list[Rule] = []
-        msg_rules: list[Rule] = []
-        external_rules: list[Rule] = []
-        for section in self.program.rule_sections:
-            {
-                SectionKind.GRAPH: graph_rules,
-                SectionKind.MSG: msg_rules,
-                SectionKind.EXTERNAL: external_rules,
-            }[section.kind].extend(section.rules)
-
         return CheckedProgram(
             program=self.program,
             symbols=self.table,
             var_initial=self.var_initial,
             plugins=self.plugins,
             scripts_dir=self.scripts_dir,
-            graph_rules=graph_rules,
-            msg_rules=msg_rules,
-            external_rules=external_rules,
+            rules=rules,
         )
 
     def declare_name_free(self, name: str, node) -> None:

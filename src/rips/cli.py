@@ -105,35 +105,25 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
 
+    checked = _check(args.rules, args.scriptsdir)
+    if checked is None:
+        return STATIC_ERROR
+
     if args.command == "check":
-        checked = _check(args.rules, args.scriptsdir)
-        if checked is None:
-            return STATIC_ERROR
-        print(f"{os.path.basename(args.rules)}: OK "
-              f"({len(checked.levels)} levels, "
-              f"{len(checked.graph_rules)} Graph / {len(checked.msg_rules)} Msg / "
-              f"{len(checked.external_rules)} External rules)")
+        counts = " / ".join(f"{len(rules)} {kind.value}" for kind, rules in checked.rules.items())
+        print(f"{os.path.basename(args.rules)}: OK ({len(checked.levels)} levels, {counts} rules)")
         return 0
 
     if args.command == "compile":
-        checked = _check(args.rules, args.scriptsdir)
-        if checked is None:
-            return STATIC_ERROR
         from .transpiler import transpile
 
         sys.stdout.write(transpile(checked))
         return 0
 
     if args.command == "run":
-        checked = _check(args.rules, args.scriptsdir)
-        if checked is None:
-            return STATIC_ERROR
         return serve_from_args(lambda **kw: InterpretedEngine(checked, **kw), args)
 
     if args.command == "simulate":
-        checked = _check(args.rules, args.scriptsdir)
-        if checked is None:
-            return STATIC_ERROR
         from .scenario import ScenarioError, load_scenario, run_scenario
 
         try:

@@ -22,15 +22,15 @@ from .syntax import Binary, Call, Literal, Name, Rule, Unary
 
 
 def InterpretedEngine(checked, **kwargs) -> Engine:
-    """The engine of a ``CheckedProgram`` whose rule functions walk its AST;
-    keywords as for ``Engine``: clock, runner, counters, sink, config."""
+    """The engine of a ``CheckedProgram`` whose rule table, keyed by section
+    name, holds functions that walk its AST; keywords as for ``Engine``:
+    clock, runner, counters, sink, config."""
     return Engine(
         levels=[(d.name, d.soft) for d in checked.levels],
         scripts_dir=checked.scripts_dir,
         var_init=checked.var_initial,
-        graph_rules=[(r.rule_id, functools.partial(run_rule, r)) for r in checked.graph_rules],
-        msg_rules=[(r.rule_id, functools.partial(run_rule, r)) for r in checked.msg_rules],
-        external_rules=[(r.rule_id, functools.partial(run_rule, r)) for r in checked.external_rules],
+        rules={kind.value: [(r.rule_id, functools.partial(run_rule, r)) for r in rules]
+               for kind, rules in checked.rules.items()},
         **kwargs,
     )
 
@@ -69,11 +69,7 @@ def evaluate(E: Engine, e, ctx):
         if kind == "var":
             return E.variables[sym.name]
         if kind == "predefined":
-            if sym.name == "CurrLevel":
-                return E.current
-            if sym.name == "Time":
-                return E.time_ns
-            return E.time_ns - E.start_ns
+            return getattr(E, sym.value)
         return sym.value
     if cls is Binary:
         if e.impl is not None:

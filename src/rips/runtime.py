@@ -1,7 +1,7 @@
 """Rule execution: the engine, its actions and the level transitions.
 
-One ``Engine`` class runs both engines. It takes its rules as tables of
-``(rule_id, fn)`` and runs each as ``fn(engine, ctx)``: a generated
+One ``Engine`` class runs both engines. It takes its rules as one table of
+``(rule_id, fn)`` lists and runs each as ``fn(engine, ctx)``: a generated
 program hands over the functions it defines, and
 ``interpreter.InterpretedEngine`` hands over functions that walk the
 checked AST. This module does not import the AST, so a generated program
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -106,9 +107,16 @@ class SubprocessRunner:
     def __init__(self, timeout: float = 30.0):
         self.timeout = timeout
 
-    def _run(self, what: str, argv: list[str], **kwargs) -> bool:
+    def _run(self, what: str, argv: list[str], input: bytes | None = None, **kwargs) -> bool:
+        """The child runs in its own session; a timeout kills all of it."""
         try:
-            proc = subprocess.run(argv, timeout=self.timeout, **kwargs)
+            with subprocess.Popen(argv, start_new_session=True, **kwargs) as proc:
+                try:
+                    proc.communicate(input, timeout=self.timeout)
+                except subprocess.TimeoutExpired:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    proc.wait()
+                    raise
         except (OSError, subprocess.TimeoutExpired) as exc:
             log.warning("%s %s failed to run: %s", what, argv[0], exc)
             return False
@@ -123,7 +131,7 @@ class SubprocessRunner:
         return self._run("exec", [path, *args])
 
     def run_plugin(self, path: str, payload: bytes) -> bool:
-        return self._run("plugin", [path], input=payload,
+        return self._run("plugin", [path], input=payload, stdin=subprocess.PIPE,
                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
 
@@ -154,9 +162,10 @@ class Engine:
 
     ``levels`` are ``(name, soft)`` pairs in declaration order; with a
     ``scripts_dir`` every transition runs ``<scripts_dir>/<level>.from`` and
-    ``.to``. The three rule tables hold ``(rule_id, fn)`` pairs, run as
-    ``fn(engine, ctx)``: the functions a generated program defines, or
-    those of ``interpreter.InterpretedEngine``, which walk the AST.
+    ``.to``. ``rules`` maps each section's name to its ``(rule_id, fn)``
+    pairs, run as ``fn(engine, ctx)``: the functions a generated program
+    defines, or those of ``interpreter.InterpretedEngine``, which walk the
+    AST.
 
     The run's state: ``current``, the ordinal of the current level, which
     only rises except that a soft level may step down one; ``variables``;
@@ -178,9 +187,7 @@ class Engine:
         levels: list[tuple[str, bool]],
         scripts_dir: str | None,
         var_init: dict[str, object],
-        graph_rules: list,
-        msg_rules: list,
-        external_rules: list,
+        rules: dict[str, list],
         clock=None,
         runner=None,
         counters: SignalCounters | None = None,
@@ -199,9 +206,7 @@ class Engine:
         self.time_ns = 0
         self.start_ns = 0
         self.ids = IdsAlertScanner(self.config.ids_dir, self.config.ids_pattern)
-        self._graph_rules = list(graph_rules)
-        self._msg_rules = list(msg_rules)
-        self._external_rules = list(external_rules)
+        self._rules = rules
         self._outcomes: list[Outcome] = []
         self._started = False
 
@@ -238,20 +243,23 @@ class Engine:
     def handle_event(self, event: InboundEvent) -> list[Outcome]:
         self.start()
         if event.kind == "graph":
-            rules, ctx = self._graph_rules, event.graph
+            self._run_rules(self._rules["Graph"], event.graph)
         else:
-            rules, ctx = self._msg_rules, event
-        self._run_rules(rules, ctx)
+            self._run_rules(self._rules["Msg"], event)
         return self._take_outcomes()
 
     def tick(self) -> list[Outcome]:
         """One periodic pass over the External rules, with no event context."""
         self.start()
-        self._run_rules(self._external_rules, None)
+        self._run_rules(self._rules["External"], None)
         return self._take_outcomes()
 
     def dump_variables(self) -> dict[str, object]:
         return dict(self.variables)
+
+    @property
+    def uptime_ns(self) -> int:
+        return self.time_ns - self.start_ns
 
     # --- core loop pieces ---
 

@@ -2,8 +2,11 @@
 Python program.
 
 Each rule becomes one function ``(E, ctx)`` with its trigger expression
-inlined and the action chain lowered to connector-conditional calls; the
-program hands these functions to the same ``Engine`` the interpreter uses.
+inlined and the action chain lowered to connector-conditional calls. One
+table, ``RULES``, lists them by section name (``"Graph"``, ``"Msg"``,
+``"External"``), and the program hands it to the same ``Engine`` the
+interpreter uses. A predefined name is read as the ``Engine`` attribute
+its symbol names (``E.current``, ``E.time_ns``, ``E.uptime_ns``).
 Every builtin call names its ``BuiltinSig.impl``, the function object the
 interpreter calls, with the same arguments: an expression builtin becomes
 ``_P.<name>(E, ctx, ...)`` of its ``predicates`` function, an action
@@ -56,11 +59,7 @@ class _Gen:
             if sym.kind == "var":
                 return f"E.variables[{sym.name!r}]"
             if sym.kind == "predefined":
-                if sym.name == "CurrLevel":
-                    return "E.current"
-                if sym.name == "Time":
-                    return "E.time_ns"
-                return "(E.time_ns - E.start_ns)"
+                return f"E.{sym.value}"
             # const / level / rule-local const: folded value inlined
             return _constant(sym.value)
         if isinstance(e, Unary):
@@ -137,14 +136,15 @@ def transpile(checked: CheckedProgram, timestamp: str | None = None) -> str:
     # The rule functions come first, so that the constants they name are known.
     gen = _Gen()
     functions: list[str] = []
-    tables: dict[str, list[tuple[str, str]]] = {}
-    for prefix, attr in (("_g", "graph_rules"), ("_m", "msg_rules"), ("_x", "external_rules")):
-        entries: list[tuple[str, str]] = []
-        for i, rule in enumerate(getattr(checked, attr)):
-            fn_name = f"{prefix}{i}"
+    table = ["RULES = {"]
+    for kind, rules in checked.rules.items():
+        table.append(f"    {kind.value!r}: [")
+        for i, rule in enumerate(rules):
+            fn_name = f"_{kind.value.lower()}{i}"
             functions.extend(gen.rule_fn(fn_name, rule))
-            entries.append((rule.rule_id, fn_name))
-        tables[attr] = entries
+            table.append(f"        ({rule.rule_id!r}, {fn_name}),")
+        table.append("    ],")
+    table.append("}")
 
     out: list[str] = []
     w = out.append
@@ -171,16 +171,7 @@ def transpile(checked: CheckedProgram, timestamp: str | None = None) -> str:
     w("")
     w("")
     out.extend(functions)
-
-    for label, attr in (("GRAPH_RULES", "graph_rules"), ("MSG_RULES", "msg_rules"), ("EXTERNAL_RULES", "external_rules")):
-        entries = tables[attr]
-        if not entries:
-            w(f"{label} = []")
-            continue
-        w(f"{label} = [")
-        for rule_id, fn_name in entries:
-            w(f"    ({rule_id!r}, {fn_name}),")
-        w("]")
+    out.extend(table)
     w("")
     w("")
     w("def build_engine(**engine_kwargs):")
@@ -189,9 +180,7 @@ def transpile(checked: CheckedProgram, timestamp: str | None = None) -> str:
     w("        levels=LEVELS,")
     w("        scripts_dir=SCRIPTS_DIR,")
     w("        var_init=VAR_INIT,")
-    w("        graph_rules=GRAPH_RULES,")
-    w("        msg_rules=MSG_RULES,")
-    w("        external_rules=EXTERNAL_RULES,")
+    w("        rules=RULES,")
     w("        **engine_kwargs,")
     w("    )")
     w("")

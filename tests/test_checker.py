@@ -305,7 +305,7 @@ def test_invalid_regex_rejected():
 
 def test_regex_from_const_is_accepted_and_compiled():
     checked = check_source('consts: P string = "/pose.*";\nrules Msg: topicmatches(P) ? True();')
-    regex = checked.msg_rules[0].trigger.resource
+    regex = checked.rules[SectionKind.MSG][0].trigger.resource
     assert regex.pattern == "/pose.*"
     assert regex.full_match("/pose2d")
 

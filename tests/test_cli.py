@@ -160,6 +160,15 @@ def test_a_non_ascii_digit_is_one_diagnostic(tmp_path, capsys):
     assert capsys.readouterr().err == "digit.rul:1:17: invalid character '²'\n"
 
 
+@pytest.mark.parametrize("name, summary", [
+    ("monitor_demo.rul", "4 levels, 7 Graph / 1 Msg / 0 External rules"),
+    ("soft_levels.rul", "4 levels, 3 Graph / 2 Msg / 0 External rules"),
+])
+def test_check_prints_one_summary_line(capsys, name, summary):
+    assert cli.main(["check", os.path.join(DATA_DIR, name)]) == 0
+    assert capsys.readouterr() == (f"{name}: OK ({summary})\n", "")
+
+
 @pytest.mark.parametrize("literal", ["1" * 5000, "0b" + "1" * 20000], ids=["decimal", "binary"])
 def test_an_over_long_int_literal_is_one_diagnostic(tmp_path, capsys, literal):
     """An int literal too long for ``int()`` (decimal) or for ``str()`` of

@@ -27,7 +27,7 @@ from rips.errors import EngineCrash, StaticError
 from rips.interpreter import InterpretedEngine
 from rips.runtime import Engine, EngineConfig, FakeClock, RecordingRunner
 from rips.signatures import ACTIONS, EXPRESSION_BUILTINS
-from rips.syntax import Binary, Call, Unary
+from rips.syntax import Binary, Call, SectionKind, Unary
 from rips.transpiler import load_generated, transpile
 from rips.values import ValueType
 from rips.wire import decode_event, encode_event
@@ -270,7 +270,7 @@ def test_both_engines_dispatch_through_the_signature_table():
         for child in children:
             walk(child)
 
-    for rule in checked.graph_rules + checked.msg_rules + checked.external_rules:
+    for rule in sum(checked.rules.values(), []):
         walk(rule.trigger)
         for item in rule.chain:
             walk(item.action)
@@ -366,7 +366,7 @@ def test_operator_table_parity(op, vt, unary):
         for i in range(len(pairs))
     ]
     checked = check_source("\n".join(lines) + "\n", "ops.rul")
-    for node in (r.chain[0].action.args[1] for r in checked.external_rules):
+    for node in (r.chain[0].action.args[1] for r in checked.rules[SectionKind.EXTERNAL]):
         assert node.impl is table[op, vt]
 
     for run in _engines(checked, EngineConfig()):

@@ -3,6 +3,7 @@ import gc
 import itertools
 import logging
 import os
+import signal
 import time
 import warnings
 
@@ -12,7 +13,8 @@ from rips.bus import SignalCounters
 from rips.checker import check_source
 from rips.errors import EngineCrash
 from rips.interpreter import InterpretedEngine, evaluate
-from rips.runtime import EngineConfig, FakeClock, RecordingRunner
+from rips.runtime import EngineConfig, FakeClock, RecordingRunner, SubprocessRunner
+from rips.syntax import SectionKind
 from rips.wire import decode_event, encode_event
 
 from conftest import make_scripts, write_script
@@ -359,6 +361,35 @@ def test_a_hung_child_costs_the_timeout_and_no_more(tmp_path, child):
     assert [o.text for o in eng.handle_event(make_event("message", topic="/next"))] == ["served"]
 
 
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_a_hung_child_takes_what_it_started_with_it(tmp_path):
+    """Past the timeout the runner kills the child's whole process group: a
+    script that started a background ``sleep`` and waits for it leaves no
+    ``sleep`` running."""
+    pid_file = tmp_path / "pid"
+    write_script(tmp_path / "hung.sh", f"sleep 30 &\necho $! > {pid_file}\nwait\n")
+    started = time.monotonic()
+    assert SubprocessRunner(0.3).run_exec(str(tmp_path / "hung.sh"), ()) is False
+    assert time.monotonic() - started < 1.0
+    pid = int(pid_file.read_text())
+    try:
+        deadline = time.monotonic() + 2.0
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(pid)
+    finally:
+        if _running(pid):
+            os.kill(pid, signal.SIGKILL)
+
+
 def test_debug_actions_print_and_return(caplog):
     src = 'rules Graph: true ? True(1, "a", 2.5) => False() !> alert("tail");'
     eng = build(src)
@@ -547,7 +578,7 @@ def test_eval_purity_snapshot():
     checked = check_source(src)
     eng = InterpretedEngine(checked, runner=RecordingRunner(), clock=FakeClock(1_000))
     eng.start()
-    rule = checked.graph_rules[0]
+    rule = checked.rules[SectionKind.GRAPH][0]
     ev = make_event("graph", topics=[{"topic": "/t", "publishers": ["p"], "subscribers": []}])
     before_vars = copy.deepcopy(eng.variables)
     before_level = eng.current
