@@ -25,15 +25,18 @@ key or not, of ``key: value``, ``key:`` and ``- `` lines. A value is one
 line: a plain scalar, a single- or double-quoted one (with YAML's escapes),
 or ``[]`` or ``{}``. A top-level value may also be a single-quoted scalar
 whose later lines are indented or empty, as the dumper writes a string with
-a line break. A plain scalar resolves and builds as PyYAML's YAML 1.1
-implicit resolvers and ``SafeConstructor`` do, and must be a str, null, int
-or float; a key must be a str. Comments, non-empty flow collections,
-anchors, aliases, tags, block scalars, multi-line scalars in the block,
-tabs, blank lines, line breaks other than ``\n`` and characters outside
-printable ASCII are refused, and so is nesting deeper than ``MAX_DEPTH``,
-with its own message. What the recognizer returns is what
-``yaml.safe_load`` returns. The tokens of a short line are kept in a
-bounded cache, because a monitor repeats its entries.
+a line break. A plain scalar resolves as PyYAML's YAML 1.1 implicit
+resolvers do and must be a str, null, int or float, and a number must be
+spelled as the dumper writes its value: an int as ``str`` writes it, a float
+as ``SafeRepresenter.represent_float`` does (``_float_scalar``). Such a
+number builds to the value ``SafeConstructor`` gives it. A key must be a
+str. Comments, non-empty flow collections, anchors, aliases, tags, block
+scalars, multi-line scalars in the block, tabs, blank lines, line breaks
+other than ``\n`` and characters outside printable ASCII are refused, and
+so is nesting deeper than ``MAX_DEPTH``, with its own message. What the
+recognizer returns is what ``yaml.safe_load`` returns. The tokens of a
+short line are kept in a bounded cache, because a monitor repeats its
+entries.
 
 A monitor sends the full graph with every event, and on a deployed robot
 that graph rarely changes. ``decode_event`` therefore keeps the
@@ -281,65 +284,33 @@ def _plain_tag(text: str) -> str:
     return _STR_TAG
 
 
-def _signed(text: str) -> tuple[int, str]:
-    """A number's sign and the rest of its text, its ``_`` dropped."""
-    text = text.replace("_", "")
-    return (-1 if text[0] == "-" else 1), (text[1:] if text[0] in "+-" else text)
-
-
-def _sexagesimal(digits: list, value):
-    """``value`` plus base-60 ``digits``, summed from the last one as
-    ``SafeConstructor`` sums them, so that a float rounds as it does."""
-    base = 1
-    for digit in reversed(digits):
-        value += digit * base
-        base *= 60
-    return value
-
-
-def _int(text: str) -> int:
-    """``SafeConstructor.construct_yaml_int``; ValueError at, e.g., "0b_"."""
-    sign, text = _signed(text)
-    if text.startswith("0b"):
-        return sign * int(text[2:], 2)
-    if text.startswith("0x"):
-        return sign * int(text[2:], 16)
-    if text[0] == "0":
-        return sign * int(text, 8)
-    if ":" in text:
-        return sign * _sexagesimal([int(part) for part in text.split(":")], 0)
-    return sign * int(text)
-
-
-def _float(text: str) -> float:
-    """``SafeConstructor.construct_yaml_float``."""
-    sign, text = _signed(text.lower())
-    if text == ".inf":
-        return sign * math.inf
-    if text == ".nan":
-        return -math.inf / math.inf  # SafeConstructor's nan_value
-    if ":" in text:
-        return sign * _sexagesimal([float(part) for part in text.split(":")], 0.0)
-    return sign * float(text)
-
-
-_BUILD = {"tag:yaml.org,2002:null": lambda text: None, "tag:yaml.org,2002:int": _int,
-          "tag:yaml.org,2002:float": _float}
+# The non-finite floats, as the dumper writes them and ``SafeConstructor``
+# builds them.
+_NON_FINITE = {".inf": math.inf, "-.inf": -math.inf, ".nan": -math.inf / math.inf}
 
 
 def _plain(text: str):
-    """A plain scalar's value as the safe loader builds it. Any type but
-    str, null, int and float is outside the dialect."""
+    """A plain scalar's value as the safe loader builds it. A number must be
+    written as the monitor's dumper writes its value, ``str(int)`` or
+    ``_float_scalar``; any other number, and any type but str, null, int and
+    float, is outside the dialect."""
     tag = _plain_tag(text)
     if tag == _STR_TAG:
         return text
-    build = _BUILD.get(tag)
-    if build is None:
-        raise DecodeError(_OUTSIDE)
+    if tag == "tag:yaml.org,2002:null":
+        return None
     try:
-        return build(text)
-    except ValueError:  # e.g. "0b_", which the safe loader rejects too
-        raise DecodeError(_OUTSIDE) from None
+        if tag == "tag:yaml.org,2002:int":
+            value = int(text)
+            if str(value) == text:
+                return value
+        elif tag == "tag:yaml.org,2002:float":
+            value = _NON_FINITE[text] if text in _NON_FINITE else float(text)
+            if _float_scalar(value) == text:
+                return value
+    except ValueError:  # e.g. "0x1f", or an int past Python's 4,300 digits
+        pass
+    raise DecodeError(_OUTSIDE)
 
 
 # The value of a "[]" or "{}" token is the type ``list`` or ``dict``, called
@@ -618,10 +589,9 @@ def encode_outcome(o: Outcome) -> str:
 
 
 def decode_outcome(doc) -> Outcome:
-    """Monitor-side decoding of an outcome document, as a monitor or a load
-    generator reads the engine's replies."""
-    if isinstance(doc, (str, bytes)):
-        doc = yaml.load(doc, Loader=_safe("Loader"))
+    """Monitor-side decoding of the text of an outcome document, as a
+    monitor or a load generator reads the engine's replies."""
+    doc = yaml.load(doc, Loader=_safe("Loader"))
     if not isinstance(doc, dict) or "event" not in doc:
         raise DecodeError("outcome document lacks the 'event' key")
     return Outcome(

@@ -79,7 +79,7 @@ context:
   nodes:
   - node: a
     gids:
-    - 01.02
+    - '01.02'
     services:
     - service: s1
       params:
@@ -93,7 +93,7 @@ context:
     - not a service
   - node: c
   - gids:
-    - 03.04
+    - '03.04'
   - just a string
   topics:
   - topic: /t
@@ -258,13 +258,22 @@ _PLAINS = st.one_of(
 _SAFE_CONSTRUCTOR = yaml.constructor.SafeConstructor()
 
 
-def _built(build, *args):
-    """What ``build(*args)`` returns, NaN made comparable, or ValueError."""
-    try:
-        value = build(*args)
-    except ValueError:
-        return ValueError
+def _comparable(value):
+    """``value`` as its type, value and repr, a NaN as its sign."""
     return ("nan", math.copysign(1, value)) if value != value else (type(value), value, repr(value))
+
+
+def _dumped_back(tag: str, text: str):
+    """``SafeConstructor``'s value of a plain int or float scalar, or
+    DecodeError where it raises or PyYAML's dumper writes that value as
+    other text."""
+    try:
+        value = getattr(_SAFE_CONSTRUCTOR, f"construct_yaml_{tag.rsplit(':', 1)[1]}")(yaml.ScalarNode(tag, text))
+        if yaml.safe_dump(value) == text + "\n...\n":
+            return _comparable(value)
+    except (ValueError, OverflowError):
+        pass
+    return DecodeError
 
 
 @settings(max_examples=500, deadline=None)
@@ -274,16 +283,27 @@ def _built(build, *args):
 @example(text="-.Inf")
 @example(text="1:20.5")
 @example(text="190:20:30.15")
+@example(text="-0")
+@example(text="010")
+@example(text="1.50")
+@example(text="1" + ":1" * 199 + ".")
 def test_plain_scalars_resolve_and_build_as_pyyaml_does(text):
-    """``_plain_tag`` equals PyYAML's ``Resolver().resolve``, and the int,
-    float and null builders equal ``SafeConstructor``, a ValueError
-    included."""
+    """``_plain_tag`` equals PyYAML's ``Resolver().resolve``. A null builds
+    to None. An int or a float builds to ``SafeConstructor``'s value exactly
+    where PyYAML's dumper writes that value back as the same text, and is
+    one DecodeError everywhere else, also where ``SafeConstructor`` raises
+    ValueError or OverflowError."""
     tag = yaml.resolver.Resolver().resolve(yaml.ScalarNode, text, (True, False))
     assert wire._plain_tag(text) == tag
     kind = tag.rsplit(":", 1)[1]
-    if kind in ("int", "float", "null"):
-        expected = _built(getattr(_SAFE_CONSTRUCTOR, f"construct_yaml_{kind}"), yaml.ScalarNode(tag, text))
-        assert _built(wire._BUILD[tag], text) == expected
+    if kind == "null":
+        assert wire._plain(text) is None
+    elif kind in ("int", "float"):
+        try:
+            built = _comparable(wire._plain(text))
+        except DecodeError:
+            built = DecodeError
+        assert built == _dumped_back(tag, text)
 
 
 @settings(max_examples=500, deadline=None)
@@ -416,10 +436,35 @@ def _decodes_or_rejects(decode, doc) -> None:
         pass
 
 
+# A 403-byte document holding a base-60 float past the float range, and a
+# node named by a hex int past Python's 4,300-digit int-to-str limit. Built
+# as YAML 1.1 numbers, the first raises OverflowError, and the second
+# ValueError when the graph takes the node's name.
+_HOSTILE_NUMBERS = {
+    "base-60-float": "a: 1" + ":1" * 199 + ".",
+    "long-hex-name": "event: graph\ncontext:\n  nodes:\n  - node: 0x" + "f" * 5000 + "\n",
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.text())
+@example(_HOSTILE_NUMBERS["base-60-float"])
+@example(_HOSTILE_NUMBERS["long-hex-name"])
 def test_arbitrary_text_raises_only_decode_error(text):
     _decodes_or_rejects(decode_event, text)
+
+
+@pytest.mark.parametrize("number", sorted(_HOSTILE_NUMBERS))
+def test_a_hostile_number_costs_one_warning(caplog, number):
+    """The engine skips such a document with one warning, and logs no ERROR
+    record, which would carry a traceback."""
+    engine = InterpretedEngine(check_source('rules Graph: nodecount(1, 1) ? alert("one node");'),
+                               clock=FakeClock(0), runner=RecordingRunner())
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert engine.handle_document(_HOSTILE_NUMBERS[number]) == []
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.WARNING, "skipping malformed event: outside the monitor's dialect")]
 
 
 @settings(max_examples=150, deadline=None)
@@ -698,13 +743,14 @@ def test_bases_decode_without_yaml_load(monkeypatch):
 @pytest.mark.parametrize("seed", range(20))
 def test_dialect_layouts_decode_without_yaml_load(monkeypatch, seed):
     """Sequences indented or not, extra spaces after "-" and ":", trailing
-    spaces, and null, int and float scalars are all in the dialect, and
-    decode as ``yaml.safe_load`` reads them."""
+    spaces, and null, int and float scalars as the dumper writes them are
+    all in the dialect, and decode as ``yaml.safe_load`` reads them. An int
+    or float the dumper would write otherwise is outside the dialect."""
     rng = random.Random(seed)
     head, block, tail = _parts(rng.choice(_BASES))
     value = yaml.safe_load("\n".join(block))["context"]
     block = ["context:"] + [line + rng.choice(["", "  "]) for line in _layout(value, rng.choice([1, 2, 4]), rng)]
-    alert = rng.choice(["~", "null", "", "0x1f", "1_000", "1:20", ".inf", "-.Inf", ".NaN", "1e3", "0o17"])
+    alert = rng.choice(["~", "null", "", "12", "-1.5", "1.0e+20", ".inf", "-.inf", ".nan", "1e3", "0o17"])
     rest = [line for line in head + tail if not line.startswith("lastalert") and line not in ("---", "...")]
     doc = "\n".join(["---", *rest, *block, f"lastalert: {alert}", "..."]) + "\n"
     expected = _decoded(doc, _full_parse)
@@ -712,6 +758,9 @@ def test_dialect_layouts_decode_without_yaml_load(monkeypatch, seed):
     _refuse_pyyaml(monkeypatch)
     wire.clear_context_cache()
     assert _decoded(doc) == expected != "DecodeError"
+    for number in ("0x1f", "1_000", "1:20", "-.Inf", ".NaN"):
+        with pytest.raises(DecodeError, match="outside the monitor's dialect"):
+            decode_event(doc.replace(f"lastalert: {alert}\n", f"lastalert: {number}\n"))
 
 
 _CONTEXTS = [yaml.safe_load(doc)["context"] for doc in random_corpus(5, 30)] + [{}, None, {"nodes": [], "topics": []}]
@@ -899,6 +948,34 @@ def test_a_long_line_that_fails_costs_one_scan(where):
     seconds, message = _decode_in_child(doc)
     assert "outside the monitor's dialect" in message
     assert seconds < 1.0
+
+
+# Hostile documents of about n bytes, each one DecodeError after a scan of
+# the whole document (none has an "event" line): nine shapes that load the
+# recognizer's scanners, and a plain base-60 int, whose YAML 1.1 value takes
+# quadratic time to sum.
+_GROWING = {
+    "multi-line-quote": lambda n: "lastalert: 'a" + "\n  a" * (n // 4) + "'\n",
+    "unclosed-quote": lambda n: "lastalert: 'a" + "\n  a" * (n // 4) + "\n",
+    "spaces-then-tab": lambda n: "lastalert: a" + " " * n + "\t\n",
+    "x-escapes": lambda n: 'lastalert: "' + "\\x41" * (n // 4) + '"\n',
+    "block-lines": lambda n: "context:\n  nodes:\n" + "".join(f"  - node: n{i}\n" for i in range(n // 16)),
+    "deep-mappings": lambda n: "context:\n" + "".join(" " * k + "a:\n" for k in range(1, int((2 * n) ** 0.5))),
+    "colons": lambda n: "lastalert: " + ":" * n + "\n",
+    "hashes": lambda n: "lastalert: a" + " #" * (n // 2) + "\n",
+    "dashes": lambda n: "context:\n  nodes:\n" + "  -\n" * (n // 4),
+    "base-60-int": lambda n: "currentgrav: 1" + ":1" * (n // 2) + "\n",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_GROWING))
+def test_inbound_work_grows_linearly(shape):
+    """Four times the bytes costs less than ten times the CPU time, loosely
+    enough that host noise cannot fail a linear scan: each shape at 64 KB
+    and at 256 KB, decoded in a child."""
+    small, _ = _decode_in_child(_GROWING[shape](64 << 10))
+    large, _ = _decode_in_child(_GROWING[shape](256 << 10))
+    assert large < 10 * small
 
 
 @pytest.mark.parametrize("form", ["block", "flow", "sequence", "sequence-flow"])
