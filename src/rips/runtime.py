@@ -214,16 +214,20 @@ class Engine:
 
     def start(self) -> list[Outcome]:
         """Enter the first level (running its ``.to`` script) once; returns
-        the outcomes of doing so."""
+        the outcomes of doing so. ``handle_event`` and ``tick`` start an
+        engine not yet started and return those outcomes before their own."""
+        self._start()
+        return self._take_outcomes()
+
+    def _start(self) -> None:
         if self._started:
-            return []
+            return
         self._started = True
         self.start_ns = self.time_ns = self.clock.now_ns()
         if self.levels:
             name = self.levels[0][0]
             if not self._run_script(name, "to", from_name="", to_name=name):
                 self._script_failure_alert(f"{name}.to")
-        return self._take_outcomes()
 
     def handle_document(self, text: str) -> list[Outcome]:
         """Decode one framed document and handle its event. This is the one
@@ -241,7 +245,7 @@ class Engine:
         return self.handle_event(event)
 
     def handle_event(self, event: InboundEvent) -> list[Outcome]:
-        self.start()
+        self._start()
         if event.kind == "graph":
             self._run_rules(self._rules["Graph"], event.graph)
         else:
@@ -250,7 +254,7 @@ class Engine:
 
     def tick(self) -> list[Outcome]:
         """One periodic pass over the External rules, with no event context."""
-        self.start()
+        self._start()
         self._run_rules(self._rules["External"], None)
         return self._take_outcomes()
 

@@ -8,8 +8,10 @@ source that mimics the monitor: it emits a graph event every polling
 interval and immediately on a change (periodic emission can be disabled),
 filters message topics through the white/black lists, and tracks the
 level and last alert from the engine's sink to fill the event envelope.
-What it sends goes through one ``DocumentStream``, as a socket's bytes do,
-so the engine sees the documents ``serve`` would frame from them.
+It writes each event with PyYAML's safe dumper (``encode_event``), as the
+monitor does, and what it sends goes through one ``DocumentStream``, as a
+socket's bytes do, so the engine sees the documents ``serve`` would frame
+from them.
 Its ``FakeClock`` moves only when the source moves it, so runs are
 deterministic and fast, and ``drive`` ticks as it does on a socket: at
 one time, timeline entries (in file order) come before the graph poll,
@@ -29,7 +31,7 @@ from .bus import SIGNALS, SignalCounters, drive
 from .errors import EngineCrash, RipsError
 from .runtime import FakeClock
 from .support import positive_float
-from .wire import DocumentStream, Outcome, encode_event
+from .wire import DocumentStream, Outcome
 
 DEFAULT_POLLING_S = 0.5
 DEFAULT_GRACE_S = 1.0
@@ -217,6 +219,19 @@ def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh.read())
     return parse_scenario(doc, name=os.path.basename(path))
+
+
+# Wider than any line an event holds, so the dumper never folds one.
+_WIDTH = 1_000_000
+
+
+def encode_event(doc: dict) -> str:
+    """Serialize a monitor-side event mapping as one framed YAML document,
+    keys in the mapping's order, with PyYAML's libyaml ``CSafeDumper`` when
+    it is built in, else its pure-Python ``SafeDumper``."""
+    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+    body = yaml.dump(doc, Dumper=dumper, sort_keys=False, default_flow_style=False, width=_WIDTH)
+    return "---\n" + body + "...\n"
 
 
 def _split_topics(value: str | None) -> frozenset[str]:

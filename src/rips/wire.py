@@ -52,11 +52,11 @@ event decoded from its block, so a ``GraphContext`` must never be mutated.
 fire, only on a miss.
 
 ``encode_outcome`` writes every outcome from a template, in the bytes
-``encode_event`` writes, but for a string with a line break, which goes out
-double-quoted on one line. The serving path imports neither PyYAML nor
-``dataclasses``. PyYAML loads at the first read of an attribute of the
-module-level ``yaml``, which only the monitor-side helpers ``encode_event``
-and ``decode_outcome`` read; ``rips simulate`` and the tests use them.
+PyYAML's safe dumper writes, but for a string with a line break, which goes
+out double-quoted on one line; ``decode_outcome``, the monitor's side of it,
+reads them back with the recognizer. Neither path imports PyYAML or
+``dataclasses``: this module holds the engine's own dialect and nothing else.
+The monitor's event writer, ``encode_event``, is in ``rips.scenario``.
 """
 
 from __future__ import annotations
@@ -73,26 +73,10 @@ from .errors import RipsError
 log = logging.getLogger("rips.wire")
 
 
-class _PyYAML:
-    """Stands for the ``yaml`` module until one of its attributes is read,
-    which imports PyYAML and puts the module in its place."""
-
-    def __getattr__(self, name):
-        global yaml
-        import yaml as module
-
-        if yaml is self:
-            yaml = module
-        return getattr(module, name)
-
-
-yaml = _PyYAML()
-
-
-def _safe(what: str):
-    """PyYAML's ``CSafeLoader`` or ``CSafeDumper``, or its pure-Python safe
-    class when libyaml is not built in."""
-    return getattr(yaml, "CSafe" + what, None) or getattr(yaml, "Safe" + what)
+# Nothing in ``rips`` reads this name. perfbench's traced replay saves and
+# restores ``wire.yaml`` around its spans; ROADMAP item 1a deletes that patch,
+# and this line with it.
+yaml = None
 
 
 class DecodeError(RipsError):
@@ -242,7 +226,7 @@ _LINE = re.compile(
     rf"(?:({_FIRST}[ -~]*)|(?:'([ -~]*)'|\"({_DOUBLE})\"|(\[\]|\{{\}})) *)?"
 )
 # A top-level entry whose single-quoted value spans lines.
-_MULTILINE = re.compile(rf"({_KEY}): +'((?:[ -&(-~\n]|'')*)' *")
+_MULTILINE = re.compile(rf"({_KEY}): +'([ -&(-~\n]*(?:''[ -&(-~\n]*)*)' *")
 # A line break in such a value, the spaces around it and the empty lines
 # after it, which YAML folds to a newline for each empty line, or to a space
 # when there are none.
@@ -526,17 +510,6 @@ def _event(doc: dict, graph: GraphContext | None = None) -> InboundEvent:
     return InboundEvent(kind, graph, str(doc.get("topic") or ""), str(doc.get("msgtype") or ""), payload)
 
 
-# Wider than any line an engine writes, so the dumper never folds one.
-_WIDTH = 1_000_000
-
-
-def encode_event(doc: dict) -> str:
-    """Serialize a monitor-side event mapping as one framed YAML document,
-    keys in the mapping's order."""
-    body = yaml.dump(doc, Dumper=_safe("Dumper"), sort_keys=False, default_flow_style=False, width=_WIDTH)
-    return "---\n" + body + "...\n"
-
-
 # What keeps a printable ASCII string from being written plain, as
 # PyYAML's ``Emitter.analyze_scalar`` finds it: a leading or trailing space, a
 # leading document marker or indicator, a leading "?" or "-" before a space
@@ -581,19 +554,22 @@ def _float_scalar(value: float) -> str:
 
 
 def encode_outcome(o: Outcome) -> str:
-    """One framed outcome document, from a fixed template: the bytes
-    ``encode_event`` writes for it, unless a string holds a line break (see
-    ``_str_scalar``)."""
+    """One framed outcome document, from a fixed template: the bytes PyYAML's
+    safe dumper writes for it (``scenario.encode_event``), unless a string
+    holds a line break (see ``_str_scalar``)."""
     return (f"---\nevent: {_str_scalar(o.kind)}\nlevel: {_str_scalar(o.level)}\n"
             f"gravity: {_float_scalar(o.gravity)}\ntext: {_str_scalar(o.text)}\ntimestamp: {o.timestamp_ns}\n...\n")
 
 
 def decode_outcome(doc) -> Outcome:
-    """Monitor-side decoding of the text of an outcome document, as a
-    monitor or a load generator reads the engine's replies."""
-    doc = yaml.load(doc, Loader=_safe("Loader"))
-    if not isinstance(doc, dict) or "event" not in doc:
-        raise DecodeError("outcome document lacks the 'event' key")
+    """The outcome in the text of one document ``encode_outcome`` wrote, as a
+    monitor or a load generator reads the engine's replies. It reads the
+    engine's own dialect with the recognizer, so a document with a
+    ``context:`` block or without ``event``, and any document outside the
+    dialect, is one ``DecodeError``."""
+    doc, block = _recognize(doc)
+    if block is not None or "event" not in doc:
+        raise DecodeError("not an outcome document")
     return Outcome(
         kind=str(doc["event"]),
         level=str(doc.get("level") or ""),

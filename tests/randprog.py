@@ -31,9 +31,9 @@ from typing import NamedTuple
 
 from rips import parser, patterns, regexlite
 from rips.bus import SIGNALS
+from rips.scenario import encode_event
 from rips.syntax import BINARY_PRECEDENCE, Binary, Call, Expr, Literal, Name, Program, Unary
 from rips.values import STRING_CAP
-from rips.wire import encode_event
 
 TOPIC_POOL = ["/t0", "/t1", "/t2", "/cam/raw", "/cmd/vel", "/diag"]
 NODE_POOL = ["alpha", "beta", "gamma", "delta", "rips", "watch"]

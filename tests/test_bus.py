@@ -22,8 +22,9 @@ from rips.checker import check_source
 from rips.errors import EngineCrash
 from rips.interpreter import InterpretedEngine
 from rips.runtime import EngineConfig, FakeClock
+from rips.scenario import encode_event
 from rips.transpiler import load_generated, transpile
-from rips.wire import DocumentStream, decode_outcome, encode_event, encode_outcome
+from rips.wire import DocumentStream, decode_outcome, encode_outcome
 
 from conftest import make_scripts
 

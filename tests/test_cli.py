@@ -19,9 +19,9 @@ from rips import cli, parser
 from rips.checker import check_source
 from rips.interpreter import InterpretedEngine
 from rips.runtime import EngineConfig, FakeClock, RecordingRunner
+from rips.scenario import encode_event
 from rips.support import add_engine_args, config_from_args
 from rips.transpiler import load_generated, transpile
-from rips.wire import encode_event
 
 from conftest import DATA_DIR, make_scripts, write_script
 

@@ -26,11 +26,12 @@ from rips.checker import check_file, check_source
 from rips.errors import EngineCrash, StaticError
 from rips.interpreter import InterpretedEngine
 from rips.runtime import Engine, EngineConfig, FakeClock, RecordingRunner
+from rips.scenario import encode_event
 from rips.signatures import ACTIONS, EXPRESSION_BUILTINS
 from rips.syntax import Binary, Call, SectionKind, Unary
 from rips.transpiler import load_generated, transpile
 from rips.values import ValueType
-from rips.wire import decode_event, encode_event
+from rips.wire import decode_event
 
 from conftest import DATA_DIR
 from randprog import IDS_NEEDLE_POOL, extreme_programs, random_corpus, random_program

@@ -69,29 +69,45 @@ def test_the_interpreter_starts_without_dataclasses():
     assert not loaded & (NOT_SERVING | INTROSPECTION)
 
 
+def _imported(path: str) -> set[str]:
+    """The modules that the import statements of the file at ``path`` name."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    return imported | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+
 def test_no_module_imports_dataclasses():
     package = os.path.dirname(rips.__file__)
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
-            with open(os.path.join(package, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), name)
-            imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
-            imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-            assert "dataclasses" not in imported, name
+            assert "dataclasses" not in _imported(os.path.join(package, name)), name
+
+
+def test_the_wire_module_imports_no_pyyaml():
+    """PyYAML is the monitor's: ``rips.wire`` reads and writes its own
+    dialect, and no statement of it imports ``yaml``."""
+    imported = _imported(os.path.join(os.path.dirname(rips.__file__), "wire.py"))
+    assert not any(name and name.partition(".")[0] == "yaml" for name in imported)
 
 
 def test_the_dialect_and_outcomes_need_no_pyyaml():
     """The fixture decodes, a flow-style document is one DecodeError, and a
-    levelchange, an alert and a non-ASCII, multi-line alert encode, all
-    without PyYAML."""
+    levelchange, an alert and a non-ASCII, multi-line alert encode and
+    decode back, all without PyYAML."""
     fixture = os.path.join(DATA_DIR, "graph_event.yaml")
     serve = f"""
-from rips.wire import DecodeError, Outcome, decode_event, encode_outcome
+from rips.wire import DecodeError, Outcome, decode_event, decode_outcome, encode_outcome
 event = decode_event(open({fixture!r}, encoding="utf-8").read())
 assert sorted(event.graph.node_names) == ["recorder", "rips"]
-assert encode_outcome(Outcome("levelchange", "COMPROMISED", 1, 1.0, "", 5)).startswith("---\\nevent: levelchange\\n")
-assert "text: 'intruder: /cmd_vel'" in encode_outcome(Outcome("alert", "COMPROMISED", 1, 0.5, "intruder: /cmd_vel", 5))
-assert 'text: "\\\\xE9\\\\n...\\\\nb"' in encode_outcome(Outcome("alert", "A", 0, 0.5, "\\xe9\\n...\\nb", 5))
+outcomes = [Outcome("levelchange", "COMPROMISED", 1, 1.0, "", 5),
+            Outcome("alert", "COMPROMISED", 1, 0.5, "intruder: /cmd_vel", 5),
+            Outcome("alert", "A", 0, 0.5, "\\xe9\\n...\\nb", 5)]
+texts = [encode_outcome(o) for o in outcomes]
+assert texts[0].startswith("---\\nevent: levelchange\\n")
+assert "text: 'intruder: /cmd_vel'" in texts[1]
+assert 'text: "\\\\xE9\\\\n...\\\\nb"' in texts[2]
+assert [decode_outcome(text) for text in texts] == [o._replace(ordinal=-1) for o in outcomes]
 try:
     decode_event("event: graph\\ncontext: {{nodes: [{{node: n1}}]}}\\n")
 except DecodeError as exc:

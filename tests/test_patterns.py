@@ -9,8 +9,8 @@ from rips.checker import check_source
 from rips.interpreter import InterpretedEngine
 from rips.patterns import MAX_NESTING, PatternFileError, load_pattern_file, parse_pattern_text
 from rips.runtime import FakeClock, RecordingRunner
+from rips.scenario import encode_event
 from rips.transpiler import load_generated, transpile
-from rips.wire import encode_event
 
 from conftest import DATA_DIR
 from randprog import nested_condition

@@ -14,8 +14,9 @@ from rips.checker import check_source
 from rips.errors import EngineCrash
 from rips.interpreter import InterpretedEngine, evaluate
 from rips.runtime import EngineConfig, FakeClock, RecordingRunner, SubprocessRunner
+from rips.scenario import encode_event
 from rips.syntax import SectionKind
-from rips.wire import decode_event, encode_event
+from rips.wire import decode_event
 
 from conftest import make_scripts, write_script
 
@@ -142,6 +143,22 @@ def test_script_failure_commits_transition_and_alerts(scripts_factory, tmp_path)
     kinds = [(o.kind, o.text) for o in collected]
     assert kinds[0][0] == "levelchange"
     assert any(o.kind == "alert" and "B.to" in o.text for o in collected)
+
+
+@pytest.mark.parametrize("entry", ["handle_event", "tick"])
+def test_a_lazy_start_returns_its_outcomes(scripts_factory, entry):
+    """An engine never started starts at its first event or tick, and that
+    entry point returns the start's outcomes before its own, as the sink
+    receives them."""
+    collected = []
+    eng = build('levels: A; B;\nrules Graph: true ? alert("graph");\nrules External: true ? alert("tick");',
+                scripts_dir=scripts_factory(["A", "B"]), runner=RecordingRunner(lambda call: False),
+                sink=collected.append)
+    returned = eng.handle_event(make_event()) if entry == "handle_event" else eng.tick()
+    assert [o.text for o in returned] == ["transition script failed: A.to",
+                                          "graph" if entry == "handle_event" else "tick"]
+    assert returned == collected
+    assert eng.start() == []
 
 
 def test_levelchange_outcome_fields():

@@ -16,6 +16,7 @@ from rips import wire
 from rips.checker import check_source
 from rips.interpreter import InterpretedEngine
 from rips.runtime import FakeClock, RecordingRunner
+from rips.scenario import encode_event
 from rips.transpiler import load_generated, transpile
 from rips.wire import (
     MAX_DEPTH,
@@ -25,7 +26,6 @@ from rips.wire import (
     Outcome,
     decode_event,
     decode_outcome,
-    encode_event,
     encode_outcome,
 )
 
@@ -718,11 +718,14 @@ _MUTATIONS = ["none", "duplicate-context", "spanning-block", "spanning-document"
 
 
 def _refuse_pyyaml(monkeypatch):
-    class Refuse:
-        def __getattr__(self, name):
-            raise AssertionError(f"decoding read yaml.{name}")
+    """Fail the test if decoding reaches PyYAML: an import of it fails, and
+    so does a call of its loaders from a module that holds it already."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("decoding called a PyYAML loader")
 
-    monkeypatch.setattr(wire, "yaml", Refuse())
+    monkeypatch.setitem(sys.modules, "yaml", None)
+    for name in ("load", "load_all", "safe_load", "safe_load_all", "full_load", "unsafe_load"):
+        monkeypatch.setattr(yaml, name, refuse)
 
 
 def test_bases_decode_without_yaml_load(monkeypatch):
@@ -774,7 +777,7 @@ _ECHO_KEYS = ["currentlevel", "currentgrav", "lastalert", "topic", "msgtype", "p
            "currentgrav": st.floats() | st.text(),
            "payload": st.binary(max_size=24).map(lambda b: base64.b64encode(b).decode("ascii")),
        }),
-       at=st.integers(0, len(_ECHO_KEYS)), dumper=st.sampled_from([yaml.SafeDumper, wire._safe("Dumper")]))
+       at=st.integers(0, len(_ECHO_KEYS)), dumper=st.sampled_from([yaml.SafeDumper, yaml.CSafeDumper]))
 @example(kind="graph", context={}, echo={"lastalert": "a\n...\nb", "currentlevel": "é\n...\nb"}, at=1,
          dumper=yaml.SafeDumper)
 def test_monitor_traffic_is_in_the_dialect(kind, context, echo, at, dumper):
@@ -915,19 +918,24 @@ _DEEP = {
 }
 
 
+def _in_child(code: str, data: bytes) -> str:
+    """What ``code`` prints when it reads ``data`` on its standard input in
+    a child process, so that a crash or a hang in the code under test fails
+    the caller rather than killing pytest."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rips.__file__)))
+    child = subprocess.run([sys.executable, "-c", code], input=data, capture_output=True, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr.decode()[-2000:]
+    return child.stdout.decode()
+
+
 def _decode_in_child(doc: str) -> tuple[float, str]:
     """The CPU seconds ``decode_event`` takes on ``doc`` and its
-    DecodeError's message, in a child process, so that a crash or a hang in
-    the decoder fails the caller rather than killing pytest."""
+    DecodeError's message, in a child process."""
     code = ("import sys, time\nfrom rips.wire import DecodeError, decode_event\n"
             "doc = sys.stdin.read()\nstart = time.process_time()\n"
             "try:\n    decode_event(doc)\nexcept DecodeError as exc:\n"
             "    print(time.process_time() - start, exc)\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rips.__file__)))
-    child = subprocess.run([sys.executable, "-c", code], input=doc, capture_output=True, text=True,
-                           env=env, timeout=60)
-    assert child.returncode == 0, child.stderr[-2000:]
-    seconds, message = child.stdout.split(" ", 1)
+    seconds, message = _in_child(code, doc.encode("utf-8")).split(" ", 1)
     return float(seconds), message
 
 
@@ -951,9 +959,10 @@ def test_a_long_line_that_fails_costs_one_scan(where):
 
 
 # Hostile documents of about n bytes, each one DecodeError after a scan of
-# the whole document (none has an "event" line): nine shapes that load the
-# recognizer's scanners, and a plain base-60 int, whose YAML 1.1 value takes
-# quadratic time to sum.
+# the whole document (none has an "event" line): ten shapes that load the
+# recognizer's scanners, the last a closed multi-line single-quoted value of
+# long lines, and a plain base-60 int, whose YAML 1.1 value takes quadratic
+# time to sum.
 _GROWING = {
     "multi-line-quote": lambda n: "lastalert: 'a" + "\n  a" * (n // 4) + "'\n",
     "unclosed-quote": lambda n: "lastalert: 'a" + "\n  a" * (n // 4) + "\n",
@@ -964,6 +973,7 @@ _GROWING = {
     "colons": lambda n: "lastalert: " + ":" * n + "\n",
     "hashes": lambda n: "lastalert: a" + " #" * (n // 2) + "\n",
     "dashes": lambda n: "context:\n  nodes:\n" + "  -\n" * (n // 4),
+    "long-quoted-lines": lambda n: "lastalert: '" + "a''b " * (n // 10) + "\n  " + "a''b " * (n // 10) + "'\n",
     "base-60-int": lambda n: "currentgrav: 1" + ":1" * (n // 2) + "\n",
 }
 
@@ -975,6 +985,50 @@ def test_inbound_work_grows_linearly(shape):
     and at 256 KB, decoded in a child."""
     small, _ = _decode_in_child(_GROWING[shape](64 << 10))
     large, _ = _decode_in_child(_GROWING[shape](256 << 10))
+    assert large < 10 * small
+
+
+# Byte streams of about n bytes that load the framer's marker search: one
+# line of "-" or of "." (a candidate at every byte), lines that hold a marker
+# but are none, real marker lines around empty documents, indented markers,
+# and one long line of "x---".
+_FRAMED = {
+    "dash-line": lambda n: b"-" * n + b"\n",
+    "dot-line": lambda n: b"." * n + b"\n",
+    "candidate-lines": lambda n: b"a---\nb...\n" * (n // 10),
+    "marker-lines": lambda n: b"---\n...\n" * (n // 8),
+    "indented-markers": lambda n: b" ---\n  ...\n" * (n // 11),
+    "x-dash-line": lambda n: b"x---" * (n // 4) + b"\n",
+}
+
+
+def _feed_in_child(data: bytes, chunk: int) -> float:
+    """The least CPU seconds a pass of ``data`` through a fresh
+    ``DocumentStream``, fed ``chunk`` bytes at a time, takes in a child
+    process. Passes repeat until they have taken 0.1 s together, so that a
+    pass of a millisecond is not read off one run."""
+    code = ("import sys, time\nfrom rips.wire import DocumentStream\n"
+            f"data, chunk, best, spent = sys.stdin.buffer.read(), {chunk}, float('inf'), 0.0\n"
+            "while spent < 0.1:\n"
+            "    stream, start = DocumentStream(), time.process_time()\n"
+            "    for i in range(0, len(data), chunk):\n"
+            "        stream.feed(data[i:i + chunk])\n"
+            "    took = time.process_time() - start\n"
+            "    best, spent = min(best, took), spent + took\n"
+            "print(best)\n")
+    return float(_in_child(code, data))
+
+
+@pytest.mark.parametrize("chunk, size", [(1 << 16, 240 << 10), (1, 16 << 10)], ids=["64KB-chunks", "1-byte-feeds"])
+@pytest.mark.parametrize("shape", sorted(_FRAMED))
+def test_framing_work_grows_linearly(shape, chunk, size):
+    """Four times the bytes costs the framer less than ten times the CPU
+    time: each shape at two sizes, fed in 64 KB chunks and a byte at a time,
+    in a child. The larger size of the chunked feeds stays under
+    ``MAX_DOC_BYTES``, so that no shape is dropped, and the byte-at-a-time
+    sizes are small because each feed is a call."""
+    small = _feed_in_child(_FRAMED[shape](size), chunk)
+    large = _feed_in_child(_FRAMED[shape](4 * size), chunk)
     assert large < 10 * small
 
 
